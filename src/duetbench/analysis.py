@@ -132,6 +132,8 @@ def bootstrap_ci(
     be PairedSamples or plain numbers; `rng` may be a Generator or a seed.
     """
     values = _as_values(samples)
+    if not np.isfinite(values).all():
+        raise ValueError("bootstrap samples must all be finite")
     if values.size < min_samples:
         raise InsufficientSamplesError(
             f"bootstrap needs >= {min_samples} samples, got {values.size}; "

@@ -1,20 +1,21 @@
 """Command line interface.
 
 Subcommands: run, compare, sweep, analyze. Exit codes are the pipeline
-contract: 0 = pass, 1 = regression detected, 2 = error, 3 = inconclusive
-(compare and sweep are reporting commands and exit 0 unless an error occurs).
+contract: 0 = pass, 1 = regression detected, 2 = error, 3 = inconclusive,
+130 = interrupted (compare and sweep are reporting commands and exit 0
+unless an error occurs). Every flag sets the ExperimentConfig field its
+`dest` names; `model.<field>` sets a field of the VariabilityModel.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .analysis import Verdict
-from .errors import BenchmarkError
 from .harness import (
     ExperimentConfig,
     Report,
@@ -24,31 +25,25 @@ from .harness import (
     run_experiment,
 )
 from .measurement import Backend, ClockMode, Strategy
+from .simenv import VariabilityModel
 from .workloads import WorkloadKind
 
 EXIT_PASS = 0
 EXIT_REGRESSION = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERRUPTED = 130
 
 _VERDICT_EXIT = {Verdict.PASS: EXIT_PASS, Verdict.REGRESSION: EXIT_REGRESSION, Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-_MODEL_FLAGS = (
-    ("quality-cv", "instance_quality_cv"),
-    ("temporal-sigma", "temporal_sigma"),
-    ("cold-penalty-ms", "cold_penalty_ms"),
-    ("base-cost-ns", "base_cost_ns_per_unit"),
-    ("drift-period-s", "drift_period_s"),
-    ("drift-amplitude", "drift_amplitude"),
-    ("duet-jitter-cv", "duet_jitter_cv"),
-    ("time-step-s", "time_step_s"),
-)
+# A model flag is its field's name with dashes, except for these two.
+_SHORT_MODEL_FLAGS = {"instance_quality_cv": "quality-cv", "base_cost_ns_per_unit": "base-cost-ns"}
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser, *, with_strategies: bool) -> None:
     p.add_argument("--config", type=Path, help="JSON config file; flags override its values")
     if with_strategies:
-        p.add_argument("--strategy", action="append", choices=[s.value for s in Strategy],
+        p.add_argument("--strategy", dest="strategies", action="append", choices=[s.value for s in Strategy],
                        help="strategy to run (repeatable; default: all three)")
     p.add_argument("--backend", choices=[b.value for b in Backend])
     p.add_argument("--repetitions", type=int)
@@ -63,62 +58,38 @@ def _add_experiment_flags(p: argparse.ArgumentParser, *, with_strategies: bool) 
     p.add_argument("--resamples", type=int)
     p.add_argument("--threshold-pct", type=float)
     p.add_argument("--min-samples", type=int)
-    p.add_argument("--sweep", action="store_true", default=None, help="also compute the sample-size sweep")
+    p.add_argument("--sweep", dest="run_sweep", action="store_true", default=None,
+                   help="also compute the sample-size sweep")
     p.add_argument("--sweep-start", type=int)
     p.add_argument("--sweep-stop", type=int)
     p.add_argument("--sweep-step", type=int)
     p.add_argument("--clock", choices=[c.value for c in ClockMode], help="force one clock for every strategy")
     p.add_argument("--pairing", choices=["index", "random"])
-    p.add_argument("--no-pin", action="store_true", default=None, help="run live workers without core pinning")
+    p.add_argument("--no-pin", dest="pinning", action="store_false", default=None,
+                   help="run live workers without core pinning")
     p.add_argument("--cores", type=int, nargs=2, metavar=("CORE_A", "CORE_B"))
-    for flag, _ in _MODEL_FLAGS:
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--out", type=Path, help="output directory (default: results)")
-    p.add_argument("--format", action="append", choices=["json", "csv"], help="summary format (repeatable)")
+    for f in fields(VariabilityModel):
+        flag = _SHORT_MODEL_FLAGS.get(f.name, f.name.replace("_", "-"))
+        p.add_argument(f"--{flag}", dest=f"model.{f.name}", type=float)
+    p.add_argument("--out", dest="output_dir", type=Path, help="output directory (default: results)")
+    p.add_argument("--format", dest="formats", action="append", choices=["json", "csv"],
+                   help="summary format (repeatable)")
 
 
-def _config_from_args(args: argparse.Namespace, *, force_sweep: bool = False) -> ExperimentConfig:
-    overrides: dict = {}
-    if getattr(args, "strategy", None):
-        overrides["strategies"] = tuple(Strategy(s) for s in args.strategy)
-    if args.backend is not None:
-        overrides["backend"] = Backend(args.backend)
-    for flag, key in (
-        ("repetitions", "repetitions"), ("instances", "instances"), ("seed", "seed"),
-        ("scale", "scale"), ("regression_pct", "regression_pct"),
-        ("baseline_label", "baseline_label"), ("candidate_label", "candidate_label"),
-        ("ci_level", "ci_level"), ("resamples", "resamples"), ("threshold_pct", "threshold_pct"),
-        ("min_samples", "min_samples"), ("sweep_start", "sweep_start"),
-        ("sweep_stop", "sweep_stop"), ("sweep_step", "sweep_step"), ("pairing", "pairing"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = value
-    if args.workload is not None:
-        overrides["workload"] = WorkloadKind(args.workload)
-    if args.sweep or force_sweep:
-        overrides["run_sweep"] = True
-    if args.clock is not None:
-        overrides["clock"] = ClockMode(args.clock)
-    if args.no_pin:
-        overrides["pinning"] = False
-    if args.cores is not None:
-        overrides["core_a"], overrides["core_b"] = args.cores
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.format:
-        overrides["formats"] = tuple(dict.fromkeys(args.format))
+def _given(args: argparse.Namespace) -> dict:
+    """The config fields set on the command line, by field name."""
+    not_fields = ("command", "fn", "config", "raw_csv")
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in not_fields}
+    if "cores" in given:
+        given["core_a"], given["core_b"] = given.pop("cores")
+    return given
 
-    model_overrides = {key: getattr(args, flag.replace("-", "_")) for flag, key in _MODEL_FLAGS
-                       if getattr(args, flag.replace("-", "_")) is not None}
 
-    if args.config is not None:
-        cfg = ExperimentConfig.from_file(args.config, **overrides)
-    else:
-        cfg = ExperimentConfig(**overrides)
-    if model_overrides:
-        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **model_overrides))
-    return cfg
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    given = _given(args)
+    model = {k.removeprefix("model."): given.pop(k) for k in list(given) if k.startswith("model.")}
+    cfg = ExperimentConfig.from_file(args.config, **given) if args.config else ExperimentConfig(**given)
+    return replace(cfg, model=replace(cfg.model, **model)) if model else cfg
 
 
 def _print_table(report: Report) -> None:
@@ -150,26 +121,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, force_sweep=True)
+    cfg = _config_from_args(args)
     report = run_experiment(cfg)
     _emit_and_summarize(report, cfg)
     return EXIT_PASS
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    report = reanalyze_raw(
-        args.raw_csv,
-        seed=args.seed if args.seed is not None else 42,
-        ci_level=args.ci_level if args.ci_level is not None else 0.99,
-        resamples=args.resamples if args.resamples is not None else 10_000,
-        threshold_pct=args.threshold_pct if args.threshold_pct is not None else 1.0,
-        min_samples=args.min_samples if args.min_samples is not None else 50,
-        baseline_label=args.baseline_label or "A",
-        candidate_label=args.candidate_label or "B",
-        pairing=args.pairing or "index",
-    )
-    if args.out is not None:
-        emit_report(report, args.out, tuple(dict.fromkeys(args.format)) if args.format else ("json", "csv"))
+    given = _given(args)
+    cfg = ExperimentConfig(**given)  # `run`'s defaults for every flag not given
+    report = reanalyze_raw(args.raw_csv, **{**given, "seed": cfg.seed})
+    if args.output_dir is not None:
+        emit_report(report, cfg.output_dir, cfg.formats)
     _print_table(report)
     print(f"overall verdict: {report.overall_verdict.value}")
     return _VERDICT_EXIT[report.overall_verdict]
@@ -185,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run all three strategies and tabulate CI widths")
     _add_experiment_flags(p_cmp, with_strategies=False)
-    p_cmp.set_defaults(fn=_cmd_compare, strategy=None)
+    p_cmp.set_defaults(fn=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="run with the sample-size sweep enabled")
     _add_experiment_flags(p_sweep, with_strategies=True)
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    p_sweep.set_defaults(fn=_cmd_sweep, run_sweep=True)
 
     p_an = sub.add_parser("analyze", help="recompute CIs and verdicts from an archived raw.csv")
     p_an.add_argument("raw_csv", type=Path)
@@ -201,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--baseline-label")
     p_an.add_argument("--candidate-label")
     p_an.add_argument("--pairing", choices=["index", "random"])
-    p_an.add_argument("--out", type=Path)
-    p_an.add_argument("--format", action="append", choices=["json", "csv"])
+    p_an.add_argument("--out", dest="output_dir", type=Path)
+    p_an.add_argument("--format", dest="formats", action="append", choices=["json", "csv"])
     p_an.set_defaults(fn=_cmd_analyze)
 
     return parser
@@ -213,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BenchmarkError, OSError, ValueError) as exc:
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
+    except Exception as exc:  # the exit code is the contract: never 1 for a crash
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_ERROR

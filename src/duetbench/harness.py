@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -35,7 +35,7 @@ from .analysis import (
 from .errors import BenchmarkError, ConfigError
 from .executor import CorePlan, DuetExecutor
 from .measurement import Backend, ClockMode, Measurement, Strategy
-from .simenv import VariabilityModel
+from .simenv import VariabilityModel, check_fields, typed_fields
 from .strategies import (
     LiveInstance,
     MeasurementSet,
@@ -63,6 +63,27 @@ def sweep_rng(seed: int, strategy: Strategy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, _STRATEGY_CODE[strategy])))
 
 
+# Keys of `to_dict`'s layout that group several fields: objects and pairs.
+_GROUPS: dict[str, Any] = {
+    "workload": {"kind": "workload", "scale": "scale"},
+    "sweep": {"enabled": "run_sweep", "start": "sweep_start", "stop": "sweep_stop", "step": "sweep_step"},
+    "labels": ("baseline_label", "candidate_label"),
+    "cores": ("core_a", "core_b"),
+}
+
+
+def _check_keys(raw: Any, layout: dict[str, Any], path: str = "") -> None:
+    """Refuse a key path that `layout` lacks, and a non-object where it has an object."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
+    for key, value in raw.items():
+        if key not in layout:
+            raise ConfigError(f"unknown config key {path + key!r}")
+        if isinstance(layout[key], dict):
+            _check_keys(value, layout[key], f"{path}{key}.")
+
+
+@typed_fields
 @dataclass(frozen=True)
 class ExperimentConfig:
     strategies: tuple[Strategy, ...] = ALL_STRATEGIES
@@ -93,6 +114,7 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("json", "csv")
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.instances < 1:
             raise ConfigError(f"instances must be >= 1, got {self.instances}")
         if self.repetitions < 1:
@@ -137,59 +159,37 @@ class ExperimentConfig:
             "pairing": self.pairing,
             "pinning": self.pinning,
             "cores": [self.core_a, self.core_b],
-            "model": {
-                "instance_quality_cv": self.model.instance_quality_cv,
-                "temporal_sigma": self.model.temporal_sigma,
-                "cold_penalty_ms": self.model.cold_penalty_ms,
-                "base_cost_ns_per_unit": self.model.base_cost_ns_per_unit,
-                "drift_period_s": self.model.drift_period_s,
-                "drift_amplitude": self.model.drift_amplitude,
-                "duet_jitter_cv": self.model.duet_jitter_cv,
-                "time_step_s": self.model.time_step_s,
-            },
+            "model": asdict(self.model),
         }
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any], **overrides: Any) -> "ExperimentConfig":
+    def from_dict(cls, raw: Any, **overrides: Any) -> "ExperimentConfig":
+        """Build a config from the layout `to_dict` writes, plus `output_dir` and `formats`.
+
+        `overrides` are field values that win over `raw`'s. Raises ConfigError
+        on an unknown key, a wrong type or an out-of-range value.
+        """
+        _check_keys(raw, _LAYOUT)
         kwargs: dict[str, Any] = {}
-        if "strategies" in raw:
-            kwargs["strategies"] = tuple(Strategy(s) for s in raw["strategies"])
-        if "backend" in raw:
-            kwargs["backend"] = Backend(raw["backend"])
-        for key in ("repetitions", "instances", "seed", "regression_pct", "ci_level", "resamples",
-                    "threshold_pct", "min_samples", "pairing", "pinning"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        workload = raw.get("workload", {})
-        if "kind" in workload:
-            kwargs["workload"] = WorkloadKind(workload["kind"])
-        if workload.get("scale") is not None:
-            kwargs["scale"] = workload["scale"]
-        if "labels" in raw:
-            kwargs["baseline_label"], kwargs["candidate_label"] = raw["labels"]
-        sweep = raw.get("sweep", {})
-        if "enabled" in sweep:
-            kwargs["run_sweep"] = sweep["enabled"]
-        for src, dst in (("start", "sweep_start"), ("stop", "sweep_stop"), ("step", "sweep_step")):
-            if src in sweep:
-                kwargs[dst] = sweep[src]
-        if raw.get("clock") is not None:
-            kwargs["clock"] = ClockMode(raw["clock"])
-        if "cores" in raw:
-            kwargs["core_a"], kwargs["core_b"] = raw["cores"]
-        if "model" in raw:
-            kwargs["model"] = VariabilityModel(**raw["model"])
-        if "output_dir" in raw:
-            kwargs["output_dir"] = Path(raw["output_dir"])
-        if "formats" in raw:
-            kwargs["formats"] = tuple(raw["formats"])
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        for key, value in raw.items():
+            group = _GROUPS.get(key)
+            if isinstance(group, dict):
+                kwargs.update((group[k], v) for k, v in value.items())
+            elif group is None:
+                kwargs[key] = value
+            elif isinstance(value, list) and len(value) == 2:
+                kwargs.update(zip(group, value))
+            else:
+                raise ConfigError(f"{key} must be a list of two values, got {value!r}")
+        return cls(**{**kwargs, **overrides})
 
     @classmethod
     def from_file(cls, path: Path | str, **overrides: Any) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh), **overrides)
+
+
+_LAYOUT = {**ExperimentConfig().to_dict(), "output_dir": None, "formats": None}
 
 
 def instance_repetitions(total: int, instances: int) -> list[int]:
@@ -258,34 +258,21 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs) -> Measu
     return MeasurementSet(merged, full_cfg, (cfg.baseline_label, cfg.candidate_label))
 
 
-def analyze_measurement_set(
-    mset: MeasurementSet,
-    *,
-    seed: int,
-    ci_level: float,
-    resamples: int,
-    threshold_pct: float,
-    min_samples: int,
-    pairing: str = "index",
-    run_sweep: bool = False,
-    sweep_start: int = 50,
-    sweep_stop: int = 1500,
-    sweep_step: int = 5,
-) -> StrategyResult:
+def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.config.strategy
-    pairing_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
-    pairs_before = pair_measurements(mset, scheme=pairing, rng=pairing_rng)
+    pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
+    pairs_before = pair_measurements(mset, scheme=cfg.pairing, rng=pairing_rng)
     filtered = filter_cold_starts(mset)
-    pairing_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
-    samples = pair_measurements(filtered, scheme=pairing, rng=pairing_rng)
-    ci = bootstrap_ci(samples, ci_level, resamples, analysis_rng(seed, strategy), min_samples=min_samples)
+    pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
+    samples = pair_measurements(filtered, scheme=cfg.pairing, rng=pairing_rng)
+    ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
     median = float(np.median([s.change_pct for s in samples]))
     sweep = None
-    if run_sweep:
+    if cfg.run_sweep:
         sweep = sweep_sample_size(
-            samples, sweep_start, sweep_stop, sweep_step, ci_level, resamples,
-            sweep_rng(seed, strategy), min_samples=min_samples,
+            samples, cfg.sweep_start, cfg.sweep_stop, cfg.sweep_step, cfg.ci_level, cfg.resamples,
+            sweep_rng(cfg.seed, strategy), min_samples=cfg.min_samples,
         )
     return StrategyResult(
         strategy=strategy,
@@ -294,7 +281,7 @@ def analyze_measurement_set(
         pairs_after_filter=len(samples),
         median_change_pct=median,
         ci=ci,
-        verdict=verdict(ci, threshold_pct),
+        verdict=verdict(ci, cfg.threshold_pct),
         samples=samples,
         sweep=sweep,
     )
@@ -307,21 +294,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     results = []
     for strategy in cfg.strategies:
         mset = _run_one_strategy(cfg, strategy, specs)
-        results.append(
-            analyze_measurement_set(
-                mset,
-                seed=cfg.seed,
-                ci_level=cfg.ci_level,
-                resamples=cfg.resamples,
-                threshold_pct=cfg.threshold_pct,
-                min_samples=cfg.min_samples,
-                pairing=cfg.pairing,
-                run_sweep=cfg.run_sweep,
-                sweep_start=cfg.sweep_start,
-                sweep_stop=cfg.sweep_stop,
-                sweep_step=cfg.sweep_step,
-            )
-        )
+        results.append(analyze_measurement_set(mset, cfg=cfg))
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
 
@@ -453,19 +426,12 @@ def load_raw_csv(path: Path | str) -> dict[Strategy, list[Measurement]]:
     return grouped
 
 
-def reanalyze_raw(
-    path: Path | str,
-    *,
-    seed: int,
-    ci_level: float = 0.99,
-    resamples: int = 10_000,
-    threshold_pct: float = 1.0,
-    min_samples: int = 50,
-    baseline_label: str = "A",
-    candidate_label: str = "B",
-    pairing: str = "index",
-) -> Report:
-    """Recompute every strategy's CI and verdict from archived measurements."""
+def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
+    """Recompute every strategy's CI and verdict from archived measurements.
+
+    `settings` are ExperimentConfig fields; the rest keep `run`'s defaults.
+    """
+    cfg = ExperimentConfig(seed=seed, **settings)
     started = datetime.now(timezone.utc).isoformat()
     grouped = load_raw_csv(path)
     results = []
@@ -473,15 +439,9 @@ def reanalyze_raw(
         measurements = grouped[strategy]
         reps = len({(m.instance_id, m.repetition) for m in measurements})
         scfg = StrategyConfig(strategy=strategy, repetitions=reps, seed=seed, backend=Backend.SIMULATED)
-        mset = MeasurementSet(measurements, scfg, (baseline_label, candidate_label))
-        results.append(
-            analyze_measurement_set(
-                mset, seed=seed, ci_level=ci_level, resamples=resamples,
-                threshold_pct=threshold_pct, min_samples=min_samples, pairing=pairing,
-            )
-        )
+        mset = MeasurementSet(measurements, scfg, (cfg.baseline_label, cfg.candidate_label))
+        results.append(analyze_measurement_set(mset, cfg=cfg))
     finished = datetime.now(timezone.utc).isoformat()
-    config = {"reanalyzed_from": str(path), "seed": seed, "ci_level": ci_level, "resamples": resamples,
-              "threshold_pct": threshold_pct, "min_samples": min_samples,
-              "labels": [baseline_label, candidate_label], "pairing": pairing}
+    kept = ("seed", "ci_level", "resamples", "threshold_pct", "min_samples", "labels", "pairing")
+    config = {"reanalyzed_from": str(path), **{k: v for k, v in cfg.to_dict().items() if k in kept}}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

@@ -116,6 +116,8 @@ def test_bootstrap_preconditions():
         bootstrap_ci(list(range(49)), 0.99, 1000, rng=0)
     with pytest.raises(ValueError):
         bootstrap_ci(list(range(100)), 0.99, 999, rng=0)
+    with pytest.raises(ValueError):
+        bootstrap_ci([1.0] * 60 + [math.nan], 0.99, 1000, rng=0)
 
 
 def test_bootstrap_shift_equivariance_same_index_sequence():

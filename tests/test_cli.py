@@ -1,10 +1,27 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
-from duetbench.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_REGRESSION, main
+import pytest
+
+import duetbench.cli
+from duetbench.cli import (
+    EXIT_ERROR,
+    EXIT_INCONCLUSIVE,
+    EXIT_INTERRUPTED,
+    EXIT_PASS,
+    EXIT_REGRESSION,
+    _config_from_args,
+    build_parser,
+    main,
+)
+from duetbench.harness import ExperimentConfig
+from duetbench.measurement import Strategy
+from duetbench.simenv import VariabilityModel
 
 FAST_FLAGS = [
     "--backend", "simulated", "--repetitions", "200", "--instances", "2",
@@ -111,3 +128,77 @@ def test_console_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert "overall verdict: pass" in proc.stdout
+
+
+@pytest.mark.parametrize(("config", "flags"), [
+    pytest.param({"repetitions": "10"}, [], id="string-int"),
+    pytest.param({"model": {"nope": 1}}, [], id="unknown-model-key"),
+    pytest.param({"cores": 5}, [], id="cores-not-list"),
+    pytest.param([1, 2], [], id="not-object"),
+    pytest.param({"ci_level": "0.9"}, [], id="string-float"),
+    pytest.param({"repetition": 10}, [], id="unknown-key"),
+    pytest.param({"pinning": "no"}, [], id="string-bool"),
+    pytest.param({"labels": ["A"]}, [], id="one-label"),
+    pytest.param({"cores": [0, 1, 2]}, [], id="three-cores"),
+    pytest.param(None, ["--threshold-pct", "nan"], id="nan-flag"),
+])
+def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, flags):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "cfg.json"), *flags]
+    code = main(["run", *flags, "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "out" / "raw.csv").exists()
+
+
+@pytest.mark.parametrize(("exc", "expected"), [
+    pytest.param(RuntimeError("boom"), EXIT_ERROR, id="crash"),
+    pytest.param(KeyboardInterrupt(), EXIT_INTERRUPTED, id="interrupt"),
+])
+def test_unexpected_exception_never_exits_one(tmp_path, capsys, monkeypatch, exc, expected):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(duetbench.cli, "run_experiment", fail)
+    assert main(["run", "--out", str(tmp_path)]) == expected
+    if expected == EXIT_ERROR:
+        assert json.loads(capsys.readouterr().err) == {"error": "RuntimeError", "message": "boom"}
+
+
+def test_flags_set_their_fields(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"repetitions": 300, "model": {"temporal_sigma": 0.02}}))
+    args = build_parser().parse_args([
+        "sweep", "--config", str(config), "--strategy", "duet", "--strategy", "rmit", "--no-pin",
+        "--cores", "2", "3", "--quality-cv", "0.3", "--out", str(tmp_path / "r"), "--format", "json",
+    ])
+    cfg = _config_from_args(args)
+    assert cfg.strategies == (Strategy.DUET, Strategy.RMIT)
+    assert (cfg.repetitions, cfg.run_sweep, cfg.pinning, cfg.core_a, cfg.core_b) == (300, True, False, 2, 3)
+    assert (cfg.model.temporal_sigma, cfg.model.instance_quality_cv) == (0.02, 0.3)
+    assert (cfg.output_dir, cfg.formats) == (tmp_path / "r", ("json",))
+
+
+EXPERIMENT_FLAGS = {
+    "-h", "--help", "--config", "--backend", "--repetitions", "--instances", "--seed", "--workload", "--scale",
+    "--regression-pct", "--baseline-label", "--candidate-label", "--ci-level", "--resamples", "--threshold-pct",
+    "--min-samples", "--sweep", "--sweep-start", "--sweep-stop", "--sweep-step", "--clock", "--pairing", "--no-pin",
+    "--cores", "--quality-cv", "--temporal-sigma", "--cold-penalty-ms", "--base-cost-ns", "--drift-period-s",
+    "--drift-amplitude", "--duet-jitter-cv", "--time-step-s", "--out", "--format",
+}
+
+
+def test_flag_sets_match_and_name_config_fields():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()}
+    assert flags == {
+        "run": EXPERIMENT_FLAGS | {"--strategy"},
+        "compare": EXPERIMENT_FLAGS,
+        "sweep": EXPERIMENT_FLAGS | {"--strategy"},
+        "analyze": {"-h", "--help", "--seed", "--ci-level", "--resamples", "--threshold-pct", "--min-samples",
+                    "--baseline-label", "--candidate-label", "--pairing", "--out", "--format"},
+    }
+    names = {f.name for f in fields(ExperimentConfig)} | {f"model.{f.name}" for f in fields(VariabilityModel)}
+    dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+    assert dests - names == {"help", "config", "cores"}

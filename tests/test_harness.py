@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duetbench.analysis import Verdict
 from duetbench.errors import BenchmarkError, ConfigError
@@ -16,7 +18,7 @@ from duetbench.harness import (
     reanalyze_raw,
     run_experiment,
 )
-from duetbench.measurement import Backend, Strategy
+from duetbench.measurement import Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.workloads import WorkloadKind
 
@@ -51,6 +53,56 @@ def test_config_roundtrip_through_dict():
     assert clone.regression_pct == 5.0
     assert clone.workload is WorkloadKind.MEM_SIEVE
     assert clone.model == cfg.model
+
+
+MODEL_DICT = {
+    "instance_quality_cv": 0.15, "temporal_sigma": 0.05, "cold_penalty_ms": 150.0, "base_cost_ns_per_unit": 100.0,
+    "drift_period_s": 300.0, "drift_amplitude": 0.12, "duet_jitter_cv": 0.002, "time_step_s": 0.1,
+}
+
+
+def test_to_dict_layout_is_unchanged():
+    assert ExperimentConfig().to_dict() == {
+        "strategies": ["independent", "rmit", "duet"], "backend": "simulated", "repetitions": 1500, "instances": 4,
+        "seed": 42, "workload": {"kind": "cpu_mutation", "scale": 20000}, "regression_pct": 0.0, "labels": ["A", "B"],
+        "ci_level": 0.99, "resamples": 10000, "threshold_pct": 1.0, "min_samples": 50,
+        "sweep": {"enabled": False, "start": 50, "stop": 1500, "step": 5}, "clock": None, "pairing": "index",
+        "pinning": True, "cores": [0, 1], "model": MODEL_DICT,
+    }
+    cfg = ExperimentConfig(workload=WorkloadKind.MEM_SIEVE, clock=ClockMode.WALL_CLOCK, core_a=2, core_b=3,
+                           baseline_label="old", candidate_label="new", run_sweep=True)
+    assert cfg.to_dict() == {
+        "strategies": ["independent", "rmit", "duet"], "backend": "simulated", "repetitions": 1500, "instances": 4,
+        "seed": 42, "workload": {"kind": "mem_sieve", "scale": 200000}, "regression_pct": 0.0,
+        "labels": ["old", "new"], "ci_level": 0.99, "resamples": 10000, "threshold_pct": 1.0, "min_samples": 50,
+        "sweep": {"enabled": True, "start": 50, "stop": 1500, "step": 5}, "clock": "wall_clock", "pairing": "index",
+        "pinning": True, "cores": [2, 3], "model": MODEL_DICT,
+    }
+    assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def _key_paths(layout: dict) -> list[str]:
+    return [k for key, v in layout.items() for k in ([key] + (_key_paths(v) if isinstance(v, dict) else []))]
+
+
+# Any JSON value. Object keys are mostly the layout's own (one unknown key
+# besides), so that most generated configs pass the key check and reach the
+# field check.
+_KEYS = st.sampled_from(sorted({*_key_paths(ExperimentConfig().to_dict()), "output_dir", "formats", "nope"}))
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(0, 9) | st.floats() | st.floats(0, 1)
+           | st.text(max_size=4) | st.sampled_from(["duet", "rmit", "live", "mem_sieve", "wall_clock", "random", "json"]))
+_JSON = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+                     max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | st.dictionaries(_KEYS, _JSON, max_size=4))
+def test_from_dict_returns_a_config_or_raises_config_error(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 def test_simulated_aa_duet_passes():
