@@ -21,13 +21,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySamplesError, InsufficientSamplesError, SweepRangeError
+from .errors import EmptySamplesError, InsufficientSamplesError, PairingError, SweepRangeError
 
 if TYPE_CHECKING:
     from .strategies import MeasurementSet
 
 DEFAULT_LEVEL = 0.99
 DEFAULT_RESAMPLES = 10_000
+MIN_RESAMPLES = 1000
 MIN_SAMPLE_SIZE = 50
 
 # Bootstrapping below ~50 samples is known to underestimate interval size,
@@ -81,10 +82,19 @@ def filter_cold_starts(mset: "MeasurementSet") -> "MeasurementSet":
 
     Measurements are paired per (instance, repetition); if any member of a
     pair is cold the entire pair is discarded so no repetition survives
-    half-measured.
+    half-measured. Pairing never sees a discarded pair, so each must be one
+    baseline and one candidate measurement, or PairingError is raised.
     """
-    cold_keys = {(m.instance_id, m.repetition) for m in mset.measurements if m.cold}
-    kept = [m for m in mset.measurements if (m.instance_id, m.repetition) not in cold_keys]
+    rows = mset.measurements
+    cold_keys = {(m.instance_id, m.repetition) for m in rows if m.cold}
+    kept = [m for m in rows if (m.instance_id, m.repetition) not in cold_keys]
+    if cold_keys:
+        dropped = {(m.instance_id, m.repetition, m.version_label) for m in rows if (m.instance_id, m.repetition) in cold_keys}
+        expected = {(*key, label) for key in cold_keys for label in mset.version_labels}
+        bad = sorted({row[:2] for row in dropped ^ expected})
+        if bad or len(rows) - len(kept) != len(expected):
+            where = bad[:5] or "duplicate rows"
+            raise PairingError(f"cold measurements do not form whole pairs at (instance, repetition) {where}")
     return replace(mset, measurements=kept)
 
 
@@ -139,8 +149,8 @@ def bootstrap_ci(
             f"bootstrap needs >= {min_samples} samples, got {values.size}; "
             "intervals over fewer samples come out too narrow"
         )
-    if resamples < 1000:
-        raise ValueError(f"resamples must be >= 1000, got {resamples}")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = values.size
     medians = np.empty(resamples, dtype=float)

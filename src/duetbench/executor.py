@@ -8,12 +8,13 @@ neither worker starts its work before the other is ready. Workers are
 processes rather than threads because the interpreter lock would otherwise
 serialize two CPU-bound Python workloads.
 
+The coordinator pins each worker to its core once, right after spawning it;
+each worker reports its affinity mask with every result, so a pair that ran
+off its cores shows in `last_barrier`.
+
 Each invocation is timed with both per-thread CPU time and wall-clock
 timestamps; which one ends up in the Measurement is decided by the clock
 mode (duet defaults to CPU time, solo invocations to wall clock).
-
-Set the DUETBENCH_NO_PIN environment variable to run without core pinning on
-machines where affinity rights are unavailable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import multiprocessing as mp
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 
 from .errors import (
@@ -33,8 +33,6 @@ from .errors import (
 )
 from .measurement import ClockMode, Measurement, Strategy, default_clock
 from .workloads import WorkloadSpec, WorkResult, run_workload
-
-DISABLE_PIN_ENV = "DUETBENCH_NO_PIN"
 
 DEFAULT_BARRIER_TIMEOUT_S = 5.0
 
@@ -52,10 +50,6 @@ def available_cores() -> int:
 
 def pinning_supported() -> bool:
     return hasattr(os, "sched_setaffinity")
-
-
-def pinning_disabled_by_env() -> bool:
-    return os.environ.get(DISABLE_PIN_ENV, "") not in ("", "0", "false", "False")
 
 
 @dataclass(frozen=True)
@@ -99,25 +93,8 @@ def timed_run(spec: WorkloadSpec) -> tuple[WorkResult, int, int]:
     return result, max(cpu_ns, 1), max(wall_ns, 1)
 
 
-def _pin_current_thread(core: int) -> tuple[int, ...]:
-    if not pinning_supported():
-        raise AffinityUnsupportedError("platform cannot set CPU affinity")
-    try:
-        os.sched_setaffinity(0, {core})
-    except OSError as exc:
-        raise AffinityUnsupportedError(f"cannot pin to core {core}: {exc}") from exc
-    return tuple(sorted(os.sched_getaffinity(0)))
-
-
-def _check_core_index(core: int) -> None:
-    cores = available_cores()
-    if core >= cores:
-        raise InsufficientCoresError(f"core {core} requested but host exposes {cores} cores")
-
-
 def solo_invoke(
     spec: WorkloadSpec,
-    core: int | None = None,
     clock: ClockMode = ClockMode.WALL_CLOCK,
     *,
     strategy: Strategy = Strategy.INDEPENDENT,
@@ -127,23 +104,12 @@ def solo_invoke(
 ) -> Measurement:
     """Run one workload alone in this process and time it.
 
-    With `core` set (and pinning not disabled via environment), the calling
-    thread is pinned for the duration of the run and restored afterwards.
     Live invocations are never cold: process startup is not being measured.
     """
-    pin = core is not None and not pinning_disabled_by_env()
-    previous: set[int] | None = None
-    if pin:
-        _check_core_index(core)
-        previous = set(os.sched_getaffinity(0)) if pinning_supported() else None
-        _pin_current_thread(core)
     try:
         result, cpu_ns, wall_ns = timed_run(spec)
     except MemoryError as exc:
         raise ExecutionError(f"workload exhausted resources: {exc!r}") from exc
-    finally:
-        if pin and previous is not None:
-            os.sched_setaffinity(0, previous)
     duration = cpu_ns if clock is ClockMode.CPU_TIME else wall_ns
     return Measurement(
         duration_ns=duration,
@@ -159,31 +125,15 @@ def solo_invoke(
 
 
 def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
-    """Worker loop: receive a task, rendezvous at the barrier, run, report."""
-    while True:
-        msg = conn.recv()
-        if msg[0] == "stop":
-            return
-        _, spec, core = msg
-        error: str | None = None
-        affinity: tuple[int, ...] | None = None
-        if core is not None:
-            try:
-                affinity = _pin_current_thread(core)
-            except AffinityUnsupportedError as exc:
-                error = f"affinity:{exc}"
-        elif pinning_supported():
-            affinity = tuple(sorted(os.sched_getaffinity(0)))
-        # Always rendezvous, even on error, so the peer is not left hanging.
+    """Worker loop: receive a workload spec (None stops), rendezvous at the barrier, run, report."""
+    while (spec := conn.recv()) is not None:
+        affinity = tuple(sorted(os.sched_getaffinity(0))) if pinning_supported() else None
         try:
             barrier.wait(barrier_timeout_s)
         except threading.BrokenBarrierError:
             conn.send(("err", "barrier:broken or timed out"))
             continue
         start_ns = time.monotonic_ns()
-        if error is not None:
-            conn.send(("err", error))
-            continue
         try:
             result, cpu_ns, wall_ns = timed_run(spec)
         except Exception as exc:  # surfaced as ExecutionError in the parent
@@ -207,14 +157,10 @@ def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
 class DuetExecutor:
     """Coordinator owning two persistent duet workers.
 
-    One executor instance serves one caller at a time; distinct executor
-    instances must not share core assignments concurrently (the caller's
-    responsibility, checked best-effort with a warning). Workers are started
-    lazily on the first duet invocation and torn down by `close()` (or the
-    context manager).
+    One executor serves one caller at a time; concurrent executors need
+    disjoint core plans. Workers are started and pinned lazily on the first
+    duet invocation and torn down by `close()` (or the context manager).
     """
-
-    _claimed_cores: set[int] = set()  # cores held by executors with live workers
 
     def __init__(
         self,
@@ -224,18 +170,14 @@ class DuetExecutor:
         barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
     ) -> None:
         self.plan = plan if plan is not None else CorePlan(0, 1)
-        self.pinning = pinning and not pinning_disabled_by_env()
-        if self.pinning and not pinning_supported():
-            raise AffinityUnsupportedError(
-                "platform cannot set CPU affinity; construct with pinning=False "
-                f"or set {DISABLE_PIN_ENV}=1 to run unpinned"
-            )
+        self.pinning = pinning
+        if pinning and not pinning_supported():
+            raise AffinityUnsupportedError("platform cannot set CPU affinity; construct with pinning=False to run unpinned")
         self.barrier_timeout_s = barrier_timeout_s
         self.last_barrier: BarrierTrace | None = None
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list = []
         self._barrier = None
-        self._held_cores: set[int] = set()
 
     def __enter__(self) -> "DuetExecutor":
         return self
@@ -247,19 +189,14 @@ class DuetExecutor:
         if self._procs and all(p.is_alive() for p in self._procs):
             return
         self._teardown()
-        if self.pinning:
-            overlap = DuetExecutor._claimed_cores & {self.plan.core_a, self.plan.core_b}
-            if overlap:
-                warnings.warn(
-                    f"cores {sorted(overlap)} are already claimed by another executor; "
-                    "concurrent duet runs need disjoint core plans",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            self._held_cores = {self.plan.core_a, self.plan.core_b}
-            DuetExecutor._claimed_cores |= self._held_cores
+        available = available_cores()
+        if available < 2:
+            raise InsufficientCoresError(f"duet mode needs >= 2 cores, host exposes {available}")
+        cores = (self.plan.core_a, self.plan.core_b)
+        if self.pinning and max(cores) >= available:
+            raise InsufficientCoresError(f"core {max(cores)} requested but host exposes {available} cores")
         self._barrier = _CTX.Barrier(3)
-        for _ in range(2):
+        for core in cores:
             parent_conn, child_conn = _CTX.Pipe()
             proc = _CTX.Process(
                 target=_worker_main,
@@ -270,12 +207,17 @@ class DuetExecutor:
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
+            if self.pinning:
+                try:
+                    os.sched_setaffinity(proc.pid, {core})
+                except OSError as exc:
+                    self.close()
+                    raise AffinityUnsupportedError(f"cannot pin a duet worker to core {core}: {exc}") from exc
 
     def duet_invoke(
         self,
         spec_a: WorkloadSpec,
         spec_b: WorkloadSpec,
-        plan: CorePlan | None = None,
         *,
         repetition: int = 0,
         instance_id: int = 0,
@@ -286,30 +228,19 @@ class DuetExecutor:
         Returns the (baseline, candidate) measurements in argument order,
         timed with per-worker CPU time unless `clock` overrides it.
         """
-        plan = plan if plan is not None else self.plan
-        if available_cores() < 2:
-            raise InsufficientCoresError(f"duet mode needs >= 2 cores, host exposes {available_cores()}")
-        if self.pinning:
-            _check_core_index(plan.core_a)
-            _check_core_index(plan.core_b)
         self._ensure_workers()
-        cores = (plan.core_a, plan.core_b) if self.pinning else (None, None)
-        for conn, spec, core in zip(self._conns, (spec_a, spec_b), cores):
-            conn.send(("task", spec, core))
+        for conn, spec in zip(self._conns, (spec_a, spec_b)):
+            conn.send(spec)
         release_ns = time.monotonic_ns()
         try:
             self._barrier.wait(self.barrier_timeout_s)
         except threading.BrokenBarrierError:
             self.close()
             raise BarrierTimeoutError(f"workers did not rendezvous within {self.barrier_timeout_s}s") from None
-        replies = [self._recv(i) for i in range(2)]
         payloads = []
-        for reply in replies:
-            status, payload = reply
+        for status, payload in [self._recv(i) for i in range(2)]:
             if status != "ok":
                 self.close()
-                if payload.startswith("affinity:"):
-                    raise AffinityUnsupportedError(payload.partition(":")[2])
                 if payload.startswith("barrier:"):
                     raise BarrierTimeoutError(payload.partition(":")[2])
                 raise ExecutionError(payload)
@@ -343,12 +274,11 @@ class DuetExecutor:
     def solo_invoke(
         self,
         spec: WorkloadSpec,
-        core: int | None = None,
         clock: ClockMode = ClockMode.WALL_CLOCK,
         **kwargs,
     ) -> Measurement:
         """Single invocation in the coordinator process (see `solo_invoke`)."""
-        return solo_invoke(spec, core=core if self.pinning else None, clock=clock, **kwargs)
+        return solo_invoke(spec, clock, **kwargs)
 
     def _recv(self, idx: int):
         conn, proc = self._conns[idx], self._procs[idx]
@@ -365,7 +295,7 @@ class DuetExecutor:
     def close(self) -> None:
         for conn in self._conns:
             try:
-                conn.send(("stop",))
+                conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
         for proc in self._procs:
@@ -384,5 +314,3 @@ class DuetExecutor:
         self._conns = []
         self._procs = []
         self._barrier = None
-        DuetExecutor._claimed_cores -= self._held_cores
-        self._held_cores = set()

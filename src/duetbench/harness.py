@@ -2,9 +2,10 @@
 
 An experiment runs one workload comparison (baseline vs candidate) under one
 or more strategies, fanning each strategy out over `instances` parallel
-"instances" (fresh simulated instances, or fresh executors in live mode),
-merging the measurements, filtering cold starts, pairing, and bootstrapping
-a confidence interval of the median change.
+"instances" (fresh simulated instances, or in live mode one shared executor
+whose measurements carry the instance id), merging the measurements,
+filtering cold starts, pairing, and bootstrapping a confidence interval of
+the median change.
 
 Everything that ends up in the summary is regenerable from the raw
 measurement CSV plus the seed; analysis RNG streams are derived from the
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from .analysis import (
+    MIN_RESAMPLES,
     ConfidenceInterval,
     PairedSample,
     Verdict,
@@ -121,6 +124,18 @@ class ExperimentConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level}")
+        if self.resamples < MIN_RESAMPLES:
+            raise ConfigError(f"resamples must be >= {MIN_RESAMPLES}, got {self.resamples}")
+        if self.run_sweep and self.sweep_step < 1:
+            raise ConfigError(f"sweep step must be >= 1, got {self.sweep_step}")
+        if self.run_sweep and not self.min_samples <= self.sweep_start <= self.sweep_stop:
+            raise ConfigError(
+                f"sweep start {self.sweep_start} must lie between min_samples {self.min_samples} and stop {self.sweep_stop}"
+            )
+        try:
+            CorePlan(self.core_a, self.core_b)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         if self.baseline_label == self.candidate_label:
@@ -239,20 +254,18 @@ class Report:
         return [(r.strategy.value, r.ci.width_pp, r.median_change_pct) for r in self.results]
 
 
-def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs) -> MeasurementSet:
+def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor: DuetExecutor | None) -> MeasurementSet:
+    """Run `strategy` on every instance: simulated ones, or live ones sharing `executor`."""
     merged: list[Measurement] = []
     for instance_id, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)):
         if reps == 0:
             continue
         scfg = StrategyConfig(strategy=strategy, repetitions=reps, seed=cfg.seed, backend=cfg.backend, clock=cfg.clock)
-        if cfg.backend is Backend.SIMULATED:
+        if executor is None:
             backend = SimulatedInstance(cfg.model, cfg.seed, instance_id=instance_id)
-            mset = run_strategy(scfg, specs, backend)
         else:
-            with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) as executor:
-                backend = LiveInstance(executor, instance_id=instance_id, seed=cfg.seed)
-                mset = run_strategy(scfg, specs, backend)
-        merged.extend(mset.measurements)
+            backend = LiveInstance(executor, instance_id=instance_id, seed=cfg.seed)
+        merged.extend(run_strategy(scfg, specs, backend).measurements)
     merged.sort(key=lambda m: (m.instance_id, m.repetition))  # stable: in-repetition order kept
     full_cfg = StrategyConfig(strategy=strategy, repetitions=cfg.repetitions, seed=cfg.seed, backend=cfg.backend, clock=cfg.clock)
     return MeasurementSet(merged, full_cfg, (cfg.baseline_label, cfg.candidate_label))
@@ -261,8 +274,7 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs) -> Measu
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.config.strategy
-    pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
-    pairs_before = pair_measurements(mset, scheme=cfg.pairing, rng=pairing_rng)
+    pairs_before = len({(m.instance_id, m.repetition) for m in mset.measurements})
     filtered = filter_cold_starts(mset)
     pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
     samples = pair_measurements(filtered, scheme=cfg.pairing, rng=pairing_rng)
@@ -277,7 +289,7 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     return StrategyResult(
         strategy=strategy,
         measurements=mset.measurements,
-        pairs_before_filter=len(pairs_before),
+        pairs_before_filter=pairs_before,
         pairs_after_filter=len(samples),
         median_change_pct=median,
         ci=ci,
@@ -288,13 +300,19 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Run every configured strategy and assemble the report."""
+    """Run every configured strategy and assemble the report.
+
+    A live gate opens one executor, and so forks its duet workers at most
+    once, for all strategies and instances.
+    """
     started = datetime.now(timezone.utc).isoformat()
     specs = cfg.specs()
-    results = []
-    for strategy in cfg.strategies:
-        mset = _run_one_strategy(cfg, strategy, specs)
-        results.append(analyze_measurement_set(mset, cfg=cfg))
+    live = cfg.backend is Backend.LIVE
+    with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
+        results = []
+        for strategy in cfg.strategies:
+            mset = _run_one_strategy(cfg, strategy, specs, executor)
+            results.append(analyze_measurement_set(mset, cfg=cfg))
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
 

@@ -20,7 +20,7 @@ from duetbench.analysis import (
     sweep_sample_size,
     verdict,
 )
-from duetbench.errors import EmptySamplesError, InsufficientSamplesError, SweepRangeError
+from duetbench.errors import EmptySamplesError, InsufficientSamplesError, PairingError, SweepRangeError
 from duetbench.measurement import Backend, Strategy
 from duetbench.strategies import MeasurementSet, StrategyConfig
 
@@ -190,6 +190,18 @@ def test_filter_cold_starts_identity_without_cold():
 def test_filter_cold_starts_all_cold_gives_empty():
     ms = [make_measurement(100, v, repetition=r, cold=True) for r in range(4) for v in "AB"]
     assert filter_cold_starts(_mset(ms)).measurements == []
+
+
+@pytest.mark.parametrize("broken", [
+    pytest.param(lambda ms: ms[:-1], id="unpaired"),
+    pytest.param(lambda ms: ms + ms[-2:-1], id="duplicate"),
+    pytest.param(lambda ms: ms[:-1] + [make_measurement(100, "C", repetition=3)], id="foreign-label"),
+])
+def test_filter_cold_starts_refuses_broken_cold_pairs(broken):
+    # repetition 3 is cold; pairing never sees its rows, so the filter checks them
+    ms = [make_measurement(100, v, repetition=r, cold=r == 3) for r in range(4) for v in "AB"]
+    with pytest.raises(PairingError, match=r"\(0, 3\)|duplicate"):
+        filter_cold_starts(_mset(broken(ms)))
 
 
 def test_confidence_interval_invariants():

@@ -111,6 +111,18 @@ def test_analyze_matches_run_verdict(tmp_path):
     assert summary_a["strategies"]["duet"]["ci"] == summary_b["strategies"]["duet"]["ci"]
 
 
+def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
+    assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
+    raw = tmp_path / "raw.csv"
+    lines = raw.read_text().splitlines(keepends=True)
+    assert any(line.startswith("duet,0,0,A,") and ",true," in line for line in lines)  # the pair is cold
+    raw.write_text("".join(line for line in lines if not line.startswith("duet,0,0,B,")))
+    capsys.readouterr()
+    code = main(["analyze", str(raw), "--seed", "101", "--resamples", "1000", "--out", str(tmp_path / "again")])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "PairingError"
+
+
 def test_config_file_plus_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -141,6 +153,13 @@ def test_console_entrypoint_smoke(tmp_path):
     pytest.param({"labels": ["A"]}, [], id="one-label"),
     pytest.param({"cores": [0, 1, 2]}, [], id="three-cores"),
     pytest.param(None, ["--threshold-pct", "nan"], id="nan-flag"),
+    pytest.param(None, ["--resamples", "999"], id="few-resamples"),
+    pytest.param(None, ["--sweep", "--sweep-step", "0"], id="sweep-step-zero"),
+    pytest.param(None, ["--sweep", "--sweep-start", "49"], id="sweep-start-below-min-samples"),
+    pytest.param(None, ["--sweep", "--sweep-start", "200", "--sweep-stop", "100"], id="sweep-start-above-stop"),
+    pytest.param(None, ["--cores", "1", "1"], id="equal-cores"),
+    pytest.param({"cores": [-1, 1]}, [], id="negative-core"),
+    pytest.param(None, ["--backend", "live", "--cores", "1", "1"], id="live-equal-cores"),
 ])
 def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, flags):
     if config is not None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 
 import numpy as np
@@ -10,7 +11,6 @@ from duetbench import executor as executor_mod
 from duetbench.analysis import relative_change
 from duetbench.errors import AffinityUnsupportedError, BarrierTimeoutError, InsufficientCoresError
 from duetbench.executor import (
-    DISABLE_PIN_ENV,
     CorePlan,
     DuetExecutor,
     available_cores,
@@ -45,6 +45,13 @@ def test_duet_refuses_single_core_host(monkeypatch):
             ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
 
 
+def test_duet_refuses_core_beyond_host():
+    with DuetExecutor(CorePlan(0, available_cores() + 7)) as ex:
+        with pytest.raises(InsufficientCoresError):
+            ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+        assert not ex._procs
+
+
 def test_affinity_unsupported_platform(monkeypatch):
     monkeypatch.setattr(executor_mod, "pinning_supported", lambda: False)
     with pytest.raises(AffinityUnsupportedError):
@@ -55,36 +62,23 @@ def test_affinity_unsupported_platform(monkeypatch):
 
 def test_solo_smallest_workload():
     spec = make_workload(WorkloadKind.MEM_SIEVE, 2, "A")
-    m = solo_invoke(spec, None, ClockMode.WALL_CLOCK)
+    m = solo_invoke(spec, ClockMode.WALL_CLOCK)
     assert m.duration_ns > 0
     assert m.result.units_done == 1
     assert not m.cold
 
 
 def test_solo_clock_mode_echo():
-    m = solo_invoke(SPEC_SMALL, core=0, clock=ClockMode.CPU_TIME)
+    m = solo_invoke(SPEC_SMALL, clock=ClockMode.CPU_TIME)
     assert m.clock_mode is ClockMode.CPU_TIME
     assert m.strategy is Strategy.INDEPENDENT
 
 
 def test_solo_repeated_same_order_of_magnitude():
-    a = solo_invoke(SPEC_SMALL, None, ClockMode.WALL_CLOCK)
-    b = solo_invoke(SPEC_SMALL, None, ClockMode.WALL_CLOCK)
+    a = solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
+    b = solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
     ratio = max(a.duration_ns, b.duration_ns) / min(a.duration_ns, b.duration_ns)
     assert ratio < 10
-
-
-def test_solo_invalid_core_index():
-    with pytest.raises(InsufficientCoresError):
-        solo_invoke(SPEC_SMALL, core=available_cores() + 7)
-
-
-def test_solo_restores_affinity_mask():
-    if not hasattr(os, "sched_getaffinity"):
-        pytest.skip("no affinity API on this platform")
-    before = os.sched_getaffinity(0)
-    solo_invoke(SPEC_SMALL, core=0)
-    assert os.sched_getaffinity(0) == before
 
 
 def test_cpu_time_within_wall_clock_bound():
@@ -119,14 +113,27 @@ def test_duet_barrier_ordering_and_affinity_isolation():
 
 
 @requires_two_cores
-def test_pinning_disabled_by_env(monkeypatch):
-    monkeypatch.setenv(DISABLE_PIN_ENV, "1")
+def test_unpinned_workers_keep_full_mask():
     spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    with DuetExecutor(CorePlan(0, 1)) as ex:
+    with DuetExecutor(CorePlan(0, 1), pinning=False) as ex:
         assert not ex.pinning
         ex.duet_invoke(SPEC_SMALL, spec_b)
         # workers keep the full affinity mask when pinning is off
         assert len(ex.last_barrier.affinity_a) == available_cores()
+
+
+@requires_two_cores
+def test_pin_failure_raises_and_stops_workers(monkeypatch):
+    def refuse(pid, cores):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    before = set(mp.active_children())
+    with DuetExecutor(CorePlan(0, 1)) as ex:
+        with pytest.raises(AffinityUnsupportedError):
+            ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+        assert not ex._procs
+    assert set(mp.active_children()) <= before
 
 
 @requires_two_cores
@@ -154,17 +161,3 @@ def test_duet_detects_five_percent_direction():
             changes.append(relative_change(m_a.duration_ns, m_b.duration_ns))
     slower = sum(1 for c in changes if c > 0)
     assert slower > 50, f"candidate slower in only {slower}/100 repetitions (median {np.median(changes):.2f}%)"
-
-
-@requires_two_cores
-def test_concurrent_core_claims_warn():
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    with DuetExecutor(CorePlan(0, 1)) as first:
-        first.duet_invoke(SPEC_SMALL, spec_b)
-        with pytest.warns(RuntimeWarning, match="already claimed"):
-            with DuetExecutor(CorePlan(0, 1)) as second:
-                second.duet_invoke(SPEC_SMALL, spec_b)
-    # claims are released on close
-    with DuetExecutor(CorePlan(0, 1)) as third:
-        m_a, m_b = third.duet_invoke(SPEC_SMALL, spec_b)
-        assert m_a.result == m_b.result

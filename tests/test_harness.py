@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import duetbench.harness
+from conftest import requires_two_cores
+from duetbench import executor as executor_mod
 from duetbench.analysis import Verdict
 from duetbench.errors import BenchmarkError, ConfigError
+from duetbench.executor import DuetExecutor
 from duetbench.harness import (
     ExperimentConfig,
     compare_strategies,
@@ -140,6 +144,33 @@ def test_fanout_neutrality_total_pairs():
         report = run_experiment(cfg)
         counts[instances] = report.results[0].pairs_before_filter
     assert counts[1] == counts[4] == 200
+
+
+@requires_two_cores
+def test_live_gate_builds_one_executor_and_forks_once(monkeypatch):
+    executors, workers = [], []
+
+    class CountingExecutor(DuetExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            executors.append(self)
+
+    process = executor_mod._CTX.Process
+
+    def counting_process(*args, **kwargs):
+        workers.append(process(*args, **kwargs))
+        return workers[-1]
+
+    monkeypatch.setattr(duetbench.harness, "DuetExecutor", CountingExecutor)
+    monkeypatch.setattr(executor_mod._CTX, "Process", counting_process)
+    cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), backend=Backend.LIVE, repetitions=100,
+                           instances=2, resamples=1000, scale=2000)
+    report = run_experiment(cfg)
+    assert len(executors) == 1
+    assert len(workers) == 2  # one fork of the two duet workers
+    assert not any(w.is_alive() for w in workers)
+    assert [r.pairs_before_filter for r in report.results] == [100, 100]
+    assert {m.instance_id for r in report.results for m in r.measurements} == {0, 1}
 
 
 def test_merge_is_sorted_by_instance_then_repetition():

@@ -99,15 +99,13 @@ def test_cpu_time_grows_with_five_percent_more_work():
     bigger = make_workload(WorkloadKind.CPU_MUTATION, 320_000, "B", 5.0)
     assert bigger.effective_scale == 336_000
 
-    def cpu_times(spec, reps=31):
-        out = []
-        for _ in range(reps):
+    # Interleaved (A, B, A, B, ...), so that drift of the host over the runs
+    # weighs on both sides alike.
+    t_base, t_bigger = [], []
+    for _ in range(31):
+        for spec, times in ((base, t_base), (bigger, t_bigger)):
             t0 = time.thread_time_ns()
             run_workload(spec)
-            out.append(time.thread_time_ns() - t0)
-        return out
-
-    t_base = cpu_times(base)
-    t_bigger = cpu_times(bigger)
+            times.append(time.thread_time_ns() - t0)
     assert statistics.mean(t_bigger) > statistics.mean(t_base)
     assert statistics.median(t_bigger) >= statistics.median(t_base)
