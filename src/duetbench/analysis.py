@@ -10,6 +10,12 @@ replacement, take the median of every resample, then trim equal tails of the
 resulting medians (sort ascending, drop floor(n*(1-level)/2) values from each
 end; the remaining extremes are the bounds). This makes no distributional
 assumptions about the measurements.
+
+The bootstrap never gathers floats: it sorts the samples once, turns each
+resample's drawn indices into ranks and finds the middle ranks by a partial
+sort of small integers (see `bootstrap_ci`). Sorting is monotone, so the
+k-th smallest rank names the k-th smallest value, and the draws are those of
+a plain gather: the bounds are the bits `np.median` over `values[idx]` gives.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ MIN_SAMPLE_SIZE = 50
 # Bootstrapping below ~50 samples is known to underestimate interval size,
 # so bootstrap_ci refuses rather than silently returning a too-narrow CI.
 
-_RESAMPLE_CHUNK = 2_000
+# Resamples are drawn in chunks whose int64 index block stays near this size,
+# so memory does not grow with n; any split gives the same index stream.
+_CHUNK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,17 @@ def bootstrap_ci(
     Draws `resamples` same-size resamples with replacement, takes the median
     of each and applies `percentile_interval` to the medians. `samples` may
     be PairedSamples or plain numbers; `rng` may be a Generator or a seed.
+
+    Each resample's median comes from ranks: the samples are sorted once
+    (stable, so tied values get distinct ranks), a resample's drawn indices
+    become ranks (int16 up to 32 767 samples, int32 above), and the row is
+    partitioned in place at n // 2. That rank is the upper middle; for even
+    n the lower middle is the largest rank left of it. The median is the
+    sorted value at the upper middle for odd n and `(lower + upper) / 2` for
+    even n, the same mean of the two middle values `np.median` computes, so
+    the bounds are bit-identical to taking `np.median` of the gathered rows.
+    (Where both -0.0 and +0.0 occur, which of those equal zeros a median
+    lands on may differ.)
     """
     values = _as_values(samples)
     if not np.isfinite(values).all():
@@ -153,13 +172,22 @@ def bootstrap_ci(
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = values.size
+    half = n // 2
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    rank = np.empty(n, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    rank[order] = np.arange(n)
+    rows = max(1, _CHUNK_BYTES // (8 * n))
     medians = np.empty(resamples, dtype=float)
-    done = 0
-    while done < resamples:
-        chunk = min(_RESAMPLE_CHUNK, resamples - done)
-        idx = gen.integers(0, n, size=(chunk, n))
-        medians[done : done + chunk] = np.median(values[idx], axis=1)
-        done += chunk
+    for done in range(0, resamples, rows):
+        chunk = min(rows, resamples - done)
+        ranks = rank[gen.integers(0, n, size=(chunk, n))]
+        ranks.partition(half, axis=1)
+        upper = ordered[ranks[:, half]]
+        if n % 2:
+            medians[done : done + chunk] = upper
+        else:
+            medians[done : done + chunk] = (ordered[ranks[:, :half].max(axis=1)] + upper) / 2
     return percentile_interval(medians, level)
 
 

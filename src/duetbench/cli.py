@@ -16,9 +16,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .analysis import Verdict
+from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
     Report,
+    archived_settings,
     compare_strategies,
     emit_report,
     reanalyze_raw,
@@ -129,8 +131,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     given = _given(args)
-    cfg = ExperimentConfig(**given)  # `run`'s defaults for every flag not given
-    report = reanalyze_raw(args.raw_csv, **{**given, "seed": cfg.seed})
+    archived = archived_settings(args.raw_csv)
+    clash = sorted(k for k in given.keys() & archived.keys() if given[k] != archived[k])
+    if clash:
+        raise ConfigError("flags contradict the archive's summary.json: " + ", ".join(
+            f"{k} {given[k]!r} (archived {archived[k]!r})" for k in clash))
+    settings = {**archived, **given}
+    cfg = ExperimentConfig(**settings)  # `run`'s defaults only for what no summary.json holds
+    report = reanalyze_raw(args.raw_csv, **{**settings, "seed": cfg.seed})
     if args.output_dir is not None:
         emit_report(report, cfg.output_dir, cfg.formats)
     _print_table(report)

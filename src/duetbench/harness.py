@@ -444,6 +444,28 @@ def load_raw_csv(path: Path | str) -> dict[Strategy, list[Measurement]]:
     return grouped
 
 
+# The `config` keys that fix a re-analysis; a re-analysed report keeps only these.
+_ANALYSIS_KEYS = ("seed", "ci_level", "resamples", "threshold_pct", "min_samples", "labels", "pairing")
+
+
+def archived_settings(raw_csv: Path | str) -> dict[str, Any]:
+    """The analysis settings, by field name, of the summary.json beside `raw_csv`.
+
+    Returns {} when there is no summary.json; raises ConfigError when there
+    is one that does not hold the settings.
+    """
+    path = Path(raw_csv).with_name("summary.json")
+    if not path.exists():
+        return {}
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        block = {k: summary["config"][k] for k in _ANALYSIS_KEYS}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{path} does not hold the archive's analysis settings: {exc!r}") from None
+    cfg = ExperimentConfig.from_dict(block)
+    return {name: getattr(cfg, name) for key in _ANALYSIS_KEYS for name in _GROUPS.get(key, (key,))}
+
+
 def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     """Recompute every strategy's CI and verdict from archived measurements.
 
@@ -460,6 +482,5 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
         mset = MeasurementSet(measurements, scfg, (cfg.baseline_label, cfg.candidate_label))
         results.append(analyze_measurement_set(mset, cfg=cfg))
     finished = datetime.now(timezone.utc).isoformat()
-    kept = ("seed", "ci_level", "resamples", "threshold_pct", "min_samples", "labels", "pairing")
-    config = {"reanalyzed_from": str(path), **{k: v for k, v in cfg.to_dict().items() if k in kept}}
+    config = {"reanalyzed_from": str(path), **{k: v for k, v in cfg.to_dict().items() if k in _ANALYSIS_KEYS}}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

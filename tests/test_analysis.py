@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import duetbench.analysis
 from conftest import make_measurement
 from duetbench.analysis import (
     ConfidenceInterval,
@@ -137,6 +139,82 @@ def test_bootstrap_width_nonnegative_and_bounds_ordered():
         ci = bootstrap_ci(data, 0.99, 1000, rng=seed)
         assert ci.lower_pct <= ci.upper_pct
         assert ci.width_pp >= 0.0
+
+
+def gathered_median_ci(values, level, resamples, gen):
+    """The float-gathering bootstrap: np.median of values[idx] in 2 000-row chunks."""
+    values = np.asarray(values, dtype=float)
+    medians = np.empty(resamples)
+    for done in range(0, resamples, 2_000):
+        chunk = min(2_000, resamples - done)
+        idx = gen.integers(0, values.size, size=(chunk, values.size))
+        medians[done : done + chunk] = np.median(values[idx], axis=1)
+    return percentile_interval(medians, level)
+
+
+def _bits(ci):
+    return np.array([ci.lower_pct, ci.upper_pct]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n, data, level, resamples", [
+    (50, "normal", 0.99, 10_000),
+    (51, "normal", 0.95, 1_001),
+    (1_500, "ties", 0.99, 1_001),
+    (1_501, "normal", 0.9, 1_000),
+    (60, "equal", 0.95, 1_000),
+    (32_767, "normal", 0.99, 1_000),
+    (32_768, "ties", 0.9, 1_000),
+])
+def test_bootstrap_matches_gathered_median_bit_for_bit(n, data, level, resamples):
+    values = np.random.default_rng(n).normal(0.5, 3.0, n)
+    if data == "ties":
+        values = np.round(values, 1)
+    elif data == "equal":
+        values = np.full(n, -2.75)
+    got = bootstrap_ci(values, level, resamples, np.random.default_rng(11))
+    want = gathered_median_ci(values, level, resamples, np.random.default_rng(11))
+    assert _bits(got) == _bits(want)
+
+
+def test_bootstrap_consumes_a_shared_generator_like_the_gather():
+    # sweep_sample_size hands one Generator to consecutive calls
+    values = np.random.default_rng(5).normal(0, 2, 1_501)
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    for n in (1_500, 1_501):
+        got = bootstrap_ci(values[:n], 0.99, 1_001, ours)
+        assert _bits(got) == _bits(gathered_median_ci(values[:n], 0.99, 1_001, theirs))
+    assert ours.integers(1 << 62) == theirs.integers(1 << 62)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=50, max_size=300))
+def test_bootstrap_matches_gathered_median_on_any_finite_data(values):
+    with np.errstate(over="ignore"):
+        got = bootstrap_ci(values, 0.95, 1_000, np.random.default_rng(0))
+        want = gathered_median_ci(values, 0.95, 1_000, np.random.default_rng(0))
+    # == and not _bits: with both -0.0 and +0.0 present, which zero a
+    # partition lands on is the sort's choice, and the two zeros are equal
+    assert (got.lower_pct, got.upper_pct) == (want.lower_pct, want.upper_pct)
+    if not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in values):
+        assert _bits(got) == _bits(want)
+
+
+def test_bootstrap_chunk_size_does_not_change_bounds(monkeypatch):
+    values = np.random.default_rng(2).normal(0, 1, 80)
+    default = bootstrap_ci(values, 0.99, 1_000, rng=4)
+    monkeypatch.setattr(duetbench.analysis, "_CHUNK_BYTES", 1)  # one row per chunk
+    assert _bits(bootstrap_ci(values, 0.99, 1_000, rng=4)) == _bits(default)
+
+
+def test_bootstrap_memory_stays_small_at_large_n():
+    values = np.random.default_rng(8).normal(0, 1, 8_000)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(values, 0.99, 1_000, rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_sweep_point_counts_and_prefix_semantics():

@@ -123,6 +123,33 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "PairingError"
 
 
+def _widths(path):
+    return {name: s["ci"] for name, s in json.loads(path.read_text())["strategies"].items()}
+
+
+def test_analyze_uses_the_archived_settings(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["run", "--seed", "7", "--resamples", "1000", "--repetitions", "300", "--out", str(run)]) == EXIT_INCONCLUSIVE
+    archived = _widths(run / "summary.json")
+    # no flag given: seed 7 and 1 000 resamples come from summary.json, not run's defaults
+    assert main(["analyze", str(run / "raw.csv"), "--out", str(tmp_path / "again")]) == EXIT_INCONCLUSIVE
+    assert _widths(tmp_path / "again" / "summary.json") == archived
+    # a re-analysis archives the same settings, so it re-analyses alike
+    assert main(["analyze", str(tmp_path / "again" / "raw.csv"), "--out", str(tmp_path / "twice")]) == EXIT_INCONCLUSIVE
+    assert _widths(tmp_path / "twice" / "summary.json") == archived
+    capsys.readouterr()
+    assert main(["analyze", str(run / "raw.csv"), "--resamples", "2000"]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "resamples" in err["message"]
+    # without summary.json the flags, then run's defaults, set the analysis
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "raw.csv").write_bytes((run / "raw.csv").read_bytes())
+    args = ["analyze", str(bare / "raw.csv"), "--seed", "7", "--resamples", "1000", "--out", str(tmp_path / "flags")]
+    assert main(args) == EXIT_INCONCLUSIVE
+    assert _widths(tmp_path / "flags" / "summary.json") == archived
+
+
 def test_config_file_plus_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
