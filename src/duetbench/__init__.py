@@ -8,7 +8,6 @@ platform-variability simulator allows deterministic desk-scale experiments.
 
 from .analysis import (
     ConfidenceInterval,
-    PairedSample,
     Verdict,
     bootstrap_ci,
     filter_cold_starts,
@@ -54,7 +53,6 @@ from .strategies import (
     LiveInstance,
     MeasurementSet,
     SimulatedInstance,
-    StrategyConfig,
     pair_measurements,
     run_duet,
     run_independent,

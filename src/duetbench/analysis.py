@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -43,18 +43,6 @@ MIN_SAMPLE_SIZE = 50
 # Resamples are drawn in chunks whose int64 index block stays near this size,
 # so memory does not grow with n; any split gives the same index stream.
 _CHUNK_BYTES = 512 << 10
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """Per-repetition relative change (percent) between the two versions."""
-
-    repetition: int
-    change_pct: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.change_pct):
-            raise ValueError(f"change_pct must be finite, got {self.change_pct}")
 
 
 @dataclass(frozen=True)
@@ -128,15 +116,8 @@ def percentile_interval(samples: Sequence[float], level: float) -> ConfidenceInt
     return ConfidenceInterval(lower_pct=float(ordered[k]), upper_pct=float(ordered[ordered.size - 1 - k]), level=level)
 
 
-def _as_values(samples: Iterable) -> np.ndarray:
-    data = list(samples)
-    if data and isinstance(data[0], PairedSample):
-        data = [s.change_pct for s in data]
-    return np.asarray(data, dtype=float)
-
-
 def bootstrap_ci(
-    samples: Sequence,
+    samples: Sequence[float] | np.ndarray,
     level: float = DEFAULT_LEVEL,
     resamples: int = DEFAULT_RESAMPLES,
     rng: np.random.Generator | int | None = None,
@@ -146,8 +127,8 @@ def bootstrap_ci(
     """Percentile bootstrap CI of the median relative change.
 
     Draws `resamples` same-size resamples with replacement, takes the median
-    of each and applies `percentile_interval` to the medians. `samples` may
-    be PairedSamples or plain numbers; `rng` may be a Generator or a seed.
+    of each and applies `percentile_interval` to the medians. `samples` are
+    plain numbers; `rng` may be a Generator or a seed.
 
     Each resample's median comes from ranks: the samples are sorted once
     (stable, so tied values get distinct ranks), a resample's drawn indices
@@ -160,7 +141,7 @@ def bootstrap_ci(
     (Where both -0.0 and +0.0 occur, which of those equal zeros a median
     lands on may differ.)
     """
-    values = _as_values(samples)
+    values = np.asarray(samples, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("bootstrap samples must all be finite")
     if values.size < min_samples:
@@ -192,7 +173,7 @@ def bootstrap_ci(
 
 
 def sweep_sample_size(
-    samples: Sequence,
+    samples: Sequence[float] | np.ndarray,
     start: int,
     stop: int,
     step: int,
@@ -207,7 +188,7 @@ def sweep_sample_size(
     For each n in start, start+step, ..., stop (inclusive) the bootstrap CI
     is computed over the first n samples; returns the (n, width_pp) series.
     """
-    values = _as_values(samples)
+    values = np.asarray(samples, dtype=float)
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if start < min_samples:

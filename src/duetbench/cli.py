@@ -18,10 +18,10 @@ from pathlib import Path
 from .analysis import Verdict
 from .errors import ConfigError
 from .harness import (
+    ALL_STRATEGIES,
     ExperimentConfig,
     Report,
     archived_settings,
-    compare_strategies,
     emit_report,
     reanalyze_raw,
     run_experiment,
@@ -115,17 +115,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _VERDICT_EXIT[report.overall_verdict]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    """compare and sweep: their subparser defaults set the strategies or the sweep."""
     cfg = _config_from_args(args)
-    report = compare_strategies(cfg)
-    _emit_and_summarize(report, cfg)
-    return EXIT_PASS
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    report = run_experiment(cfg)
-    _emit_and_summarize(report, cfg)
+    _emit_and_summarize(run_experiment(cfg), cfg)
     return EXIT_PASS
 
 
@@ -156,11 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run all three strategies and tabulate CI widths")
     _add_experiment_flags(p_cmp, with_strategies=False)
-    p_cmp.set_defaults(fn=_cmd_compare)
+    p_cmp.set_defaults(fn=_cmd_report, strategies=ALL_STRATEGIES)
 
     p_sweep = sub.add_parser("sweep", help="run with the sample-size sweep enabled")
     _add_experiment_flags(p_sweep, with_strategies=True)
-    p_sweep.set_defaults(fn=_cmd_sweep, run_sweep=True)
+    p_sweep.set_defaults(fn=_cmd_report, run_sweep=True)
 
     p_an = sub.add_parser("analyze", help="recompute CIs and verdicts from an archived raw.csv")
     p_an.add_argument("raw_csv", type=Path)

@@ -28,7 +28,6 @@ import numpy as np
 from .analysis import (
     MIN_RESAMPLES,
     ConfidenceInterval,
-    PairedSample,
     Verdict,
     bootstrap_ci,
     filter_cold_starts,
@@ -43,7 +42,6 @@ from .strategies import (
     LiveInstance,
     MeasurementSet,
     SimulatedInstance,
-    StrategyConfig,
     pair_measurements,
     run_strategy,
 )
@@ -75,7 +73,7 @@ _GROUPS: dict[str, Any] = {
 }
 
 
-def _check_keys(raw: Any, layout: dict[str, Any], path: str = "") -> None:
+def _match_layout(raw: Any, layout: dict[str, Any], path: str = "") -> None:
     """Refuse a key path that `layout` lacks, and a non-object where it has an object."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
@@ -83,7 +81,7 @@ def _check_keys(raw: Any, layout: dict[str, Any], path: str = "") -> None:
         if key not in layout:
             raise ConfigError(f"unknown config key {path + key!r}")
         if isinstance(layout[key], dict):
-            _check_keys(value, layout[key], f"{path}{key}.")
+            _match_layout(value, layout[key], f"{path}{key}.")
 
 
 @typed_fields
@@ -184,7 +182,7 @@ class ExperimentConfig:
         `overrides` are field values that win over `raw`'s. Raises ConfigError
         on an unknown key, a wrong type or an out-of-range value.
         """
-        _check_keys(raw, _LAYOUT)
+        _match_layout(raw, _LAYOUT)
         kwargs: dict[str, Any] = {}
         for key, value in raw.items():
             group = _GROUPS.get(key)
@@ -228,7 +226,7 @@ class StrategyResult:
     median_change_pct: float
     ci: ConfidenceInterval
     verdict: Verdict
-    samples: list[PairedSample]
+    samples: np.ndarray  # paired changes in percent, (instance, repetition) order
     sweep: list[tuple[int, float]] | None = None
 
 
@@ -256,34 +254,33 @@ class Report:
 
 def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor: DuetExecutor | None) -> MeasurementSet:
     """Run `strategy` on every instance: simulated ones, or live ones sharing `executor`."""
-    merged: list[Measurement] = []
+    merged = MeasurementSet(strategy, (cfg.baseline_label, cfg.candidate_label))
     for instance_id, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)):
         if reps == 0:
             continue
-        scfg = StrategyConfig(strategy=strategy, repetitions=reps, seed=cfg.seed, backend=cfg.backend, clock=cfg.clock)
         if executor is None:
             backend = SimulatedInstance(cfg.model, cfg.seed, instance_id=instance_id)
         else:
             backend = LiveInstance(executor, instance_id=instance_id, seed=cfg.seed)
-        merged.extend(run_strategy(scfg, specs, backend).measurements)
-    merged.sort(key=lambda m: (m.instance_id, m.repetition))  # stable: in-repetition order kept
-    full_cfg = StrategyConfig(strategy=strategy, repetitions=cfg.repetitions, seed=cfg.seed, backend=cfg.backend, clock=cfg.clock)
-    return MeasurementSet(merged, full_cfg, (cfg.baseline_label, cfg.candidate_label))
+        merged.measurements.extend(run_strategy(cfg, strategy, specs, backend, reps).measurements)
+    merged.measurements.sort(key=lambda m: (m.instance_id, m.repetition))  # stable: in-repetition order kept
+    return merged
 
 
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
-    strategy = mset.config.strategy
-    pairs_before = len({(m.instance_id, m.repetition) for m in mset.measurements})
+    strategy = mset.strategy
     filtered = filter_cold_starts(mset)
     pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
     samples = pair_measurements(filtered, scheme=cfg.pairing, rng=pairing_rng)
+    # the filter drops whole pairs only, two rows each
+    pairs_before = len(samples) + (len(mset.measurements) - len(filtered.measurements)) // 2
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
-    median = float(np.median([s.change_pct for s in samples]))
     sweep = None
     if cfg.run_sweep:
+        # cold filtering may leave fewer pairs than the configured stop
         sweep = sweep_sample_size(
-            samples, cfg.sweep_start, cfg.sweep_stop, cfg.sweep_step, cfg.ci_level, cfg.resamples,
+            samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step, cfg.ci_level, cfg.resamples,
             sweep_rng(cfg.seed, strategy), min_samples=cfg.min_samples,
         )
     return StrategyResult(
@@ -291,7 +288,7 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
         measurements=mset.measurements,
         pairs_before_filter=pairs_before,
         pairs_after_filter=len(samples),
-        median_change_pct=median,
+        median_change_pct=float(np.median(samples)),
         ci=ci,
         verdict=verdict(ci, cfg.threshold_pct),
         samples=samples,
@@ -476,10 +473,7 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     grouped = load_raw_csv(path)
     results = []
     for strategy in sorted(grouped, key=lambda s: _STRATEGY_CODE[s]):
-        measurements = grouped[strategy]
-        reps = len({(m.instance_id, m.repetition) for m in measurements})
-        scfg = StrategyConfig(strategy=strategy, repetitions=reps, seed=seed, backend=Backend.SIMULATED)
-        mset = MeasurementSet(measurements, scfg, (cfg.baseline_label, cfg.candidate_label))
+        mset = MeasurementSet(strategy, (cfg.baseline_label, cfg.candidate_label), grouped[strategy])
         results.append(analyze_measurement_set(mset, cfg=cfg))
     finished = datetime.now(timezone.utc).isoformat()
     config = {"reanalyzed_from": str(path), **{k: v for k, v in cfg.to_dict().items() if k in _ANALYSIS_KEYS}}

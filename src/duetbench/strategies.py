@@ -5,8 +5,8 @@
 - rmit (randomized multiple interleaved trials): per trial a seeded coin
   decides the order, then both versions run sequentially within the trial.
 - duet: both versions run in parallel per repetition, core-isolated and
-  synchronized on the live backend, or given correlated noise draws on the
-  simulated one.
+  synchronized on the live backend (which worker runs the baseline
+  alternates), or given correlated noise draws on the simulated one.
 
 A backend represents one "instance": either a live executor on this host or
 one simulated platform instance. Seed derivation is keyed by instance id
@@ -16,15 +16,15 @@ same instance lottery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from .analysis import PairedSample, relative_change
+from .analysis import relative_change
 from .errors import PairingError
 from .executor import DuetExecutor
-from .measurement import Backend, ClockMode, Measurement, Strategy, default_clock
+from .measurement import ClockMode, Measurement, Strategy, default_clock
 from .simenv import (
     InstanceState,
     VariabilityModel,
@@ -36,6 +36,9 @@ from .simenv import (
 )
 from .workloads import WorkloadSpec
 
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
+
 
 def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
     """(lottery, noise, order) generators for one instance, strategy-agnostic."""
@@ -43,36 +46,19 @@ def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator,
     return tuple(np.random.default_rng(c) for c in children)
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    strategy: Strategy
-    repetitions: int
-    seed: int | None
-    backend: Backend
-    clock: ClockMode | None = None  # None = per-strategy default
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed is None and self.strategy is Strategy.RMIT:
-            raise ValueError("rmit requires a seed for order randomization")
-        if self.seed is None and self.backend is Backend.SIMULATED:
-            raise ValueError("the simulated backend requires a seed")
-
-    @property
-    def effective_clock(self) -> ClockMode:
-        return self.clock if self.clock is not None else default_clock(self.strategy)
-
-
 @dataclass
 class MeasurementSet:
-    """Ordered measurements of one strategy run plus the config it ran under.
+    """Ordered measurements of one strategy run.
 
     `version_labels` is (baseline, candidate); pairing relies on it."""
 
-    measurements: list[Measurement]
-    config: StrategyConfig
+    strategy: Strategy
     version_labels: tuple[str, str]
+    measurements: list[Measurement] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.version_labels[0] == self.version_labels[1]:
+            raise ValueError(f"the two versions need distinct labels, both are {self.version_labels[0]!r}")
 
 
 class InstanceBackend(Protocol):
@@ -96,6 +82,8 @@ class SimulatedInstance:
     """
 
     def __init__(self, model: VariabilityModel, seed: int, instance_id: int = 0) -> None:
+        if seed is None:  # SeedSequence(None) would draw fresh entropy
+            raise ValueError("the simulated backend requires a seed")
         lottery, noise, order = _instance_streams(seed, instance_id)
         self.model = model
         self.instance: InstanceState = sample_instance(model, lottery, instance_id=instance_id)
@@ -162,9 +150,15 @@ class LiveInstance:
         )
 
     def run_parallel_pair(self, spec_a, spec_b, *, repetition, clock) -> tuple[Measurement, Measurement]:
-        return self.executor.duet_invoke(
-            spec_a, spec_b, repetition=repetition, instance_id=self.instance_id, clock=clock
-        )
+        """Run one pair, baseline first; odd repetitions put the candidate on the first worker.
+
+        Alternating the workers keeps a difference between the two cores
+        from reading as a difference between the versions.
+        """
+        if repetition % 2 == 0:
+            return self.executor.duet_invoke(spec_a, spec_b, repetition=repetition, instance_id=self.instance_id, clock=clock)
+        m_b, m_a = self.executor.duet_invoke(spec_b, spec_a, repetition=repetition, instance_id=self.instance_id, clock=clock)
+        return m_a, m_b
 
     def order_coin(self) -> bool:
         if self._order_rng is None:
@@ -172,45 +166,44 @@ class LiveInstance:
         return bool(self._order_rng.integers(0, 2) == 0)
 
 
-def _check(cfg: StrategyConfig, expected: Strategy, specs: tuple[WorkloadSpec, WorkloadSpec]) -> None:
-    if cfg.strategy is not expected:
-        raise ValueError(f"config is for {cfg.strategy.value}, not {expected.value}")
-    if specs[0].version_label == specs[1].version_label:
-        raise ValueError(f"the two versions need distinct labels, both are {specs[0].version_label!r}")
+def _new_set(strategy: Strategy, specs: tuple[WorkloadSpec, WorkloadSpec]) -> MeasurementSet:
+    return MeasurementSet(strategy, (specs[0].version_label, specs[1].version_label))
 
 
-def run_independent(cfg: StrategyConfig, specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend) -> MeasurementSet:
+def run_independent(
+    specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None
+) -> MeasurementSet:
     """All baseline invocations first, then all candidate invocations."""
-    _check(cfg, Strategy.INDEPENDENT, specs)
-    clock = cfg.effective_clock
-    out: list[Measurement] = []
+    mset = _new_set(Strategy.INDEPENDENT, specs)
+    clock = clock or default_clock(Strategy.INDEPENDENT)
     for spec in specs:
-        for rep in range(cfg.repetitions):
-            out.append(backend.run_single(spec, strategy=Strategy.INDEPENDENT, repetition=rep, clock=clock))
-    return MeasurementSet(out, cfg, (specs[0].version_label, specs[1].version_label))
+        for rep in range(repetitions):
+            mset.measurements.append(backend.run_single(spec, strategy=Strategy.INDEPENDENT, repetition=rep, clock=clock))
+    return mset
 
 
-def run_rmit(cfg: StrategyConfig, specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend) -> MeasurementSet:
+def run_rmit(
+    specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None
+) -> MeasurementSet:
     """Randomized interleaved trials: a fair coin orders each trial."""
-    _check(cfg, Strategy.RMIT, specs)
-    clock = cfg.effective_clock
-    out: list[Measurement] = []
-    for rep in range(cfg.repetitions):
+    mset = _new_set(Strategy.RMIT, specs)
+    clock = clock or default_clock(Strategy.RMIT)
+    for rep in range(repetitions):
         first, second = specs if backend.order_coin() else (specs[1], specs[0])
-        out.append(backend.run_single(first, strategy=Strategy.RMIT, repetition=rep, clock=clock, order_position=0))
-        out.append(backend.run_single(second, strategy=Strategy.RMIT, repetition=rep, clock=clock, order_position=1))
-    return MeasurementSet(out, cfg, (specs[0].version_label, specs[1].version_label))
+        mset.measurements.append(backend.run_single(first, strategy=Strategy.RMIT, repetition=rep, clock=clock, order_position=0))
+        mset.measurements.append(backend.run_single(second, strategy=Strategy.RMIT, repetition=rep, clock=clock, order_position=1))
+    return mset
 
 
-def run_duet(cfg: StrategyConfig, specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend) -> MeasurementSet:
+def run_duet(
+    specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None
+) -> MeasurementSet:
     """Parallel synchronized pairs; one (baseline, candidate) pair per repetition."""
-    _check(cfg, Strategy.DUET, specs)
-    clock = cfg.effective_clock
-    out: list[Measurement] = []
-    for rep in range(cfg.repetitions):
-        m_a, m_b = backend.run_parallel_pair(specs[0], specs[1], repetition=rep, clock=clock)
-        out.extend((m_a, m_b))
-    return MeasurementSet(out, cfg, (specs[0].version_label, specs[1].version_label))
+    mset = _new_set(Strategy.DUET, specs)
+    clock = clock or default_clock(Strategy.DUET)
+    for rep in range(repetitions):
+        mset.measurements.extend(backend.run_parallel_pair(specs[0], specs[1], repetition=rep, clock=clock))
+    return mset
 
 
 _RUNNERS = {
@@ -220,21 +213,26 @@ _RUNNERS = {
 }
 
 
-def run_strategy(cfg: StrategyConfig, specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend) -> MeasurementSet:
-    return _RUNNERS[cfg.strategy](cfg, specs, backend)
+def run_strategy(
+    cfg: ExperimentConfig, strategy: Strategy, specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend,
+    repetitions: int,
+) -> MeasurementSet:
+    """Run `strategy` on one instance; of the gate's config only `cfg.clock` is read."""
+    return _RUNNERS[strategy](specs, backend, repetitions, cfg.clock)
 
 
 def pair_measurements(
     mset: MeasurementSet,
     scheme: str = "index",
     rng: np.random.Generator | int | None = None,
-) -> list[PairedSample]:
-    """Match baseline and candidate measurements into per-repetition samples.
+) -> np.ndarray:
+    """Match baseline and candidate measurements into per-repetition changes.
 
     Pairs are formed per (instance, repetition); for the independent strategy
     that equals pairing the i-th baseline invocation with the i-th candidate
     invocation. scheme="random" instead permutes the candidate assignment
-    within each instance (requires an rng).
+    within each instance (requires an rng). Returns the relative changes in
+    percent as a float64 array in (instance, repetition) order.
     """
     baseline_label, candidate_label = mset.version_labels
     by_instance: dict[int, dict[str, dict[int, Measurement]]] = {}
@@ -246,7 +244,7 @@ def pair_measurements(
             raise PairingError(f"duplicate measurement for {m.version_label!r} repetition {m.repetition}")
         slot[m.repetition] = m
 
-    samples: list[PairedSample] = []
+    changes: list[float] = []
     for instance_id in sorted(by_instance):
         base = by_instance[instance_id][baseline_label]
         cand = by_instance[instance_id][candidate_label]
@@ -260,7 +258,5 @@ def pair_measurements(
             cand_order = [reps[i] for i in gen.permutation(len(reps))]
         elif scheme != "index":
             raise ValueError(f"unknown pairing scheme {scheme!r}")
-        for rep, cand_rep in zip(reps, cand_order):
-            change = relative_change(base[rep].duration_ns, cand[cand_rep].duration_ns)
-            samples.append(PairedSample(repetition=rep, change_pct=change))
-    return samples
+        changes.extend(relative_change(base[rep].duration_ns, cand[c].duration_ns) for rep, c in zip(reps, cand_order))
+    return np.array(changes, dtype=np.float64)

@@ -13,7 +13,6 @@ import duetbench.analysis
 from conftest import make_measurement
 from duetbench.analysis import (
     ConfidenceInterval,
-    PairedSample,
     Verdict,
     bootstrap_ci,
     filter_cold_starts,
@@ -23,8 +22,8 @@ from duetbench.analysis import (
     verdict,
 )
 from duetbench.errors import EmptySamplesError, InsufficientSamplesError, PairingError, SweepRangeError
-from duetbench.measurement import Backend, Strategy
-from duetbench.strategies import MeasurementSet, StrategyConfig
+from duetbench.measurement import Strategy
+from duetbench.strategies import MeasurementSet
 
 
 def oracle_interval(values, level):
@@ -102,7 +101,7 @@ def test_percentile_shift_equivariance(values, shift, level):
 
 
 def test_bootstrap_degenerate_distribution():
-    ci = bootstrap_ci([PairedSample(i, 4.2) for i in range(60)], 0.99, 1000, rng=0)
+    ci = bootstrap_ci([4.2] * 60, 0.99, 1000, rng=0)
     assert (ci.lower_pct, ci.upper_pct, ci.width_pp) == (4.2, 4.2, 0.0)
 
 
@@ -118,8 +117,9 @@ def test_bootstrap_preconditions():
         bootstrap_ci(list(range(49)), 0.99, 1000, rng=0)
     with pytest.raises(ValueError):
         bootstrap_ci(list(range(100)), 0.99, 999, rng=0)
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0] * 60 + [math.nan], 0.99, 1000, rng=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            bootstrap_ci(np.array([1.0] * 60 + [bad]), 0.99, 1000, rng=0)
 
 
 def test_bootstrap_shift_equivariance_same_index_sequence():
@@ -244,8 +244,7 @@ def test_verdict_rules():
 
 
 def _mset(measurements):
-    cfg = StrategyConfig(Strategy.DUET, max(m.repetition for m in measurements) + 1, 0, Backend.SIMULATED)
-    return MeasurementSet(list(measurements), cfg, ("A", "B"))
+    return MeasurementSet(Strategy.DUET, ("A", "B"), list(measurements))
 
 
 def test_filter_cold_starts_drops_pairs_whole():
@@ -290,9 +289,3 @@ def test_confidence_interval_invariants():
     ci = ConfidenceInterval(-1.5, 2.5, 0.95)
     assert ci.width_pp == 4.0
 
-
-def test_paired_sample_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PairedSample(0, float("nan"))
-    with pytest.raises(ValueError):
-        PairedSample(0, float("inf"))

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duetbench.cli
 from duetbench.cli import (
@@ -22,6 +29,7 @@ from duetbench.cli import (
 from duetbench.harness import ExperimentConfig
 from duetbench.measurement import Strategy
 from duetbench.simenv import VariabilityModel
+from duetbench.workloads import WorkloadKind
 
 FAST_FLAGS = [
     "--backend", "simulated", "--repetitions", "200", "--instances", "2",
@@ -94,6 +102,25 @@ def test_sweep_subcommand_emits_sweep_csv(tmp_path):
     assert len(text.strip().splitlines()) == 13
 
 
+def test_sweep_stops_at_the_pairs_left_after_cold_filtering(tmp_path, capsys):
+    flags = ["sweep", "--strategy", "duet", "--repetitions", "300", "--instances", "4", "--resamples", "1000"]
+    assert main([*flags, "--sweep-stop", "300", "--out", str(tmp_path / "a")]) == EXIT_PASS
+    rows = (tmp_path / "a" / "sweep.csv").read_text().strip().splitlines()[1:]
+    # four cold pairs leave 296: the sweep ends at the last step within them
+    assert len(rows) == 50 and rows[-1].startswith("duet,295,")
+    capsys.readouterr()
+    assert main([*flags, "--sweep-start", "297", "--sweep-stop", "300", "--out", str(tmp_path / "b")]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "SweepRangeError"
+
+
+def test_compare_runs_every_strategy_whatever_the_config(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"strategies": ["duet"]}))
+    assert main(["compare", "--config", str(config), *FAST_FLAGS, "--out", str(tmp_path / "r")]) == EXIT_PASS
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["config"]["strategies"] == ["independent", "rmit", "duet"]
+
+
 def test_analyze_matches_run_verdict(tmp_path):
     out_a = tmp_path / "a"
     code = main([
@@ -161,9 +188,12 @@ def test_config_file_plus_flag_override(tmp_path):
 
 
 def test_console_entrypoint_smoke(tmp_path):
+    # the child imports the package this suite imports, installed or not
+    src = str(Path(duetbench.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "duetbench", "run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert "overall verdict: pass" in proc.stdout
@@ -248,3 +278,75 @@ def test_flag_sets_match_and_name_config_fields():
     names = {f.name for f in fields(ExperimentConfig)} | {f"model.{f.name}" for f in fields(VariabilityModel)}
     dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
     assert dests - names == {"help", "config", "cores"}
+
+
+# Valid values of each key of the default config layout, small enough that a
+# run takes well under a second; the backend stays simulated.
+_VALID = {
+    "strategies": st.lists(st.sampled_from([s.value for s in Strategy]), min_size=1, max_size=3, unique=True),
+    "repetitions": st.integers(1, 150),
+    "instances": st.integers(1, 4),
+    "seed": st.integers(0, 2**32),
+    "workload": st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from([k.value for k in WorkloadKind]), "scale": st.integers(1, 10_000),
+    }),
+    "regression_pct": st.floats(-20, 20),
+    "labels": st.lists(st.text("ABxy", min_size=1, max_size=3), min_size=2, max_size=2, unique=True),
+    "ci_level": st.floats(0.5, 0.999),
+    "resamples": st.integers(1000, 1100),
+    "threshold_pct": st.floats(-5, 5),
+    "min_samples": st.integers(1, 60),
+    "sweep": st.fixed_dictionaries({}, optional={
+        "enabled": st.booleans(), "start": st.integers(1, 150), "stop": st.integers(1, 150),
+        "step": st.integers(1, 40),
+    }),
+    "clock": st.sampled_from([None, "cpu_time", "wall_clock"]),
+    "pairing": st.sampled_from(["index", "random"]),
+    "pinning": st.booleans(),
+    "cores": st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    "model": st.fixed_dictionaries({}, optional={f.name: st.floats(0.001, 0.5) for f in fields(VariabilityModel)}),
+}
+# Any JSON value; integers stay small, so a size key given one still runs quickly.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 200) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+_LAYOUT = ExperimentConfig().to_dict()
+# Key paths an example may give any JSON value; None stands for an unknown key.
+_PATHS = [None] + [(k,) for k in _VALID] + [(k, sub) for k, v in _LAYOUT.items() if isinstance(v, dict) for sub in v]
+
+
+@st.composite
+def _any_config(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_ANY_JSON)
+    config = {"backend": "simulated", **draw(st.fixed_dictionaries({}, optional=_VALID))}
+    for path in draw(st.lists(st.sampled_from(_PATHS), max_size=2, unique=True)):
+        if path is None:
+            config[draw(st.text(max_size=4).filter(lambda k: k not in _LAYOUT))] = draw(_ANY_JSON)
+        elif len(path) == 1:
+            config[path[0]] = draw(_ANY_JSON)
+        elif isinstance(config.setdefault(path[0], {}), dict):
+            config[path[0]][path[1]] = draw(_ANY_JSON)
+    return config
+
+
+_EXIT_OF_VERDICT = {"pass": EXIT_PASS, "regression": EXIT_REGRESSION, "inconclusive": EXIT_INCONCLUSIVE}
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_any_config())
+def test_any_config_exits_with_a_gate_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        if code == EXIT_ERROR:
+            assert set(json.loads(stderr.getvalue())) == {"error", "message"}
+        else:
+            # 1 only for a regression verdict; 0 and 3 only for theirs
+            summary = json.loads((Path(tmp) / "out" / "summary.json").read_text())
+            assert code == _EXIT_OF_VERDICT[summary["overall_verdict"]]

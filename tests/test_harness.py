@@ -49,6 +49,11 @@ def test_config_validation():
         ExperimentConfig(formats=("yaml",))
 
 
+def test_zero_repetitions_rejected():
+    with pytest.raises(ConfigError):
+        ExperimentConfig(repetitions=0)
+
+
 def test_config_roundtrip_through_dict():
     cfg = ExperimentConfig(seed=9, repetitions=300, regression_pct=5.0, workload=WorkloadKind.MEM_SIEVE)
     clone = ExperimentConfig.from_dict(cfg.to_dict())

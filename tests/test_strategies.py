@@ -1,25 +1,28 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from conftest import make_measurement, requires_two_cores
 from duetbench.analysis import filter_cold_starts
 from duetbench.errors import PairingError
 from duetbench.executor import DuetExecutor
+from duetbench.harness import ExperimentConfig
 from duetbench.measurement import Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.strategies import (
     LiveInstance,
     MeasurementSet,
     SimulatedInstance,
-    StrategyConfig,
     pair_measurements,
     run_duet,
     run_independent,
     run_rmit,
     run_strategy,
 )
-from duetbench.workloads import WorkloadKind, make_workload
+from duetbench.workloads import WorkloadKind, WorkResult, make_workload
 
 SPECS = (
     make_workload(WorkloadKind.CPU_MUTATION, 50_000, "A"),
@@ -33,38 +36,37 @@ def sim_backend(seed=1, instance_id=0, model=MODEL):
 
 
 def test_independent_runs_all_a_then_all_b():
-    cfg = StrategyConfig(Strategy.INDEPENDENT, 3, 1, Backend.SIMULATED)
-    mset = run_independent(cfg, SPECS, sim_backend())
+    mset = run_independent(SPECS, sim_backend(), 3)
     assert [m.version_label for m in mset.measurements] == ["A", "A", "A", "B", "B", "B"]
     assert len(mset.measurements) == 6
     assert [m.repetition for m in mset.measurements] == [0, 1, 2, 0, 1, 2]
 
 
 def test_simulated_run_is_byte_identical_on_rerun():
-    cfg = StrategyConfig(Strategy.INDEPENDENT, 20, 7, Backend.SIMULATED)
-    first = run_independent(cfg, SPECS, sim_backend(seed=7))
-    second = run_independent(cfg, SPECS, sim_backend(seed=7))
+    first = run_independent(SPECS, sim_backend(seed=7), 20)
+    second = run_independent(SPECS, sim_backend(seed=7), 20)
     assert first == second
 
 
-def test_zero_repetitions_rejected():
-    with pytest.raises(ValueError):
-        StrategyConfig(Strategy.INDEPENDENT, 0, 1, Backend.SIMULATED)
+class _NoExecutor:
+    """Fails any invocation: the checks under test must come before the first one."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"executor.{name} used")
 
 
 def test_rmit_requires_seed():
-    with pytest.raises(ValueError):
-        StrategyConfig(Strategy.RMIT, 10, None, Backend.LIVE)
+    with pytest.raises(ValueError, match="seeded"):
+        run_rmit(SPECS, LiveInstance(_NoExecutor(), seed=None), 10)
 
 
 def test_simulated_backend_requires_seed():
-    with pytest.raises(ValueError):
-        StrategyConfig(Strategy.INDEPENDENT, 10, None, Backend.SIMULATED)
+    with pytest.raises(ValueError, match="seed"):
+        SimulatedInstance(MODEL, None)
 
 
 def test_rmit_single_trial_has_complementary_positions():
-    cfg = StrategyConfig(Strategy.RMIT, 1, 5, Backend.SIMULATED)
-    mset = run_rmit(cfg, SPECS, sim_backend(seed=5))
+    mset = run_rmit(SPECS, sim_backend(seed=5), 1)
     assert len(mset.measurements) == 2
     assert {m.order_position for m in mset.measurements} == {0, 1}
     assert {m.version_label for m in mset.measurements} == {"A", "B"}
@@ -74,8 +76,7 @@ def test_rmit_single_trial_has_complementary_positions():
 def test_rmit_order_counts_within_binomial_bound():
     # 99.9% two-sided binomial bound for n=1000, p=0.5 is ~[448, 552];
     # the asserted window is deliberately looser.
-    cfg = StrategyConfig(Strategy.RMIT, 1000, 11, Backend.SIMULATED)
-    mset = run_rmit(cfg, SPECS, sim_backend(seed=11))
+    mset = run_rmit(SPECS, sim_backend(seed=11), 1000)
     ab = sum(
         1 for m in mset.measurements if m.version_label == "A" and m.order_position == 0
     )
@@ -83,10 +84,8 @@ def test_rmit_order_counts_within_binomial_bound():
 
 
 def test_rmit_identical_seed_gives_identical_order():
-    cfg = StrategyConfig(Strategy.RMIT, 200, 13, Backend.SIMULATED)
-
     def order_sequence(seed):
-        mset = run_rmit(cfg, SPECS, sim_backend(seed=seed))
+        mset = run_rmit(SPECS, sim_backend(seed=seed), 200)
         firsts = [m.version_label for m in mset.measurements if m.order_position == 0]
         return firsts
 
@@ -95,8 +94,7 @@ def test_rmit_identical_seed_gives_identical_order():
 
 
 def test_duet_pairs_share_repetition_indices():
-    cfg = StrategyConfig(Strategy.DUET, 100, 3, Backend.SIMULATED)
-    mset = run_duet(cfg, SPECS, sim_backend(seed=3))
+    mset = run_duet(SPECS, sim_backend(seed=3), 100)
     assert len(mset.measurements) == 200
     for rep in range(100):
         labels = {m.version_label for m in mset.measurements if m.repetition == rep}
@@ -105,50 +103,45 @@ def test_duet_pairs_share_repetition_indices():
 
 def test_duet_fully_shared_draws_cancel_exactly():
     model = VariabilityModel(duet_jitter_cv=0.0)
-    cfg = StrategyConfig(Strategy.DUET, 50, 9, Backend.SIMULATED)
-    mset = run_duet(cfg, SPECS, sim_backend(seed=9, model=model))
+    mset = run_duet(SPECS, sim_backend(seed=9, model=model), 50)
     samples = pair_measurements(filter_cold_starts(mset))
-    assert samples and all(s.change_pct == 0.0 for s in samples)
-
-
-def test_strategy_config_mismatch_rejected():
-    cfg = StrategyConfig(Strategy.DUET, 5, 1, Backend.SIMULATED)
-    with pytest.raises(ValueError):
-        run_independent(cfg, SPECS, sim_backend())
+    assert samples.size and (samples == 0.0).all()
 
 
 def test_duplicate_version_labels_rejected():
-    cfg = StrategyConfig(Strategy.INDEPENDENT, 5, 1, Backend.SIMULATED)
     same = (SPECS[0], make_workload(WorkloadKind.CPU_MUTATION, 50_000, "A"))
-    with pytest.raises(ValueError):
-        run_independent(cfg, same, sim_backend())
+    for runner in (run_independent, run_rmit, run_duet):
+        with pytest.raises(ValueError, match="distinct labels"):
+            runner(same, LiveInstance(_NoExecutor(), seed=1), 5)
+    with pytest.raises(ValueError, match="distinct labels"):
+        MeasurementSet(Strategy.DUET, ("A", "A"))
 
 
 def test_pairing_arithmetic():
-    cfg = StrategyConfig(Strategy.DUET, 1, 0, Backend.SIMULATED)
-    mset = MeasurementSet(
-        [make_measurement(100, "A"), make_measurement(105, "B")], cfg, ("A", "B")
-    )
+    mset = MeasurementSet(Strategy.DUET, ("A", "B"), [
+        make_measurement(100, "A", repetition=1), make_measurement(110, "B", repetition=1),
+        make_measurement(100, "A", instance_id=1), make_measurement(90, "B", instance_id=1),
+        make_measurement(100, "A"), make_measurement(105, "B"),
+    ])
     samples = pair_measurements(mset)
-    assert len(samples) == 1
-    assert samples[0].change_pct == 5.0
-    assert samples[0].repetition == 0
+    assert samples.dtype == np.float64
+    # (instance, repetition) order, whatever the row order
+    assert samples.tolist() == [5.0, 10.0, -10.0]
 
 
 def test_pairing_empty_set():
-    cfg = StrategyConfig(Strategy.DUET, 1, 0, Backend.SIMULATED)
-    assert pair_measurements(MeasurementSet([], cfg, ("A", "B"))) == []
+    samples = pair_measurements(MeasurementSet(Strategy.DUET, ("A", "B")))
+    assert samples.dtype == np.float64 and samples.shape == (0,)
 
 
 def test_pairing_missing_partner_raises():
-    cfg = StrategyConfig(Strategy.DUET, 2, 0, Backend.SIMULATED)
     ms = [
         make_measurement(100, "A", repetition=0),
         make_measurement(105, "B", repetition=0),
         make_measurement(100, "A", repetition=1),
     ]
     with pytest.raises(PairingError):
-        pair_measurements(MeasurementSet(ms, cfg, ("A", "B")))
+        pair_measurements(MeasurementSet(Strategy.DUET, ("A", "B"), ms))
 
 
 def test_pairing_count_invariant():
@@ -157,17 +150,16 @@ def test_pairing_count_invariant():
         (Strategy.RMIT, run_rmit),
         (Strategy.DUET, run_duet),
     ):
-        cfg = StrategyConfig(strategy, 40, 21, Backend.SIMULATED)
-        mset = runner(cfg, SPECS, sim_backend(seed=21))
+        mset = runner(SPECS, sim_backend(seed=21), 40)
+        assert mset.strategy is strategy
         assert len(pair_measurements(mset)) == 40
 
 
 def test_random_pairing_scheme_is_seeded_and_complete():
-    cfg = StrategyConfig(Strategy.INDEPENDENT, 30, 2, Backend.SIMULATED)
-    mset = run_independent(cfg, SPECS, sim_backend(seed=2))
+    mset = run_independent(SPECS, sim_backend(seed=2), 30)
     a = pair_measurements(mset, scheme="random", rng=5)
     b = pair_measurements(mset, scheme="random", rng=5)
-    assert a == b
+    assert a.tobytes() == b.tobytes()
     assert len(a) == 30
     with pytest.raises(ValueError):
         pair_measurements(mset, scheme="nope")
@@ -179,17 +171,48 @@ def test_simulated_cold_flags_first_instance_invocation():
         (Strategy.RMIT, run_rmit),
         (Strategy.DUET, run_duet),
     ):
-        cfg = StrategyConfig(strategy, 5, 17, Backend.SIMULATED)
-        mset = runner(cfg, SPECS, sim_backend(seed=17))
+        mset = runner(SPECS, sim_backend(seed=17), 5)
         cold = [m for m in mset.measurements if m.cold]
         assert len(cold) == 1
         assert mset.measurements[0].cold
 
 
 def test_clock_override_applies_to_all_measurements():
-    cfg = StrategyConfig(Strategy.DUET, 3, 1, Backend.SIMULATED, clock=ClockMode.WALL_CLOCK)
-    mset = run_duet(cfg, SPECS, sim_backend(seed=1))
+    mset = run_duet(SPECS, sim_backend(seed=1), 3, ClockMode.WALL_CLOCK)
     assert all(m.clock_mode is ClockMode.WALL_CLOCK for m in mset.measurements)
+    cfg = ExperimentConfig(clock=ClockMode.WALL_CLOCK)
+    for strategy in Strategy:
+        mset = run_strategy(cfg, strategy, SPECS, sim_backend(seed=1), 3)
+        assert all(m.clock_mode is ClockMode.WALL_CLOCK for m in mset.measurements)
+
+
+class _RecordingExecutor:
+    """Stands in for DuetExecutor: records the specs in worker order; worker i reports 1000 * (i + 1) ns."""
+
+    def __init__(self):
+        self.sent = []
+
+    def duet_invoke(self, spec_a, spec_b, *, repetition, instance_id, clock):
+        self.sent.append((spec_a.version_label, spec_b.version_label))
+        return tuple(
+            replace(
+                make_measurement(1000 * (worker + 1), spec.version_label, instance_id=instance_id,
+                                 repetition=repetition, clock=clock),
+                result=WorkResult(checksum=ord(spec.version_label), units_done=worker),
+            )
+            for worker, spec in enumerate((spec_a, spec_b))
+        )
+
+
+def test_live_duet_alternates_the_baseline_worker():
+    executor = _RecordingExecutor()
+    mset = run_duet(SPECS, LiveInstance(executor, instance_id=3), 4)
+    assert executor.sent == [("A", "B"), ("B", "A"), ("A", "B"), ("B", "A")]
+    pairs = list(zip(mset.measurements[::2], mset.measurements[1::2]))
+    assert [(a.version_label, b.version_label) for a, b in pairs] == [("A", "B")] * 4
+    assert [(a.repetition, b.repetition) for a, b in pairs] == [(r, r) for r in range(4)]
+    assert [(a.duration_ns, b.duration_ns) for a, b in pairs] == [(1000, 2000), (2000, 1000)] * 2
+    assert all(m.result.checksum == ord(m.version_label) and m.instance_id == 3 for m in mset.measurements)
 
 
 @requires_two_cores
@@ -202,8 +225,7 @@ def test_work_results_identical_across_strategies_live():
     with DuetExecutor() as executor:
         live = LiveInstance(executor, seed=50)
         for strategy in Strategy:
-            cfg = StrategyConfig(strategy, 3, 50, Backend.LIVE)
-            mset = run_strategy(cfg, specs, live)
+            mset = run_strategy(ExperimentConfig(backend=Backend.LIVE, seed=50), strategy, specs, live, 3)
             checksums[strategy] = {m.version_label: m.result.checksum for m in mset.measurements}
             assert all(not m.cold for m in mset.measurements)
     assert checksums[Strategy.INDEPENDENT] == checksums[Strategy.RMIT] == checksums[Strategy.DUET]
