@@ -40,18 +40,17 @@ from .harness import (
     reanalyze_raw,
     run_experiment,
 )
-from .measurement import Backend, ClockMode, Measurement, Strategy
+from .measurement import Backend, ClockMode, Measurement, MeasurementSet, Strategy
 from .simenv import (
     InstanceState,
     VariabilityModel,
     advance_time,
     drift_factor,
     sample_instance,
-    simulate_invocation,
+    simulate_invocations,
 )
 from .strategies import (
     LiveInstance,
-    MeasurementSet,
     SimulatedInstance,
     pair_measurements,
     run_duet,

@@ -21,16 +21,14 @@ a plain gather: the bounds are the bits `np.median` over `values[idx]` gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import EmptySamplesError, InsufficientSamplesError, PairingError, SweepRangeError
-
-if TYPE_CHECKING:
-    from .strategies import MeasurementSet
+from .errors import EmptySamplesError, InsufficientSamplesError, SweepRangeError
+from .measurement import MeasurementSet
 
 DEFAULT_LEVEL = 0.99
 DEFAULT_RESAMPLES = 10_000
@@ -66,14 +64,14 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def relative_change(t_a: float, t_b: float) -> float:
-    """Percent change of candidate duration t_b relative to baseline t_a."""
-    if t_a <= 0:
-        raise ZeroDivisionError(f"baseline duration must be > 0, got {t_a}")
+def relative_change(t_a: Any, t_b: Any) -> Any:
+    """Percent change of candidate duration t_b relative to baseline t_a (numbers or arrays)."""
+    if np.any(np.asarray(t_a) <= 0):
+        raise ZeroDivisionError(f"baseline duration must be > 0, got {np.min(t_a)}")
     return (t_b - t_a) / t_a * 100.0
 
 
-def filter_cold_starts(mset: "MeasurementSet") -> "MeasurementSet":
+def filter_cold_starts(mset: MeasurementSet) -> MeasurementSet:
     """Drop cold-start measurements, removing affected pairs whole.
 
     Measurements are paired per (instance, repetition); if any member of a
@@ -81,17 +79,15 @@ def filter_cold_starts(mset: "MeasurementSet") -> "MeasurementSet":
     half-measured. Pairing never sees a discarded pair, so each must be one
     baseline and one candidate measurement, or PairingError is raised.
     """
-    rows = mset.measurements
-    cold_keys = {(m.instance_id, m.repetition) for m in rows if m.cold}
-    kept = [m for m in rows if (m.instance_id, m.repetition) not in cold_keys]
-    if cold_keys:
-        dropped = {(m.instance_id, m.repetition, m.version_label) for m in rows if (m.instance_id, m.repetition) in cold_keys}
-        expected = {(*key, label) for key in cold_keys for label in mset.version_labels}
-        bad = sorted({row[:2] for row in dropped ^ expected})
-        if bad or len(rows) - len(kept) != len(expected):
-            where = bad[:5] or "duplicate rows"
-            raise PairingError(f"cold measurements do not form whole pairs at (instance, repetition) {where}")
-    return replace(mset, measurements=kept)
+    if not mset.cold.any():
+        return mset
+    order = np.lexsort((mset.repetition, mset.instance_id))
+    inst, rep = mset.instance_id[order], mset.repetition[order]
+    key = np.cumsum(np.r_[True, (inst[1:] != inst[:-1]) | (rep[1:] != rep[:-1])])  # dense (instance, repetition)
+    drop = np.empty(len(order), dtype=bool)
+    drop[order] = np.isin(key, key[mset.cold[order]])
+    mset[drop].pair_order("cold measurements")
+    return mset[~drop]
 
 
 def _trim_count(n: int, level: float) -> int:

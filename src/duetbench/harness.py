@@ -15,13 +15,14 @@ seed and the strategy alone, never from run order.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,15 +37,9 @@ from .analysis import (
 )
 from .errors import BenchmarkError, ConfigError
 from .executor import CorePlan, DuetExecutor
-from .measurement import Backend, ClockMode, Measurement, Strategy
+from .measurement import CLOCKS, Backend, ClockMode, MeasurementSet, Strategy, codes, version_codes
 from .simenv import VariabilityModel, check_fields, typed_fields
-from .strategies import (
-    LiveInstance,
-    MeasurementSet,
-    SimulatedInstance,
-    pair_measurements,
-    run_strategy,
-)
+from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
 from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, make_workload
 
 ALL_STRATEGIES = (Strategy.INDEPENDENT, Strategy.RMIT, Strategy.DUET)
@@ -220,7 +215,7 @@ def instance_repetitions(total: int, instances: int) -> list[int]:
 @dataclass
 class StrategyResult:
     strategy: Strategy
-    measurements: list[Measurement]
+    measurements: MeasurementSet  # as measured, before cold filtering
     pairs_before_filter: int
     pairs_after_filter: int
     median_change_pct: float
@@ -254,7 +249,7 @@ class Report:
 
 def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor: DuetExecutor | None) -> MeasurementSet:
     """Run `strategy` on every instance: simulated ones, or live ones sharing `executor`."""
-    merged = MeasurementSet(strategy, (cfg.baseline_label, cfg.candidate_label))
+    parts = []
     for instance_id, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)):
         if reps == 0:
             continue
@@ -262,9 +257,9 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor
             backend = SimulatedInstance(cfg.model, cfg.seed, instance_id=instance_id)
         else:
             backend = LiveInstance(executor, instance_id=instance_id, seed=cfg.seed)
-        merged.measurements.extend(run_strategy(cfg, strategy, specs, backend, reps).measurements)
-    merged.measurements.sort(key=lambda m: (m.instance_id, m.repetition))  # stable: in-repetition order kept
-    return merged
+        parts.append(run_strategy(cfg, strategy, specs, backend, reps))
+    merged = MeasurementSet.concat(parts)
+    return merged[np.lexsort((merged.repetition, merged.instance_id))]  # stable: in-repetition order kept
 
 
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
@@ -274,7 +269,7 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
     samples = pair_measurements(filtered, scheme=cfg.pairing, rng=pairing_rng)
     # the filter drops whole pairs only, two rows each
-    pairs_before = len(samples) + (len(mset.measurements) - len(filtered.measurements)) // 2
+    pairs_before = len(samples) + (len(mset) - len(filtered)) // 2
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
     sweep = None
     if cfg.run_sweep:
@@ -285,7 +280,7 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
         )
     return StrategyResult(
         strategy=strategy,
-        measurements=mset.measurements,
+        measurements=mset,
         pairs_before_filter=pairs_before,
         pairs_after_filter=len(samples),
         median_change_pct=float(np.median(samples)),
@@ -365,19 +360,17 @@ def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = 
         writer = csv.writer(fh)
         writer.writerow(RAW_CSV_COLUMNS)
         for r in report.results:
-            for m in r.measurements:
-                writer.writerow(
-                    [
-                        m.strategy.value,
-                        m.instance_id,
-                        m.repetition,
-                        m.version_label,
-                        m.duration_ns,
-                        m.clock_mode.value,
-                        "true" if m.cold else "false",
-                        "" if m.order_position is None else m.order_position,
-                    ]
-                )
+            m = r.measurements
+            writer.writerows(zip(
+                itertools.repeat(m.strategy.value, len(m)),
+                m.instance_id.tolist(),
+                m.repetition.tolist(),
+                _cells(m.version_labels, m.version),
+                m.duration_ns.tolist(),
+                _cells([c.value for c in CLOCKS], m.clock_mode),
+                _cells(_COLD_CELLS, m.cold.astype(np.int8)),
+                _cells(_ORDER_CELLS, m.order_position + 1),
+            ))
     written["raw_csv"] = raw_path
 
     summary = summary_dict(report)
@@ -414,31 +407,55 @@ def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = 
     return written
 
 
-def load_raw_csv(path: Path | str) -> dict[Strategy, list[Measurement]]:
-    """Read a raw.csv back into per-strategy measurement lists."""
-    grouped: dict[Strategy, list[Measurement]] = {}
+def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, MeasurementSet]:
+    """Read a raw.csv back into one measurement set per strategy, with (baseline, candidate) `labels`.
+
+    Integer cells read as `int()` reads them; `cold` is `true` or `false`, and `order_position`
+    empty, 0 or 1. Any other cell raises ValueError, a label other than the two PairingError.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(RAW_CSV_COLUMNS) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last column
+        missing = set(RAW_CSV_COLUMNS) - set(header)
         if missing:
             raise BenchmarkError(f"raw csv is missing columns: {sorted(missing)}")
-        for row in reader:
-            strategy = Strategy(row["strategy"])
-            grouped.setdefault(strategy, []).append(
-                Measurement(
-                    duration_ns=int(row["duration_ns"]),
-                    clock_mode=ClockMode(row["clock_mode"]),
-                    version_label=row["version"],
-                    strategy=strategy,
-                    instance_id=int(row["instance_id"]),
-                    repetition=int(row["repetition"]),
-                    cold=row["cold"] == "true",
-                    order_position=None if row["order_position"] == "" else int(row["order_position"]),
-                )
-            )
-    if not grouped:
+        # Rows become columns a chunk at a time, so few row lists are ever alive.
+        chunks = [_raw_columns(rows, header, labels) for rows in iter(lambda: list(itertools.islice(reader, 4096)), [])]
+    if not sum(len(c["strategy"]) for c in chunks):
         raise BenchmarkError(f"no measurements found in {path}")
+    columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    strategy = columns.pop("strategy")
+    grouped = {}
+    for code in dict.fromkeys(strategy.tolist()):  # in order of first appearance
+        s, rows_of = list(Strategy)[code], strategy == code
+        grouped[s] = MeasurementSet(s, labels, **{name: c[rows_of] for name, c in columns.items()})
     return grouped
+
+
+def _raw_columns(rows: list[list[str]], header: dict[str, int], labels: tuple[str, str]) -> dict[str, np.ndarray]:
+    rows = [row for row in rows if row]  # a blank line holds no measurement
+    width = max(header[name] for name in RAW_CSV_COLUMNS) + 1
+    if rows and min(map(len, rows)) < width:
+        raise ValueError(f"raw csv has a row of fewer than the {width} cells its header names")
+    col = {name: [row[header[name]] for row in rows] for name in RAW_CSV_COLUMNS}
+    ints = {name: np.array(col[name], dtype=np.int64) for name in ("duration_ns", "instance_id", "repetition")}
+    return dict(
+        **ints,
+        version=version_codes(labels, col["version"], ints["instance_id"], ints["repetition"]),
+        cold=codes(col["cold"], _COLD_CELLS, "raw csv cold"),
+        order_position=codes(col["order_position"], _ORDER_CELLS, "raw csv order_position") - 1,
+        clock_mode=codes(col["clock_mode"], [c.value for c in CLOCKS], "raw csv clock_mode"),
+        strategy=codes(col["strategy"], [s.value for s in Strategy], "raw csv strategy"),
+    )
+
+
+_COLD_CELLS = ("false", "true")
+_ORDER_CELLS = ("", "0", "1")  # no position, first, second
+
+
+def _cells(values: Sequence[Any], index: np.ndarray) -> list[Any]:
+    """The cell of each row: `values[index]`."""
+    return np.array(values, dtype=object)[index].tolist()
 
 
 # The `config` keys that fix a re-analysis; a re-analysed report keeps only these.
@@ -470,11 +487,8 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     """
     cfg = ExperimentConfig(seed=seed, **settings)
     started = datetime.now(timezone.utc).isoformat()
-    grouped = load_raw_csv(path)
-    results = []
-    for strategy in sorted(grouped, key=lambda s: _STRATEGY_CODE[s]):
-        mset = MeasurementSet(strategy, (cfg.baseline_label, cfg.candidate_label), grouped[strategy])
-        results.append(analyze_measurement_set(mset, cfg=cfg))
+    grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
+    results = [analyze_measurement_set(grouped[s], cfg=cfg) for s in sorted(grouped, key=_STRATEGY_CODE.get)]
     finished = datetime.now(timezone.utc).isoformat()
     config = {"reanalyzed_from": str(path), **{k: v for k, v in cfg.to_dict().items() if k in _ANALYSIS_KEYS}}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

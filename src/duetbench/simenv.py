@@ -12,10 +12,10 @@ invocation strategies do or do not control:
 Instance quality is drawn once per simulated instance from a lognormal
 truncated to [0.5, 2.0] ("good" vs "bad" hardware); drift models time-of-day
 style variation; the per-draw factor models everything faster than that.
-A duet-style caller passes the *same* `shared_draw` to both versions, which
-cancels the per-draw factor exactly; sequential callers let each invocation
-draw fresh noise. The lognormal shapes are a modeling assumption, not a
-calibrated fit to any real platform.
+A duet-style caller gives both versions of a pair the *same* noise factor
+(times a small residual jitter), which cancels the per-draw factor; sequential
+callers give each invocation a fresh draw. The lognormal shapes are a
+modeling assumption, not a calibrated fit to any real platform.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError
-from .measurement import ClockMode, Measurement, Strategy, default_clock
 from .workloads import WorkloadSpec
 
 _QUALITY_MIN = 0.5
@@ -151,69 +150,54 @@ def sample_instance(model: VariabilityModel, rng: np.random.Generator, instance_
     return InstanceState(instance_id=instance_id, quality=quality, drift_phase=phase)
 
 
-def drift_factor(model: VariabilityModel, inst: InstanceState, t: float) -> float:
-    """Slow sinusoidal multiplier at virtual time `t` (seconds)."""
-    return 1.0 + model.drift_amplitude * math.sin(2.0 * math.pi * t / model.drift_period_s + inst.drift_phase)
+def _each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """`fn` of every element of a float array, one Python float call each: `np.exp` and `np.sin`
+    differ from `math.exp` and `math.sin` in the last ulp on some inputs, and durations keep their bits."""
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
 
 
-def draw_noise(model: VariabilityModel, rng: np.random.Generator) -> float:
-    """One fresh per-draw temporal noise multiplier."""
-    return float(math.exp(rng.normal(0.0, model.temporal_sigma)))
+def drift_factor(model: VariabilityModel, inst: InstanceState, t: np.ndarray | float) -> np.ndarray:
+    """Slow sinusoidal multiplier at each virtual time in `t` (seconds)."""
+    phase = 2.0 * math.pi * np.asarray(t, np.float64) / model.drift_period_s + inst.drift_phase
+    return 1.0 + model.drift_amplitude * _each(math.sin, phase)
 
 
-def draw_jitter(model: VariabilityModel, rng: np.random.Generator) -> float:
-    """Residual independent jitter multiplier for duet draws (1.0 when cv=0)."""
-    return float(math.exp(rng.normal(0.0, _lognormal_sigma_from_cv(model.duet_jitter_cv))))
+def draw_noise(model: VariabilityModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """`n` fresh per-draw temporal noise multipliers."""
+    return _each(math.exp, rng.standard_normal(n) * model.temporal_sigma)
 
 
-def advance_time(t: float, dt: float) -> float:
-    """Advance the monotone virtual clock."""
+def draw_pair_noise(model: VariabilityModel, rng: np.random.Generator, pairs: int) -> np.ndarray:
+    """(pairs, 2) duet noise multipliers: one shared draw times each side's residual jitter.
+
+    Each pair draws (shared, jitter a, jitter b) in that order; a jitter cv of 0 still draws."""
+    jitter = _lognormal_sigma_from_cv(model.duet_jitter_cv)
+    shared, a, b = _each(math.exp, rng.standard_normal((pairs, 3)) * [model.temporal_sigma, jitter, jitter]).T
+    return np.stack([shared * a, shared * b], axis=1)
+
+
+def advance_time(t: float, dt: float, steps: int) -> np.ndarray:
+    """The monotone virtual clock from `t` over `steps` steps of `dt`: `steps + 1` times."""
     if dt < 0:
         raise ValueError(f"virtual time cannot move backwards (dt={dt})")
-    return t + dt
+    return np.cumsum(np.r_[t, np.full(steps, dt)])
 
 
-def simulate_invocation(
-    model: VariabilityModel,
-    inst: InstanceState,
-    spec: WorkloadSpec,
-    t: float,
-    rng: np.random.Generator,
-    shared_draw: float | None = None,
-    *,
-    strategy: Strategy,
-    repetition: int = 0,
-    order_position: int | None = None,
-    clock_mode: ClockMode | None = None,
-) -> Measurement:
-    """Simulate one invocation on `inst` at virtual time `t`.
+def simulate_invocations(model: VariabilityModel, inst: InstanceState, specs: Sequence[WorkloadSpec], version: np.ndarray,
+                         t: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Durations (ns) and cold flags of invocations run in order on `inst`.
 
-    When `shared_draw` is given it replaces the fresh per-draw noise factor,
-    so two invocations handed the same value (and the same instance and time)
-    get exactly correlated noise. The instance's first invocation is flagged
-    cold and pays the cold-start penalty; the counter then advances.
+    The i-th runs `specs[version[i]]` at virtual time `t[i]` with noise factor `noise[i]`; the
+    instance's first invocation is cold. Products keep the order ((((scale * base) * quality) * drift)
+    * noise) before the penalty and the truncation: each duration has the bits of one at a time.
     """
-    cold = inst.invocations_served == 0
-    noise = shared_draw if shared_draw is not None else draw_noise(model, rng)
-    cost = (
-        spec.effective_scale
-        * model.base_cost_ns_per_unit
-        * inst.quality
-        * drift_factor(model, inst, t)
-        * noise
-    )
-    if cold:
-        cost += model.cold_penalty_ms * 1e6
-    inst.invocations_served += 1
-    if clock_mode is None:
-        clock_mode = default_clock(strategy)
-    return Measurement(
-        duration_ns=max(int(cost), 1),
-        clock_mode=clock_mode,
-        version_label=spec.version_label,
-        strategy=strategy,
-        instance_id=inst.instance_id,
-        repetition=repetition,
-        cold=cold,
-        order_position=order_position,
-    )
+    cost = np.array([spec.effective_scale * model.base_cost_ns_per_unit * inst.quality for spec in specs])[version]
+    cost = cost * drift_factor(model, inst, t) * noise
+    cold = np.zeros(len(cost), dtype=bool)
+    if len(cost) and inst.invocations_served == 0:
+        cold[0] = True
+        cost[0] += model.cold_penalty_ms * 1e6
+    inst.invocations_served += len(cost)
+    if not (cost < 2.0**63).all():
+        raise OverflowError("a simulated duration exceeds the int64 range of duration_ns")
+    return np.maximum(cost.astype(np.int64), 1), cold

@@ -16,28 +16,28 @@ same instance lottery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analysis import relative_change
-from .errors import PairingError
 from .executor import DuetExecutor
-from .measurement import ClockMode, Measurement, Strategy, default_clock
+from .measurement import CLOCKS, ClockMode, MeasurementSet, Strategy, default_clock
 from .simenv import (
     InstanceState,
     VariabilityModel,
     advance_time,
-    draw_jitter,
     draw_noise,
+    draw_pair_noise,
     sample_instance,
-    simulate_invocation,
+    simulate_invocations,
 )
 from .workloads import WorkloadSpec
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
+
+Specs = tuple[WorkloadSpec, WorkloadSpec]
 
 
 def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -46,89 +46,37 @@ def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator,
     return tuple(np.random.default_rng(c) for c in children)
 
 
-@dataclass
-class MeasurementSet:
-    """Ordered measurements of one strategy run.
-
-    `version_labels` is (baseline, candidate); pairing relies on it."""
-
-    strategy: Strategy
-    version_labels: tuple[str, str]
-    measurements: list[Measurement] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.version_labels[0] == self.version_labels[1]:
-            raise ValueError(f"the two versions need distinct labels, both are {self.version_labels[0]!r}")
-
-
-class InstanceBackend(Protocol):
-    def run_single(
-        self, spec: WorkloadSpec, *, strategy: Strategy, repetition: int, clock: ClockMode, order_position: int | None = None
-    ) -> Measurement: ...
-
-    def run_parallel_pair(
-        self, spec_a: WorkloadSpec, spec_b: WorkloadSpec, *, repetition: int, clock: ClockMode
-    ) -> tuple[Measurement, Measurement]: ...
-
-    def order_coin(self) -> bool: ...
-
-
 class SimulatedInstance:
     """One simulated platform instance with its own streams and clock.
 
     The virtual clock starts at 0 and advances one time step per sequential
     execution slot; a duet pair occupies a single slot since the two runs are
-    concurrent.
+    concurrent. Each run draws all its noise in one batch.
     """
 
     def __init__(self, model: VariabilityModel, seed: int, instance_id: int = 0) -> None:
         if seed is None:  # SeedSequence(None) would draw fresh entropy
             raise ValueError("the simulated backend requires a seed")
-        lottery, noise, order = _instance_streams(seed, instance_id)
+        lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
         self.instance: InstanceState = sample_instance(model, lottery, instance_id=instance_id)
-        self._noise_rng = noise
-        self._order_rng = order
         self._t = 0.0
 
-    def run_single(self, spec, *, strategy, repetition, clock, order_position=None) -> Measurement:
-        m = simulate_invocation(
-            self.model,
-            self.instance,
-            spec,
-            self._t,
-            self._noise_rng,
-            strategy=strategy,
-            repetition=repetition,
-            order_position=order_position,
-            clock_mode=clock,
+    def run(self, strategy, specs, version, repetition, order_position, clock) -> MeasurementSet:
+        n = len(version)
+        paired = strategy is Strategy.DUET  # rows 2k and 2k + 1 are one pair, in one slot
+        slots = advance_time(self._t, self.model.time_step_s, n // 2 if paired else n)
+        self._t = float(slots[-1])
+        if paired:
+            noise, t = draw_pair_noise(self.model, self._noise_rng, n // 2).ravel(), np.repeat(slots[:-1], 2)
+        else:
+            noise, t = draw_noise(self.model, self._noise_rng, n), slots[:-1]
+        duration, cold = simulate_invocations(self.model, self.instance, specs, version, t, noise)
+        return MeasurementSet(
+            strategy, _labels(specs), duration_ns=duration, instance_id=np.full(n, self.instance.instance_id),
+            repetition=repetition, version=version, cold=cold, order_position=order_position,
+            clock_mode=np.full(n, CLOCKS.index(clock)),
         )
-        self._t = advance_time(self._t, self.model.time_step_s)
-        return m
-
-    def run_parallel_pair(self, spec_a, spec_b, *, repetition, clock) -> tuple[Measurement, Measurement]:
-        shared = draw_noise(self.model, self._noise_rng)
-        pair = []
-        for spec in (spec_a, spec_b):
-            jitter = draw_jitter(self.model, self._noise_rng)
-            pair.append(
-                simulate_invocation(
-                    self.model,
-                    self.instance,
-                    spec,
-                    self._t,
-                    self._noise_rng,
-                    shared_draw=shared * jitter,
-                    strategy=Strategy.DUET,
-                    repetition=repetition,
-                    clock_mode=clock,
-                )
-            )
-        self._t = advance_time(self._t, self.model.time_step_s)
-        return pair[0], pair[1]
-
-    def order_coin(self) -> bool:
-        return bool(self._order_rng.integers(0, 2) == 0)
 
 
 class LiveInstance:
@@ -137,73 +85,64 @@ class LiveInstance:
     def __init__(self, executor: DuetExecutor, instance_id: int = 0, seed: int | None = None) -> None:
         self.executor = executor
         self.instance_id = instance_id
-        self._order_rng = _instance_streams(seed, instance_id)[2] if seed is not None else None
+        self.order_rng = _instance_streams(seed, instance_id)[2] if seed is not None else None
 
-    def run_single(self, spec, *, strategy, repetition, clock, order_position=None) -> Measurement:
-        return self.executor.solo_invoke(
-            spec,
-            clock=clock,
-            strategy=strategy,
-            repetition=repetition,
-            instance_id=self.instance_id,
-            order_position=order_position,
-        )
+    def run(self, strategy, specs, version, repetition, order_position, clock) -> MeasurementSet:
+        """Run the invocations one by one, or as duet pairs of rows 2k and 2k + 1.
 
-    def run_parallel_pair(self, spec_a, spec_b, *, repetition, clock) -> tuple[Measurement, Measurement]:
-        """Run one pair, baseline first; odd repetitions put the candidate on the first worker.
-
-        Alternating the workers keeps a difference between the two cores
-        from reading as a difference between the versions.
+        Odd repetitions put the candidate on the first worker: a difference
+        between the two cores then does not read as one between the versions.
         """
-        if repetition % 2 == 0:
-            return self.executor.duet_invoke(spec_a, spec_b, repetition=repetition, instance_id=self.instance_id, clock=clock)
-        m_b, m_a = self.executor.duet_invoke(spec_b, spec_a, repetition=repetition, instance_id=self.instance_id, clock=clock)
-        return m_a, m_b
-
-    def order_coin(self) -> bool:
-        if self._order_rng is None:
-            raise ValueError("live rmit needs a seeded instance (pass seed=...)")
-        return bool(self._order_rng.integers(0, 2) == 0)
-
-
-def _new_set(strategy: Strategy, specs: tuple[WorkloadSpec, WorkloadSpec]) -> MeasurementSet:
-    return MeasurementSet(strategy, (specs[0].version_label, specs[1].version_label))
+        rows = []
+        if strategy is Strategy.DUET:
+            for rep in repetition[::2].tolist():
+                pair = (specs[0], specs[1]) if rep % 2 == 0 else (specs[1], specs[0])
+                m_first, m_second = self.executor.duet_invoke(*pair, repetition=rep, instance_id=self.instance_id, clock=clock)
+                rows += (m_first, m_second) if rep % 2 == 0 else (m_second, m_first)
+        else:
+            for v, rep, pos in zip(version.tolist(), repetition.tolist(), order_position.tolist()):
+                rows.append(self.executor.solo_invoke(specs[v], clock=clock, strategy=strategy, repetition=rep,
+                                                      instance_id=self.instance_id, order_position=None if pos < 0 else pos))
+        return MeasurementSet.from_rows(strategy, _labels(specs), rows)
 
 
-def run_independent(
-    specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None
-) -> MeasurementSet:
+InstanceBackend = SimulatedInstance | LiveInstance
+
+
+def _labels(specs: Specs) -> tuple[str, str]:
+    if specs[0].version_label == specs[1].version_label:
+        raise ValueError(f"the two versions need distinct labels, both are {specs[0].version_label!r}")
+    return specs[0].version_label, specs[1].version_label
+
+
+def _run(strategy: Strategy, specs: Specs, backend: InstanceBackend, version, repetition, order_position,
+         clock: ClockMode | None) -> MeasurementSet:
+    """Check the labels, then run the invocations laid out row by row (an order_position of -1 is none)."""
+    _labels(specs)
+    return backend.run(strategy, specs, np.asarray(version, np.int8), repetition,
+                       np.broadcast_to(order_position, len(repetition)), clock or default_clock(strategy))
+
+
+def run_independent(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
     """All baseline invocations first, then all candidate invocations."""
-    mset = _new_set(Strategy.INDEPENDENT, specs)
-    clock = clock or default_clock(Strategy.INDEPENDENT)
-    for spec in specs:
-        for rep in range(repetitions):
-            mset.measurements.append(backend.run_single(spec, strategy=Strategy.INDEPENDENT, repetition=rep, clock=clock))
-    return mset
+    reps = np.tile(np.arange(repetitions), 2)
+    return _run(Strategy.INDEPENDENT, specs, backend, np.repeat([0, 1], repetitions), reps, -1, clock)
 
 
-def run_rmit(
-    specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None
-) -> MeasurementSet:
-    """Randomized interleaved trials: a fair coin orders each trial."""
-    mset = _new_set(Strategy.RMIT, specs)
-    clock = clock or default_clock(Strategy.RMIT)
-    for rep in range(repetitions):
-        first, second = specs if backend.order_coin() else (specs[1], specs[0])
-        mset.measurements.append(backend.run_single(first, strategy=Strategy.RMIT, repetition=rep, clock=clock, order_position=0))
-        mset.measurements.append(backend.run_single(second, strategy=Strategy.RMIT, repetition=rep, clock=clock, order_position=1))
-    return mset
+def run_rmit(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
+    """Randomized interleaved trials: a fair coin from the instance's order stream orders each trial."""
+    if backend.order_rng is None:
+        raise ValueError("live rmit needs a seeded instance (pass seed=...)")
+    baseline_first = backend.order_rng.integers(0, 2, size=repetitions) == 0
+    version = np.stack([~baseline_first, baseline_first], axis=1).ravel()
+    reps = np.repeat(np.arange(repetitions), 2)
+    return _run(Strategy.RMIT, specs, backend, version, reps, np.tile([0, 1], repetitions), clock)
 
 
-def run_duet(
-    specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None
-) -> MeasurementSet:
+def run_duet(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
     """Parallel synchronized pairs; one (baseline, candidate) pair per repetition."""
-    mset = _new_set(Strategy.DUET, specs)
-    clock = clock or default_clock(Strategy.DUET)
-    for rep in range(repetitions):
-        mset.measurements.extend(backend.run_parallel_pair(specs[0], specs[1], repetition=rep, clock=clock))
-    return mset
+    reps = np.repeat(np.arange(repetitions), 2)
+    return _run(Strategy.DUET, specs, backend, np.tile([0, 1], repetitions), reps, -1, clock)
 
 
 _RUNNERS = {
@@ -214,7 +153,7 @@ _RUNNERS = {
 
 
 def run_strategy(
-    cfg: ExperimentConfig, strategy: Strategy, specs: tuple[WorkloadSpec, WorkloadSpec], backend: InstanceBackend,
+    cfg: ExperimentConfig, strategy: Strategy, specs: Specs, backend: InstanceBackend,
     repetitions: int,
 ) -> MeasurementSet:
     """Run `strategy` on one instance; of the gate's config only `cfg.clock` is read."""
@@ -231,32 +170,19 @@ def pair_measurements(
     Pairs are formed per (instance, repetition); for the independent strategy
     that equals pairing the i-th baseline invocation with the i-th candidate
     invocation. scheme="random" instead permutes the candidate assignment
-    within each instance (requires an rng). Returns the relative changes in
-    percent as a float64 array in (instance, repetition) order.
+    within each instance (requires an rng; a seed seeds each instance alike).
+    Returns the relative changes in percent, `(t_b - t_a) / t_a * 100`, as a
+    float64 array in (instance, repetition) order.
     """
-    baseline_label, candidate_label = mset.version_labels
-    by_instance: dict[int, dict[str, dict[int, Measurement]]] = {}
-    for m in mset.measurements:
-        if m.version_label not in (baseline_label, candidate_label):
-            raise PairingError(f"unexpected version label {m.version_label!r}")
-        slot = by_instance.setdefault(m.instance_id, {baseline_label: {}, candidate_label: {}})[m.version_label]
-        if m.repetition in slot:
-            raise PairingError(f"duplicate measurement for {m.version_label!r} repetition {m.repetition}")
-        slot[m.repetition] = m
-
-    changes: list[float] = []
-    for instance_id in sorted(by_instance):
-        base = by_instance[instance_id][baseline_label]
-        cand = by_instance[instance_id][candidate_label]
-        if set(base) != set(cand):
-            missing = sorted(set(base).symmetric_difference(cand))
-            raise PairingError(f"instance {instance_id}: unpaired repetitions {missing[:5]} (counts {len(base)} vs {len(cand)})")
-        reps = sorted(base)
-        cand_order = list(reps)
-        if scheme == "random":
+    if scheme not in ("index", "random"):
+        raise ValueError(f"unknown pairing scheme {scheme!r}")
+    order = mset.pair_order()
+    duration = mset.duration_ns[order]
+    base, cand = duration[0::2], duration[1::2]
+    if scheme == "random" and len(cand):
+        inst = mset.instance_id[order[0::2]]
+        starts = np.flatnonzero(np.r_[True, inst[1:] != inst[:-1]])
+        for start, stop in zip(starts, [*starts[1:], len(cand)]):
             gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-            cand_order = [reps[i] for i in gen.permutation(len(reps))]
-        elif scheme != "index":
-            raise ValueError(f"unknown pairing scheme {scheme!r}")
-        changes.extend(relative_change(base[rep].duration_ns, cand[c].duration_ns) for rep, c in zip(reps, cand_order))
-    return np.array(changes, dtype=np.float64)
+            cand[start:stop] = cand[start:stop][gen.permutation(stop - start)]
+    return relative_change(base, cand)

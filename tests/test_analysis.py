@@ -244,7 +244,7 @@ def test_verdict_rules():
 
 
 def _mset(measurements):
-    return MeasurementSet(Strategy.DUET, ("A", "B"), list(measurements))
+    return MeasurementSet.from_rows(Strategy.DUET, ("A", "B"), measurements)
 
 
 def test_filter_cold_starts_drops_pairs_whole():
@@ -261,12 +261,12 @@ def test_filter_cold_starts_drops_pairs_whole():
 def test_filter_cold_starts_identity_without_cold():
     ms = [make_measurement(100, v, repetition=r) for r in range(10) for v in "AB"]
     filtered = filter_cold_starts(_mset(ms))
-    assert filtered.measurements == ms
+    assert list(filtered.measurements) == ms
 
 
 def test_filter_cold_starts_all_cold_gives_empty():
     ms = [make_measurement(100, v, repetition=r, cold=True) for r in range(4) for v in "AB"]
-    assert filter_cold_starts(_mset(ms)).measurements == []
+    assert list(filter_cold_starts(_mset(ms)).measurements) == []
 
 
 @pytest.mark.parametrize("broken", [

@@ -150,6 +150,32 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "PairingError"
 
 
+@pytest.mark.parametrize("cells", [
+    pytest.param({6: "True"}, id="cold-True"),
+    pytest.param({4: "0"}, id="zero-duration"),
+    pytest.param({4: "1.5"}, id="fractional-duration"),
+    pytest.param({2: "-5"}, id="negative-repetition"),
+    pytest.param({7: "2"}, id="order-position-2"),
+    pytest.param({5: "sundial"}, id="unknown-clock"),
+    pytest.param({0: "solo"}, id="unknown-strategy"),
+    pytest.param(None, id="short-row"),
+])
+def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
+    # one cell of the cold row (or the row cut short) is corrupted: exit 2 with the JSON error, never a verdict
+    assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
+    raw = tmp_path / "raw.csv"
+    lines = raw.read_text().splitlines(keepends=True)
+    row = lines[1].rstrip("\n").split(",")
+    assert row[:4] == ["duet", "0", "0", "A"] and row[6] == "true"
+    for k, value in (cells or {}).items():
+        row[k] = value
+    lines[1] = ",".join(row if cells else row[:5]) + "\n"
+    raw.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["analyze", str(raw), "--out", str(tmp_path / "again")]) == EXIT_ERROR
+    assert set(json.loads(capsys.readouterr().err)) == {"error", "message"}
+
+
 def _widths(path):
     return {name: s["ci"] for name, s in json.loads(path.read_text())["strategies"].items()}
 
@@ -281,7 +307,8 @@ def test_flag_sets_match_and_name_config_fields():
 
 
 # Valid values of each key of the default config layout, small enough that a
-# run takes well under a second; the backend stays simulated.
+# run takes well under a second; the backend stays simulated. The size keys
+# are always drawn, so no example falls back to a default-size gate or sweep.
 _VALID = {
     "strategies": st.lists(st.sampled_from([s.value for s in Strategy]), min_size=1, max_size=3, unique=True),
     "repetitions": st.integers(1, 150),
@@ -321,7 +348,9 @@ _PATHS = [None] + [(k,) for k in _VALID] + [(k, sub) for k, v in _LAYOUT.items()
 def _any_config(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(_ANY_JSON)
-    config = {"backend": "simulated", **draw(st.fixed_dictionaries({}, optional=_VALID))}
+    sizes = {k: _VALID[k] for k in ("repetitions", "resamples")}
+    rest = {k: v for k, v in _VALID.items() if k not in sizes}
+    config = {"backend": "simulated", **draw(st.fixed_dictionaries(sizes, optional=rest))}
     for path in draw(st.lists(st.sampled_from(_PATHS), max_size=2, unique=True)):
         if path is None:
             config[draw(st.text(max_size=4).filter(lambda k: k not in _LAYOUT))] = draw(_ANY_JSON)

@@ -154,10 +154,15 @@ def test_duet_detects_five_percent_direction():
     # while each worker owns one core so wall time tracks its work closely.
     spec_a = make_workload(WorkloadKind.CPU_MUTATION, 100_000, "A")
     spec_b = make_workload(WorkloadKind.CPU_MUTATION, 100_000, "B", 5.0)
+    # The baseline alternates between the workers, as in a live duet run, so a
+    # difference between the two cores does not read as one between versions.
     changes = []
     with DuetExecutor() as ex:
         for rep in range(100):
-            m_a, m_b = ex.duet_invoke(spec_a, spec_b, repetition=rep, clock=ClockMode.WALL_CLOCK)
+            if rep % 2 == 0:
+                m_a, m_b = ex.duet_invoke(spec_a, spec_b, repetition=rep, clock=ClockMode.WALL_CLOCK)
+            else:
+                m_b, m_a = ex.duet_invoke(spec_b, spec_a, repetition=rep, clock=ClockMode.WALL_CLOCK)
             changes.append(relative_change(m_a.duration_ns, m_b.duration_ns))
     slower = sum(1 for c in changes if c > 0)
     assert slower > 50, f"candidate slower in only {slower}/100 repetitions (median {np.median(changes):.2f}%)"

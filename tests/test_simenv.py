@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from duetbench.errors import ConfigError
-from duetbench.measurement import ClockMode, Strategy
+from duetbench.measurement import ClockMode
 from duetbench.simenv import (
     InstanceState,
     VariabilityModel,
     advance_time,
+    draw_noise,
     drift_factor,
     sample_instance,
-    simulate_invocation,
+    simulate_invocations,
 )
+from duetbench.strategies import SimulatedInstance, run_duet, run_rmit
 from duetbench.workloads import WorkloadKind, make_workload
 
 SPEC_A = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "A")
@@ -27,6 +29,12 @@ NOISE_FREE = VariabilityModel(
     drift_amplitude=0.0,
     duet_jitter_cv=0.0,
 )
+
+
+def simulate(model, inst, specs, t, noise):
+    """Durations and cold flags of specs[i] run at time t with noise factors `noise`, in order."""
+    n = len(noise)
+    return simulate_invocations(model, inst, specs, np.arange(n) % len(specs), np.full(n, t), np.asarray(noise))
 
 
 def test_zero_cv_quality_is_exactly_one():
@@ -55,55 +63,54 @@ def test_noise_free_aa_pair_is_identical():
     inst.invocations_served = 1  # warm
     rng = np.random.default_rng(0)
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    m_a = simulate_invocation(NOISE_FREE, inst, SPEC_A, 0.0, rng, strategy=Strategy.DUET)
-    m_b = simulate_invocation(NOISE_FREE, inst, spec_b0, 0.0, rng, strategy=Strategy.DUET)
-    assert m_a.duration_ns == m_b.duration_ns
+    (d_a, d_b), _ = simulate(NOISE_FREE, inst, (SPEC_A, spec_b0), 0.0, draw_noise(NOISE_FREE, rng, 2))
+    assert d_a == d_b
 
 
 def test_noise_free_regression_is_exactly_five_percent():
     inst = InstanceState(instance_id=0, quality=1.0)
     inst.invocations_served = 1
     rng = np.random.default_rng(0)
-    m_a = simulate_invocation(NOISE_FREE, inst, SPEC_A, 0.0, rng, strategy=Strategy.DUET)
-    m_b = simulate_invocation(NOISE_FREE, inst, SPEC_B5, 0.0, rng, strategy=Strategy.DUET)
-    assert (m_b.duration_ns - m_a.duration_ns) / m_a.duration_ns * 100.0 == 5.0
+    (d_a, d_b), _ = simulate(NOISE_FREE, inst, (SPEC_A, SPEC_B5), 0.0, draw_noise(NOISE_FREE, rng, 2))
+    assert (d_b - d_a) / d_a * 100.0 == 5.0
 
 
 def test_shared_draw_cancels_exactly_under_full_noise():
     model = VariabilityModel()  # full default noise
     inst = InstanceState(instance_id=0, quality=1.37, drift_phase=2.1)
     inst.invocations_served = 1
-    rng = np.random.default_rng(11)
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    m_a = simulate_invocation(model, inst, SPEC_A, 42.0, rng, shared_draw=1.234, strategy=Strategy.DUET)
-    m_b = simulate_invocation(model, inst, spec_b0, 42.0, rng, shared_draw=1.234, strategy=Strategy.DUET)
-    assert m_a.duration_ns == m_b.duration_ns
+    (d_a, d_b), _ = simulate(model, inst, (SPEC_A, spec_b0), 42.0, [1.234, 1.234])
+    assert d_a == d_b
 
 
 def test_first_invocation_is_cold_and_pays_penalty():
     model = VariabilityModel(temporal_sigma=0.0, instance_quality_cv=0.0, drift_amplitude=0.0, cold_penalty_ms=150.0)
     inst = sample_instance(model, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    first = simulate_invocation(model, inst, SPEC_A, 0.0, rng, strategy=Strategy.INDEPENDENT)
-    second = simulate_invocation(model, inst, SPEC_A, 0.0, rng, strategy=Strategy.INDEPENDENT)
-    assert first.cold and not second.cold
-    assert first.duration_ns - second.duration_ns == 150 * 10**6
+    (first, second), cold = simulate(model, inst, (SPEC_A,), 0.0, draw_noise(model, rng, 2))
+    assert cold.tolist() == [True, False]
+    assert first - second == 150 * 10**6
     assert inst.invocations_served == 2
 
 
 def test_clock_mode_defaults_follow_strategy():
-    inst = InstanceState(instance_id=0, quality=1.0)
-    rng = np.random.default_rng(0)
-    duet = simulate_invocation(NOISE_FREE, inst, SPEC_A, 0.0, rng, strategy=Strategy.DUET)
-    rmit = simulate_invocation(NOISE_FREE, inst, SPEC_A, 0.0, rng, strategy=Strategy.RMIT)
+    specs = (SPEC_A, SPEC_B5)
+    duet = run_duet(specs, SimulatedInstance(NOISE_FREE, 0), 1)[0]
+    rmit = run_rmit(specs, SimulatedInstance(NOISE_FREE, 0), 1)[0]
     assert duet.clock_mode is ClockMode.CPU_TIME
     assert rmit.clock_mode is ClockMode.WALL_CLOCK
 
 
 def test_advance_time():
-    assert advance_time(0.0, 1.0) == 1.0
+    assert advance_time(0.0, 1.0, 1).tolist() == [0.0, 1.0]
+    # each time is the one before plus dt, as repeated `t + dt` gives
+    times, t = advance_time(0.0, 0.1, 50), 0.0
+    for expected in times:
+        assert expected == t
+        t = t + 0.1
     with pytest.raises(ValueError):
-        advance_time(1.0, -0.5)
+        advance_time(1.0, -0.5, 1)
 
 
 def test_drift_periodicity():
@@ -134,11 +141,9 @@ def test_independent_draws_are_unbiased_for_aa():
     inst.invocations_served = 1
     rng = np.random.default_rng(2024)
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    changes = []
-    for _ in range(10_000):
-        m_a = simulate_invocation(model, inst, SPEC_A, 5.0, rng, strategy=Strategy.RMIT)
-        m_b = simulate_invocation(model, inst, spec_b0, 5.0, rng, strategy=Strategy.RMIT)
-        changes.append((m_b.duration_ns - m_a.duration_ns) / m_a.duration_ns * 100.0)
+    durations, _ = simulate(model, inst, (SPEC_A, spec_b0), 5.0, draw_noise(model, rng, 20_000))
+    d_a, d_b = durations[0::2], durations[1::2]
+    changes = (d_b - d_a) / d_a * 100.0
     assert abs(float(np.median(changes))) < 0.5
 
 
@@ -155,9 +160,9 @@ def test_duration_scales_with_quality():
     slow = InstanceState(instance_id=0, quality=2.0)
     fast = InstanceState(instance_id=1, quality=0.5)
     slow.invocations_served = fast.invocations_served = 1
-    m_slow = simulate_invocation(model, slow, SPEC_A, 0.0, rng, strategy=Strategy.DUET)
-    m_fast = simulate_invocation(model, fast, SPEC_A, 0.0, rng, strategy=Strategy.DUET)
-    assert m_slow.duration_ns == 4 * m_fast.duration_ns
+    (d_slow,), _ = simulate(model, slow, (SPEC_A,), 0.0, draw_noise(model, rng, 1))
+    (d_fast,), _ = simulate(model, fast, (SPEC_A,), 0.0, draw_noise(model, rng, 1))
+    assert d_slow == 4 * d_fast
 
 
 def test_lognormal_sigma_derivation():
