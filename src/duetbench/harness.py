@@ -1,4 +1,4 @@
-"""Experiment orchestration: config, instance fan-out, reports, file output.
+"""Experiment orchestration: instance fan-out, reports, file output.
 
 An experiment runs one workload comparison (baseline vs candidate) under one
 or more strategies, fanning each strategy out over `instances` parallel
@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -27,7 +27,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from .analysis import (
-    MIN_RESAMPLES,
     ConfidenceInterval,
     Verdict,
     bootstrap_ci,
@@ -35,14 +34,11 @@ from .analysis import (
     sweep_sample_size,
     verdict,
 )
-from .errors import BenchmarkError, ConfigError
+from .config import ALL_STRATEGIES, ExperimentConfig
+from .errors import BenchmarkError
 from .executor import CorePlan, DuetExecutor
-from .measurement import CLOCKS, Backend, ClockMode, MeasurementSet, Strategy, codes, version_codes
-from .simenv import VariabilityModel, check_fields, typed_fields
+from .measurement import CLOCKS, Backend, MeasurementSet, Strategy, codes, version_codes
 from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
-from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, make_workload
-
-ALL_STRATEGIES = (Strategy.INDEPENDENT, Strategy.RMIT, Strategy.DUET)
 
 # Fixed per-strategy codes for analysis stream derivation; independent of the
 # order strategies appear in a config, so re-analysis reproduces the same CI.
@@ -57,147 +53,6 @@ def analysis_rng(seed: int, strategy: Strategy) -> np.random.Generator:
 
 def sweep_rng(seed: int, strategy: Strategy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, _STRATEGY_CODE[strategy])))
-
-
-# Keys of `to_dict`'s layout that group several fields: objects and pairs.
-_GROUPS: dict[str, Any] = {
-    "workload": {"kind": "workload", "scale": "scale"},
-    "sweep": {"enabled": "run_sweep", "start": "sweep_start", "stop": "sweep_stop", "step": "sweep_step"},
-    "labels": ("baseline_label", "candidate_label"),
-    "cores": ("core_a", "core_b"),
-}
-
-
-def _match_layout(raw: Any, layout: dict[str, Any], path: str = "") -> None:
-    """Refuse a key path that `layout` lacks, and a non-object where it has an object."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON object, got {raw!r}")
-    for key, value in raw.items():
-        if key not in layout:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(layout[key], dict):
-            _match_layout(value, layout[key], f"{path}{key}.")
-
-
-@typed_fields
-@dataclass(frozen=True)
-class ExperimentConfig:
-    strategies: tuple[Strategy, ...] = ALL_STRATEGIES
-    backend: Backend = Backend.SIMULATED
-    repetitions: int = 1500
-    instances: int = 4
-    seed: int = 42
-    workload: WorkloadKind = WorkloadKind.CPU_MUTATION
-    scale: int | None = None  # None = per-kind default
-    regression_pct: float = 0.0
-    baseline_label: str = "A"
-    candidate_label: str = "B"
-    ci_level: float = 0.99
-    resamples: int = 10_000
-    threshold_pct: float = 1.0
-    min_samples: int = 50
-    run_sweep: bool = False
-    sweep_start: int = 50
-    sweep_stop: int = 1500
-    sweep_step: int = 5
-    clock: ClockMode | None = None
-    pairing: str = "index"
-    pinning: bool = True
-    core_a: int = 0
-    core_b: int = 1
-    model: VariabilityModel = field(default_factory=VariabilityModel)
-    output_dir: Path = Path("results")
-    formats: tuple[str, ...] = ("json", "csv")
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.instances < 1:
-            raise ConfigError(f"instances must be >= 1, got {self.instances}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if self.resamples < MIN_RESAMPLES:
-            raise ConfigError(f"resamples must be >= {MIN_RESAMPLES}, got {self.resamples}")
-        if self.run_sweep and self.sweep_step < 1:
-            raise ConfigError(f"sweep step must be >= 1, got {self.sweep_step}")
-        if self.run_sweep and not self.min_samples <= self.sweep_start <= self.sweep_stop:
-            raise ConfigError(
-                f"sweep start {self.sweep_start} must lie between min_samples {self.min_samples} and stop {self.sweep_stop}"
-            )
-        try:
-            CorePlan(self.core_a, self.core_b)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not self.strategies:
-            raise ConfigError("at least one strategy is required")
-        if self.baseline_label == self.candidate_label:
-            raise ConfigError("baseline and candidate labels must differ")
-        unknown = set(self.formats) - {"json", "csv"}
-        if unknown:
-            raise ConfigError(f"unknown summary formats: {sorted(unknown)}")
-
-    @property
-    def effective_scale_base(self) -> int:
-        return self.scale if self.scale is not None else DEFAULT_SCALES[self.workload]
-
-    def specs(self) -> tuple[WorkloadSpec, WorkloadSpec]:
-        base = self.effective_scale_base
-        return (
-            make_workload(self.workload, base, self.baseline_label, 0.0),
-            make_workload(self.workload, base, self.candidate_label, self.regression_pct),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "strategies": [s.value for s in self.strategies],
-            "backend": self.backend.value,
-            "repetitions": self.repetitions,
-            "instances": self.instances,
-            "seed": self.seed,
-            "workload": {"kind": self.workload.value, "scale": self.effective_scale_base},
-            "regression_pct": self.regression_pct,
-            "labels": [self.baseline_label, self.candidate_label],
-            "ci_level": self.ci_level,
-            "resamples": self.resamples,
-            "threshold_pct": self.threshold_pct,
-            "min_samples": self.min_samples,
-            "sweep": {"enabled": self.run_sweep, "start": self.sweep_start, "stop": self.sweep_stop, "step": self.sweep_step},
-            "clock": self.clock.value if self.clock is not None else None,
-            "pairing": self.pairing,
-            "pinning": self.pinning,
-            "cores": [self.core_a, self.core_b],
-            "model": asdict(self.model),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Any, **overrides: Any) -> "ExperimentConfig":
-        """Build a config from the layout `to_dict` writes, plus `output_dir` and `formats`.
-
-        `overrides` are field values that win over `raw`'s. Raises ConfigError
-        on an unknown key, a wrong type or an out-of-range value.
-        """
-        _match_layout(raw, _LAYOUT)
-        kwargs: dict[str, Any] = {}
-        for key, value in raw.items():
-            group = _GROUPS.get(key)
-            if isinstance(group, dict):
-                kwargs.update((group[k], v) for k, v in value.items())
-            elif group is None:
-                kwargs[key] = value
-            elif isinstance(value, list) and len(value) == 2:
-                kwargs.update(zip(group, value))
-            else:
-                raise ConfigError(f"{key} must be a list of two values, got {value!r}")
-        return cls(**{**kwargs, **overrides})
-
-    @classmethod
-    def from_file(cls, path: Path | str, **overrides: Any) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), **overrides)
-
-
-_LAYOUT = {**ExperimentConfig().to_dict(), "output_dir": None, "formats": None}
 
 
 def instance_repetitions(total: int, instances: int) -> list[int]:
@@ -458,28 +313,6 @@ def _cells(values: Sequence[Any], index: np.ndarray) -> list[Any]:
     return np.array(values, dtype=object)[index].tolist()
 
 
-# The `config` keys that fix a re-analysis; a re-analysed report keeps only these.
-_ANALYSIS_KEYS = ("seed", "ci_level", "resamples", "threshold_pct", "min_samples", "labels", "pairing")
-
-
-def archived_settings(raw_csv: Path | str) -> dict[str, Any]:
-    """The analysis settings, by field name, of the summary.json beside `raw_csv`.
-
-    Returns {} when there is no summary.json; raises ConfigError when there
-    is one that does not hold the settings.
-    """
-    path = Path(raw_csv).with_name("summary.json")
-    if not path.exists():
-        return {}
-    try:
-        summary = json.loads(path.read_text(encoding="utf-8"))
-        block = {k: summary["config"][k] for k in _ANALYSIS_KEYS}
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{path} does not hold the archive's analysis settings: {exc!r}") from None
-    cfg = ExperimentConfig.from_dict(block)
-    return {name: getattr(cfg, name) for key in _ANALYSIS_KEYS for name in _GROUPS.get(key, (key,))}
-
-
 def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     """Recompute every strategy's CI and verdict from archived measurements.
 
@@ -490,5 +323,5 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
     results = [analyze_measurement_set(grouped[s], cfg=cfg) for s in sorted(grouped, key=_STRATEGY_CODE.get)]
     finished = datetime.now(timezone.utc).isoformat()
-    config = {"reanalyzed_from": str(path), **{k: v for k, v in cfg.to_dict().items() if k in _ANALYSIS_KEYS}}
+    config = {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

@@ -48,6 +48,13 @@ class Backend(str, Enum):
     SIMULATED = "simulated"
 
 
+class Pairing(str, Enum):
+    """How a strategy's baseline and candidate invocations are matched into pairs."""
+
+    INDEX = "index"
+    RANDOM = "random"
+
+
 def default_clock(strategy: Strategy) -> ClockMode:
     return ClockMode.CPU_TIME if strategy is Strategy.DUET else ClockMode.WALL_CLOCK
 

@@ -20,16 +20,13 @@ modeling assumption, not a calibrated fit to any real platform.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
-from pathlib import Path
-from types import UnionType
-from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import VariabilityModel
 from .errors import ConfigError
 from .workloads import WorkloadSpec
 
@@ -37,89 +34,9 @@ _QUALITY_MIN = 0.5
 _QUALITY_MAX = 2.0
 
 
-# Resolved field types of each `typed_fields` class, filled in at import.
-_FIELD_TYPES: dict[type, dict[str, Any]] = {}
-
-
-def typed_fields(cls: type) -> type:
-    """Class decorator: resolve a dataclass's field types once, for `check_fields`."""
-    _FIELD_TYPES[cls] = get_type_hints(cls)
-    return cls
-
-
-def check_fields(obj: Any) -> None:
-    """Bring each field of a frozen `typed_fields` dataclass to its annotated type.
-
-    Converts the JSON forms: enum values to members, lists to tuples, a
-    string to a Path, an int to a float and an object to a nested dataclass.
-    Raises ConfigError on any other type (a bool is not an int), on a
-    non-finite float and on an object key the nested dataclass lacks.
-    """
-    for name, hint in _FIELD_TYPES[type(obj)].items():
-        object.__setattr__(obj, name, _convert(getattr(obj, name), hint, name))
-
-
-def _convert(value: Any, hint: Any, name: str) -> Any:
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # `T | None`
-        return None if value is None else _convert(value, args[0], name)
-    if origin is tuple:  # `tuple[T, ...]`
-        if isinstance(value, (list, tuple)):
-            return tuple(_convert(item, args[0], name) for item in value)
-    elif isinstance(value, bool) and hint is not bool:
-        pass  # bool subclasses int, but True is no count or float
-    elif hint is float and isinstance(value, (int, float)):
-        with contextlib.suppress(OverflowError):  # an int too large for a float
-            if math.isfinite(value):
-                return float(value)
-    elif hint is Path and isinstance(value, str):
-        return Path(value)
-    elif isinstance(value, hint):
-        return value
-    elif issubclass(hint, Enum):
-        with contextlib.suppress(ValueError):
-            return hint(value)
-    elif is_dataclass(hint) and isinstance(value, dict) and value.keys() <= {f.name for f in fields(hint)}:
-        return hint(**value)
-    raise ConfigError(f"{name}: {value!r} is not a valid {getattr(hint, '__name__', hint)}")
-
-
 def _lognormal_sigma_from_cv(cv: float) -> float:
     # cv^2 = exp(sigma^2) - 1  for a lognormal with log-space mean 0
     return math.sqrt(math.log1p(cv * cv))
-
-
-@typed_fields
-@dataclass(frozen=True)
-class VariabilityModel:
-    """Parameters of the simulated platform.
-
-    `instance_quality_cv` and `duet_jitter_cv` are coefficients of variation
-    of their multipliers; `temporal_sigma` is the log-space standard deviation
-    of the per-draw factor. `duet_jitter_cv` is the residual independent
-    jitter applied around a shared draw so duet intervals are small but not
-    exactly zero; set it to 0 for fully shared draws.
-    """
-
-    instance_quality_cv: float = 0.15
-    temporal_sigma: float = 0.05
-    cold_penalty_ms: float = 150.0
-    base_cost_ns_per_unit: float = 100.0
-    drift_period_s: float = 300.0
-    drift_amplitude: float = 0.12
-    duet_jitter_cv: float = 0.002
-    time_step_s: float = 0.1
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        for name in ("instance_quality_cv", "temporal_sigma", "cold_penalty_ms", "drift_amplitude", "duet_jitter_cv"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("base_cost_ns_per_unit", "drift_period_s", "time_step_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.drift_amplitude >= 1.0:
-            raise ConfigError(f"drift_amplitude must be < 1, got {self.drift_amplitude}")
 
 
 @dataclass

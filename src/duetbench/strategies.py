@@ -16,16 +16,14 @@ same instance lottery.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .analysis import relative_change
+from .config import ExperimentConfig
 from .executor import DuetExecutor
 from .measurement import CLOCKS, ClockMode, MeasurementSet, Strategy, default_clock
 from .simenv import (
     InstanceState,
-    VariabilityModel,
     advance_time,
     draw_noise,
     draw_pair_noise,
@@ -33,9 +31,6 @@ from .simenv import (
     simulate_invocations,
 )
 from .workloads import WorkloadSpec
-
-if TYPE_CHECKING:
-    from .harness import ExperimentConfig
 
 Specs = tuple[WorkloadSpec, WorkloadSpec]
 

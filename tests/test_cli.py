@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -243,6 +244,8 @@ def test_console_entrypoint_smoke(tmp_path):
     pytest.param(None, ["--cores", "1", "1"], id="equal-cores"),
     pytest.param({"cores": [-1, 1]}, [], id="negative-core"),
     pytest.param(None, ["--backend", "live", "--cores", "1", "1"], id="live-equal-cores"),
+    pytest.param({"pairing": "nope", "repetitions": 100, "resamples": 1000}, [], id="pairing-unknown"),
+    pytest.param(None, ["--seed", "-1"], id="negative-seed"),
 ])
 def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, flags):
     if config is not None:
@@ -252,6 +255,22 @@ def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, fla
     assert code == EXIT_ERROR
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "out" / "raw.csv").exists()
+
+
+@pytest.mark.parametrize("archive", ["pairing-unknown", "negative-seed"])
+def test_analyze_refuses_malformed_settings(tmp_path, capsys, archive):
+    assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    if archive == "pairing-unknown":
+        summary["config"]["pairing"] = "nope"
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        flags = []
+    else:  # without a summary.json only the flags set the analysis
+        (tmp_path / "summary.json").unlink()
+        flags = ["--seed", "-1"]
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "raw.csv"), *flags]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize(("exc", "expected"), [
@@ -304,6 +323,18 @@ def test_flag_sets_match_and_name_config_fields():
     names = {f.name for f in fields(ExperimentConfig)} | {f"model.{f.name}" for f in fields(VariabilityModel)}
     dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
     assert dests - names == {"help", "config", "cores"}
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "analyze"])
+def test_help_names_every_option(capsys, command):
+    # argparse checks nargs and metavar only when it formats help or usage
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    words = set(re.findall(r"--?[\w-]+", capsys.readouterr().out))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options and options <= words
 
 
 # Valid values of each key of the default config layout, small enough that a
