@@ -74,19 +74,13 @@ def relative_change(t_a: Any, t_b: Any) -> Any:
 def filter_cold_starts(mset: MeasurementSet) -> MeasurementSet:
     """Drop cold-start measurements, removing affected pairs whole.
 
-    Measurements are paired per (instance, repetition); if any member of a
-    pair is cold the entire pair is discarded so no repetition survives
-    half-measured. Pairing never sees a discarded pair, so each must be one
-    baseline and one candidate measurement, or PairingError is raised.
+    Rows are grouped into pairs as pairing groups them (`MeasurementSet.pair_order`), so a
+    set that is not whole pairs raises PairingError. A pair with any cold member is discarded
+    whole, so no repetition survives half-measured; the rest keep their order.
     """
-    if not mset.cold.any():
-        return mset
-    order = np.lexsort((mset.repetition, mset.instance_id))
-    inst, rep = mset.instance_id[order], mset.repetition[order]
-    key = np.cumsum(np.r_[True, (inst[1:] != inst[:-1]) | (rep[1:] != rep[:-1])])  # dense (instance, repetition)
+    order = mset.pair_order()
     drop = np.empty(len(order), dtype=bool)
-    drop[order] = np.isin(key, key[mset.cold[order]])
-    mset[drop].pair_order("cold measurements")
+    drop[order] = np.repeat(mset.cold[order].reshape(-1, 2).any(axis=1), 2)
     return mset[~drop]
 
 
@@ -147,7 +141,7 @@ def bootstrap_ci(
         )
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     n = values.size
     half = n // 2
     order = np.argsort(values, kind="stable")
@@ -193,7 +187,7 @@ def sweep_sample_size(
         raise SweepRangeError(f"sweep start {start} exceeds stop {stop}")
     if stop > values.size:
         raise SweepRangeError(f"sweep stop {stop} exceeds the {values.size} available samples")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     series: list[tuple[int, float]] = []
     for n in range(start, stop + 1, step):
         ci = bootstrap_ci(values[:n], level, resamples, gen, min_samples=min_samples)

@@ -13,7 +13,7 @@ from pathlib import Path
 from types import UnionType
 from typing import TYPE_CHECKING, Any, Literal, get_args, get_origin, get_type_hints
 
-from .analysis import MIN_RESAMPLES
+from .analysis import DEFAULT_LEVEL, DEFAULT_RESAMPLES, MIN_RESAMPLES, MIN_SAMPLE_SIZE
 from .errors import ConfigError
 from .executor import CorePlan
 from .measurement import Backend, ClockMode, Pairing, Strategy
@@ -130,12 +130,12 @@ class ExperimentConfig:
     regression_pct: float = 0.0
     baseline_label: str = _about("A", key="labels.0", analyze=True)
     candidate_label: str = _about("B", key="labels.1", analyze=True)
-    ci_level: float = _about(0.99, analyze=True)
-    resamples: int = _about(10_000, analyze=True)
+    ci_level: float = _about(DEFAULT_LEVEL, analyze=True)
+    resamples: int = _about(DEFAULT_RESAMPLES, analyze=True)
     threshold_pct: float = _about(1.0, analyze=True)
-    min_samples: int = _about(50, analyze=True)
+    min_samples: int = _about(MIN_SAMPLE_SIZE, analyze=True)
     run_sweep: bool = _about(False, key="sweep.enabled", flag="--sweep", help="also compute the sample-size sweep")
-    sweep_start: int = _about(50, key="sweep.start")
+    sweep_start: int = _about(MIN_SAMPLE_SIZE, key="sweep.start")
     sweep_stop: int = _about(1500, key="sweep.stop")
     sweep_step: int = _about(5, key="sweep.step")
     clock: ClockMode | None = _about(None, help="force one clock for every strategy")

@@ -19,11 +19,13 @@ mode (duet defaults to CPU time, solo invocations to wall clock).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import (
     AffinityUnsupportedError,
@@ -93,6 +95,15 @@ def timed_run(spec: WorkloadSpec) -> tuple[WorkResult, int, int]:
     return result, max(cpu_ns, 1), max(wall_ns, 1)
 
 
+def _row(spec: WorkloadSpec, clock: ClockMode, result: WorkResult, cpu_ns: int, wall_ns: int, **where: Any) -> Measurement:
+    """The row of one live invocation, timed on `clock`; `where` names its strategy, instance and repetition.
+
+    Live invocations are never cold: process startup is not being measured.
+    """
+    duration = cpu_ns if clock is ClockMode.CPU_TIME else wall_ns
+    return Measurement(duration, clock, spec.version_label, cold=False, result=result, **where)
+
+
 def solo_invoke(
     spec: WorkloadSpec,
     clock: ClockMode = ClockMode.WALL_CLOCK,
@@ -102,26 +113,13 @@ def solo_invoke(
     instance_id: int = 0,
     order_position: int | None = None,
 ) -> Measurement:
-    """Run one workload alone in this process and time it.
-
-    Live invocations are never cold: process startup is not being measured.
-    """
+    """Run one workload alone in this process and time it."""
     try:
-        result, cpu_ns, wall_ns = timed_run(spec)
+        timing = timed_run(spec)
     except MemoryError as exc:
         raise ExecutionError(f"workload exhausted resources: {exc!r}") from exc
-    duration = cpu_ns if clock is ClockMode.CPU_TIME else wall_ns
-    return Measurement(
-        duration_ns=duration,
-        clock_mode=clock,
-        version_label=spec.version_label,
-        strategy=strategy,
-        instance_id=instance_id,
-        repetition=repetition,
-        cold=False,
-        order_position=order_position,
-        result=result,
-    )
+    return _row(spec, clock, *timing, strategy=strategy, instance_id=instance_id, repetition=repetition,
+                order_position=order_position)
 
 
 def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
@@ -188,7 +186,7 @@ class DuetExecutor:
     def _ensure_workers(self) -> None:
         if self._procs and all(p.is_alive() for p in self._procs):
             return
-        self._teardown()
+        self.close()
         available = available_cores()
         if available < 2:
             raise InsufficientCoresError(f"duet mode needs >= 2 cores, host exposes {available}")
@@ -254,22 +252,10 @@ class DuetExecutor:
             affinity_b=pb["affinity"],
         )
         clock = clock if clock is not None else default_clock(Strategy.DUET)
-        key = "cpu_ns" if clock is ClockMode.CPU_TIME else "wall_ns"
-        out = []
-        for spec, payload in ((spec_a, pa), (spec_b, pb)):
-            out.append(
-                Measurement(
-                    duration_ns=payload[key],
-                    clock_mode=clock,
-                    version_label=spec.version_label,
-                    strategy=Strategy.DUET,
-                    instance_id=instance_id,
-                    repetition=repetition,
-                    cold=False,
-                    result=WorkResult(checksum=payload["checksum"], units_done=payload["units_done"]),
-                )
-            )
-        return out[0], out[1]
+        m_a, m_b = (_row(spec, clock, WorkResult(p["checksum"], p["units_done"]), p["cpu_ns"], p["wall_ns"],
+                         strategy=Strategy.DUET, instance_id=instance_id, repetition=repetition)
+                    for spec, p in ((spec_a, pa), (spec_b, pb)))
+        return m_a, m_b
 
     def solo_invoke(
         self,
@@ -293,24 +279,16 @@ class DuetExecutor:
             raise ExecutionError(f"duet worker {idx} closed its pipe unexpectedly") from None
 
     def close(self) -> None:
+        """Stop the workers, killing any that linger, and drop them; the next duet invocation spawns fresh ones."""
         for conn in self._conns:
-            try:
+            with contextlib.suppress(OSError):  # a dead worker's pipe is broken
                 conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
         for proc in self._procs:
             proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        self._teardown()
-
-    def _teardown(self) -> None:
         for conn in self._conns:
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
-        self._conns = []
-        self._procs = []
-        self._barrier = None
+        self._conns, self._procs, self._barrier = [], [], None

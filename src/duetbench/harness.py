@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -45,14 +45,25 @@ from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_
 _STRATEGY_CODE = {Strategy.INDEPENDENT: 0, Strategy.RMIT: 1, Strategy.DUET: 2}
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
+SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
+                       "measurements", "pairs_before_filter", "pairs_after_filter")
+
+
+def _stream(seed: int, purpose: int, strategy: Strategy) -> np.random.Generator:
+    """The generator of one analysis `purpose` for `strategy`, keyed by (seed, purpose, strategy code) alone.
+
+    Purposes: 0 the per-instance lottery, noise and order streams (`strategies._instance_streams`,
+    keyed by instance id instead of strategy), 1 the bootstrap, 2 the sweep, 3 the random pairing.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, _STRATEGY_CODE[strategy])))
 
 
 def analysis_rng(seed: int, strategy: Strategy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, _STRATEGY_CODE[strategy])))
+    return _stream(seed, 1, strategy)
 
 
 def sweep_rng(seed: int, strategy: Strategy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, _STRATEGY_CODE[strategy])))
+    return _stream(seed, 2, strategy)
 
 
 def instance_repetitions(total: int, instances: int) -> list[int]:
@@ -121,8 +132,7 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.strategy
     filtered = filter_cold_starts(mset)
-    pairing_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
-    samples = pair_measurements(filtered, scheme=cfg.pairing, rng=pairing_rng)
+    samples = pair_measurements(filtered, scheme=cfg.pairing, rng=_stream(cfg.seed, 3, strategy))
     # the filter drops whole pairs only, two rows each
     pairs_before = len(samples) + (len(mset) - len(filtered)) // 2
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
@@ -210,56 +220,45 @@ def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = 
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
 
-    raw_path = out / "raw.csv"
-    with open(raw_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_CSV_COLUMNS)
-        for r in report.results:
-            m = r.measurements
-            writer.writerows(zip(
-                itertools.repeat(m.strategy.value, len(m)),
-                m.instance_id.tolist(),
-                m.repetition.tolist(),
-                _cells(m.version_labels, m.version),
-                m.duration_ns.tolist(),
-                _cells([c.value for c in CLOCKS], m.clock_mode),
-                _cells(_COLD_CELLS, m.cold.astype(np.int8)),
-                _cells(_ORDER_CELLS, m.order_position + 1),
-            ))
-    written["raw_csv"] = raw_path
-
+    rows = itertools.chain.from_iterable(_raw_rows(r.measurements) for r in report.results)
+    written["raw_csv"] = _write_csv(out / "raw.csv", RAW_CSV_COLUMNS, rows)
     summary = summary_dict(report)
     if "json" in formats:
         path = out / "summary.json"
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         written["summary_json"] = path
     if "csv" in formats:
-        path = out / "summary.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level",
-                 "width_pp", "verdict", "measurements", "pairs_before_filter", "pairs_after_filter"]
-            )
-            for r in report.results:
-                s = summary["strategies"][r.strategy.value]
-                writer.writerow(
-                    [r.strategy.value, s["median_change_pct"], s["ci"]["lower_pct"], s["ci"]["upper_pct"],
-                     s["ci"]["level"], s["ci"]["width_pp"], s["verdict"], s["measurements"],
-                     s["pairs_before_filter"], s["pairs_after_filter"]]
-                )
-        written["summary_csv"] = path
-
+        rows = [(r.strategy.value, s["median_change_pct"], s["ci"]["lower_pct"], s["ci"]["upper_pct"], s["ci"]["level"],
+                 s["ci"]["width_pp"], s["verdict"], s["measurements"], s["pairs_before_filter"], s["pairs_after_filter"])
+                for r in report.results for s in [summary["strategies"][r.strategy.value]]]
+        written["summary_csv"] = _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS, rows)
     if any(r.sweep is not None for r in report.results):
-        path = out / "sweep.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "n", "width_pp"])
-            for r in report.results:
-                for n, width in r.sweep or []:
-                    writer.writerow([r.strategy.value, n, width])
-        written["sweep_csv"] = path
+        rows = [(r.strategy.value, n, width) for r in report.results for n, width in r.sweep or []]
+        written["sweep_csv"] = _write_csv(out / "sweep.csv", ("strategy", "n", "width_pp"), rows)
     return written
+
+
+def _raw_rows(m: MeasurementSet) -> Iterable[tuple]:
+    """raw.csv's rows of one set, cells in RAW_CSV_COLUMNS order."""
+    return zip(
+        itertools.repeat(m.strategy.value, len(m)),
+        m.instance_id.tolist(),
+        m.repetition.tolist(),
+        _cells(m.version_labels, m.version),
+        m.duration_ns.tolist(),
+        _cells([c.value for c in CLOCKS], m.clock_mode),
+        _cells(_COLD_CELLS, m.cold.astype(np.int8)),
+        _cells(_ORDER_CELLS, m.order_position + 1),
+    )
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
+    """Write `header` and then `rows` to the CSV file `path`; returns `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, MeasurementSet]:

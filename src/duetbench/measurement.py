@@ -157,7 +157,7 @@ class MeasurementSet(Sequence):
         return cls(sets[0].strategy, sets[0].version_labels,
                    **{name: np.concatenate([getattr(s, name) for s in sets]) for name in COLUMNS})
 
-    def pair_order(self, what: str = "measurements") -> np.ndarray:
+    def pair_order(self) -> np.ndarray:
         """Row positions by (instance, repetition, version): each pair's baseline, then its candidate.
 
         PairingError names the first (instance, repetition) keys without exactly one row of each."""
@@ -169,7 +169,7 @@ class MeasurementSet(Sequence):
         if broken.any():
             at = starts[broken][:5]
             keys = list(zip(inst[at].tolist(), rep[at].tolist()))
-            raise PairingError(f"{what} do not form whole pairs at (instance, repetition) {keys}")
+            raise PairingError(f"measurements do not form whole pairs at (instance, repetition) {keys}")
         return order
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import relative_change
-from .config import ExperimentConfig
+from .config import ExperimentConfig, VariabilityModel
 from .executor import DuetExecutor
 from .measurement import CLOCKS, ClockMode, MeasurementSet, Strategy, default_clock
 from .simenv import (
@@ -178,6 +178,6 @@ def pair_measurements(
         inst = mset.instance_id[order[0::2]]
         starts = np.flatnonzero(np.r_[True, inst[1:] != inst[:-1]])
         for start, stop in zip(starts, [*starts[1:], len(cand)]):
-            gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+            gen = np.random.default_rng(rng)
             cand[start:stop] = cand[start:stop][gen.permutation(stop - start)]
     return relative_change(base, cand)

@@ -281,6 +281,14 @@ def test_filter_cold_starts_refuses_broken_cold_pairs(broken):
         filter_cold_starts(_mset(broken(ms)))
 
 
+@pytest.mark.parametrize("cold_reps", [pytest.param((), id="no-cold"), pytest.param((0,), id="rep-0-cold")])
+def test_filter_cold_starts_refuses_any_broken_pair(cold_reps):
+    # repetition 3 is warm and lacks its candidate; the filter checks every pair, not only cold ones
+    ms = [make_measurement(100, v, repetition=r, cold=r in cold_reps) for r in range(4) for v in "AB"]
+    with pytest.raises(PairingError, match=r"\(0, 3\)"):
+        filter_cold_starts(_mset(ms[:-1]))
+
+
 def test_confidence_interval_invariants():
     with pytest.raises(ValueError):
         ConfidenceInterval(2.0, 1.0, 0.99)
