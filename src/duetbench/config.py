@@ -170,6 +170,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
+        for i, strategy in enumerate(self.strategies):
+            if strategy in self.strategies[:i]:
+                raise ConfigError(f"strategy {strategy.value!r} is given more than once")
         if self.baseline_label == self.candidate_label:
             raise ConfigError("baseline and candidate labels must differ")
 

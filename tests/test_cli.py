@@ -177,6 +177,20 @@ def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
     assert set(json.loads(capsys.readouterr().err)) == {"error", "message"}
 
 
+def test_analyze_names_the_column_of_an_out_of_range_integer(tmp_path, capsys):
+    assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
+    raw = tmp_path / "raw.csv"
+    lines = raw.read_text().splitlines(keepends=True)
+    row = lines[1].split(",")
+    row[4] = "9" * 30
+    lines[1] = ",".join(row)
+    raw.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["analyze", str(raw)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "duration_ns" in err["message"] and "9" * 30 in err["message"]
+
+
 def _widths(path):
     return {name: s["ci"] for name, s in json.loads(path.read_text())["strategies"].items()}
 
@@ -246,6 +260,10 @@ def test_console_entrypoint_smoke(tmp_path):
     pytest.param(None, ["--backend", "live", "--cores", "1", "1"], id="live-equal-cores"),
     pytest.param({"pairing": "nope", "repetitions": 100, "resamples": 1000}, [], id="pairing-unknown"),
     pytest.param(None, ["--seed", "-1"], id="negative-seed"),
+    pytest.param(None, ["--strategy", "duet", "--strategy", "duet", "--repetitions", "100", "--instances", "1",
+                        "--resamples", "1000"], id="repeated-strategy-flag"),
+    pytest.param({"strategies": ["rmit", "duet", "rmit"], "repetitions": 100, "resamples": 1000}, [],
+                 id="repeated-strategy-file"),
 ])
 def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, flags):
     if config is not None:
