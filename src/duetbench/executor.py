@@ -129,13 +129,13 @@ def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
         try:
             barrier.wait(barrier_timeout_s)
         except threading.BrokenBarrierError:
-            conn.send(("err", "barrier:broken or timed out"))
+            conn.send((BarrierTimeoutError, "broken or timed out"))
             continue
         start_ns = time.monotonic_ns()
         try:
             result, cpu_ns, wall_ns = timed_run(spec)
         except Exception as exc:  # surfaced as ExecutionError in the parent
-            conn.send(("err", f"execution:{exc!r}"))
+            conn.send((ExecutionError, f"execution:{exc!r}"))
             continue
         conn.send(
             (
@@ -145,8 +145,7 @@ def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
                     "wall_ns": wall_ns,
                     "start_ns": start_ns,
                     "affinity": affinity,
-                    "checksum": result.checksum,
-                    "units_done": result.units_done,
+                    "result": result,
                 },
             )
         )
@@ -237,11 +236,9 @@ class DuetExecutor:
             raise BarrierTimeoutError(f"workers did not rendezvous within {self.barrier_timeout_s}s") from None
         payloads = []
         for status, payload in [self._recv(i) for i in range(2)]:
-            if status != "ok":
+            if status != "ok":  # an error class and its message
                 self.close()
-                if payload.startswith("barrier:"):
-                    raise BarrierTimeoutError(payload.partition(":")[2])
-                raise ExecutionError(payload)
+                raise status(payload)
             payloads.append(payload)
         pa, pb = payloads
         self.last_barrier = BarrierTrace(
@@ -252,7 +249,7 @@ class DuetExecutor:
             affinity_b=pb["affinity"],
         )
         clock = clock if clock is not None else default_clock(Strategy.DUET)
-        m_a, m_b = (_row(spec, clock, WorkResult(p["checksum"], p["units_done"]), p["cpu_ns"], p["wall_ns"],
+        m_a, m_b = (_row(spec, clock, p["result"], p["cpu_ns"], p["wall_ns"],
                          strategy=Strategy.DUET, instance_id=instance_id, repetition=repetition)
                     for spec, p in ((spec_a, pa), (spec_b, pb)))
         return m_a, m_b

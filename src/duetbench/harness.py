@@ -132,10 +132,7 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.strategy
-    filtered = filter_cold_starts(mset)
-    samples = pair_measurements(filtered, scheme=cfg.pairing, rng=_stream(cfg.seed, 3, strategy))
-    # the filter drops whole pairs only, two rows each
-    pairs_before = len(samples) + (len(mset) - len(filtered)) // 2
+    samples = pair_measurements(filter_cold_starts(mset), scheme=cfg.pairing, rng=_stream(cfg.seed, 3, strategy))
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
     sweep = None
     if cfg.run_sweep:
@@ -147,7 +144,7 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     return StrategyResult(
         strategy=strategy,
         measurements=mset,
-        pairs_before_filter=pairs_before,
+        pairs_before_filter=len(mset) // 2,  # the filter refuses a set that is not whole pairs
         pairs_after_filter=len(samples),
         median_change_pct=float(np.median(samples)),
         ci=ci,

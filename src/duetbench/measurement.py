@@ -140,7 +140,7 @@ class MeasurementSet(Sequence):
 
     @classmethod
     def from_rows(cls, strategy: Strategy, version_labels: tuple[str, str], rows: Iterable[Measurement]) -> MeasurementSet:
-        """The set of `rows`, in their order (the live backend's path)."""
+        """The set of `rows`, in their order."""
         rows = list(rows)
         same = {name: [getattr(m, name) for m in rows] for name in ("duration_ns", "instance_id", "repetition", "cold")}
         return cls(

@@ -54,10 +54,12 @@ class SimulatedInstance:
             raise ValueError("the simulated backend requires a seed")
         lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
+        self.instance_id = instance_id
         self.instance: InstanceState = sample_instance(model, lottery, instance_id=instance_id)
         self._t = 0.0
 
-    def run(self, strategy, specs, version, repetition, order_position, clock) -> MeasurementSet:
+    def run(self, strategy, specs, version, clock) -> tuple[np.ndarray, np.ndarray, None]:
+        """The simulated durations and cold flags of the invocations laid out in `version`; no results."""
         n = len(version)
         paired = strategy is Strategy.DUET  # rows 2k and 2k + 1 are one pair, in one slot
         slots = advance_time(self._t, self.model.time_step_s, n // 2 if paired else n)
@@ -66,12 +68,7 @@ class SimulatedInstance:
             noise, t = draw_pair_noise(self.model, self._noise_rng, n // 2).ravel(), np.repeat(slots[:-1], 2)
         else:
             noise, t = draw_noise(self.model, self._noise_rng, n), slots[:-1]
-        duration, cold = simulate_invocations(self.model, self.instance, specs, version, t, noise)
-        return MeasurementSet(
-            strategy, _labels(specs), duration_ns=duration, instance_id=np.full(n, self.instance.instance_id),
-            repetition=repetition, version=version, cold=cold, order_position=order_position,
-            clock_mode=np.full(n, CLOCKS.index(clock)),
-        )
+        return (*simulate_invocations(self.model, self.instance, specs, version, t, noise), None)
 
 
 class LiveInstance:
@@ -82,40 +79,40 @@ class LiveInstance:
         self.instance_id = instance_id
         self.order_rng = _instance_streams(seed, instance_id)[2] if seed is not None else None
 
-    def run(self, strategy, specs, version, repetition, order_position, clock) -> MeasurementSet:
-        """Run the invocations one by one, or as duet pairs of rows 2k and 2k + 1.
+    def run(self, strategy, specs, version, clock) -> tuple[list[int], np.ndarray, list]:
+        """Run the invocations one by one, or as duet pairs of rows 2k and 2k + 1; live runs are never cold.
 
-        Odd repetitions put the candidate on the first worker: a difference
-        between the two cores then does not read as one between the versions.
+        Odd pairs put the candidate on the first worker: a difference between
+        the two cores then does not read as one between the versions.
         """
-        rows = []
         if strategy is Strategy.DUET:
-            for rep in repetition[::2].tolist():
-                pair = (specs[0], specs[1]) if rep % 2 == 0 else (specs[1], specs[0])
-                m_first, m_second = self.executor.duet_invoke(*pair, repetition=rep, instance_id=self.instance_id, clock=clock)
-                rows += (m_first, m_second) if rep % 2 == 0 else (m_second, m_first)
+            rows = []
+            for k in range(len(version) // 2):
+                flip = -1 if k % 2 else 1  # reverses the specs sent and the rows returned
+                rows += self.executor.duet_invoke(*specs[::flip], clock=clock)[::flip]
         else:
-            for v, rep, pos in zip(version.tolist(), repetition.tolist(), order_position.tolist()):
-                rows.append(self.executor.solo_invoke(specs[v], clock=clock, strategy=strategy, repetition=rep,
-                                                      instance_id=self.instance_id, order_position=None if pos < 0 else pos))
-        return MeasurementSet.from_rows(strategy, _labels(specs), rows)
+            rows = [self.executor.solo_invoke(specs[v], clock) for v in version.tolist()]
+        return [m.duration_ns for m in rows], np.zeros(len(rows), bool), [m.result for m in rows]
 
 
 InstanceBackend = SimulatedInstance | LiveInstance
 
 
-def _labels(specs: Specs) -> tuple[str, str]:
-    if specs[0].version_label == specs[1].version_label:
-        raise ValueError(f"the two versions need distinct labels, both are {specs[0].version_label!r}")
-    return specs[0].version_label, specs[1].version_label
-
-
 def _run(strategy: Strategy, specs: Specs, backend: InstanceBackend, version, repetition, order_position,
          clock: ClockMode | None) -> MeasurementSet:
-    """Check the labels, then run the invocations laid out row by row (an order_position of -1 is none)."""
-    _labels(specs)
-    return backend.run(strategy, specs, np.asarray(version, np.int8), repetition,
-                       np.broadcast_to(order_position, len(repetition)), clock or default_clock(strategy))
+    """Check the labels, run the invocations laid out row by row (an order_position of -1 is none) and build their set."""
+    labels = (specs[0].version_label, specs[1].version_label)
+    if labels[0] == labels[1]:
+        raise ValueError(f"the two versions need distinct labels, both are {labels[0]!r}")
+    clock = clock or default_clock(strategy)
+    version = np.asarray(version, np.int8)
+    duration, cold, result = backend.run(strategy, specs, version, clock)
+    n = len(version)
+    return MeasurementSet(
+        strategy, labels, duration_ns=duration, instance_id=np.full(n, backend.instance_id), repetition=repetition,
+        version=version, cold=cold, order_position=np.broadcast_to(order_position, n),
+        clock_mode=np.full(n, CLOCKS.index(clock)), result=result,
+    )
 
 
 def run_independent(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:

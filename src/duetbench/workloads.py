@@ -25,21 +25,18 @@ _MASK64 = (1 << 64) - 1
 # resident so the loop is compute-bound rather than memory-bound.
 _WEIGHTS = 64
 
-DEFAULT_SCALES: dict["WorkloadKind", int] = {}
-
 
 class WorkloadKind(str, Enum):
     CPU_MUTATION = "cpu_mutation"
     MEM_SIEVE = "mem_sieve"
 
 
-DEFAULT_SCALES[WorkloadKind.CPU_MUTATION] = 20_000
-DEFAULT_SCALES[WorkloadKind.MEM_SIEVE] = 200_000
+DEFAULT_SCALES = {WorkloadKind.CPU_MUTATION: 20_000, WorkloadKind.MEM_SIEVE: 200_000}
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A deterministic, scalable unit of work with a version label.
+    """A deterministic, scalable unit of work with a version label; `kind` may be given by its value.
 
     `regression_pct` is the percent of extra work relative to the base scale;
     it is resolved at micro-percent (1e-6) granularity so that decimal inputs
@@ -52,8 +49,10 @@ class WorkloadSpec:
     regression_pct: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, WorkloadKind):
-            raise InvalidWorkloadError(f"unknown workload kind: {self.kind!r}")
+        try:
+            object.__setattr__(self, "kind", WorkloadKind(self.kind))
+        except ValueError:
+            raise InvalidWorkloadError(f"unknown workload kind: {self.kind!r}") from None
         if self.scale < 2:
             raise InvalidWorkloadError(f"scale must be >= 2, got {self.scale}")
         if self.regression_pct < 0:
@@ -79,19 +78,7 @@ class WorkResult:
     units_done: int
 
 
-def make_workload(
-    kind: WorkloadKind | str,
-    scale: int,
-    version_label: str,
-    regression_pct: float = 0.0,
-) -> WorkloadSpec:
-    """Build a validated workload spec; `kind` may be given as a string."""
-    if isinstance(kind, str) and not isinstance(kind, WorkloadKind):
-        try:
-            kind = WorkloadKind(kind)
-        except ValueError:
-            raise InvalidWorkloadError(f"unknown workload kind: {kind!r}") from None
-    return WorkloadSpec(kind=kind, scale=scale, version_label=version_label, regression_pct=regression_pct)
+make_workload = WorkloadSpec
 
 
 def run_workload(spec: WorkloadSpec) -> WorkResult:

@@ -10,7 +10,7 @@ from duetbench.analysis import filter_cold_starts
 from duetbench.errors import PairingError
 from duetbench.executor import DuetExecutor
 from duetbench.harness import ExperimentConfig
-from duetbench.measurement import Backend, ClockMode, Strategy
+from duetbench.measurement import CLOCKS, Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.strategies import (
     LiveInstance,
@@ -192,12 +192,11 @@ class _RecordingExecutor:
     def __init__(self):
         self.sent = []
 
-    def duet_invoke(self, spec_a, spec_b, *, repetition, instance_id, clock):
+    def duet_invoke(self, spec_a, spec_b, *, clock):
         self.sent.append((spec_a.version_label, spec_b.version_label))
         return tuple(
             replace(
-                make_measurement(1000 * (worker + 1), spec.version_label, instance_id=instance_id,
-                                 repetition=repetition, clock=clock),
+                make_measurement(1000 * (worker + 1), spec.version_label, clock=clock),
                 result=WorkResult(checksum=ord(spec.version_label), units_done=worker),
             )
             for worker, spec in enumerate((spec_a, spec_b))
@@ -229,3 +228,33 @@ def test_work_results_identical_across_strategies_live():
             checksums[strategy] = {m.version_label: m.result.checksum for m in mset.measurements}
             assert all(not m.cold for m in mset.measurements)
     assert checksums[Strategy.INDEPENDENT] == checksums[Strategy.RMIT] == checksums[Strategy.DUET]
+
+
+class _SoloRecorder:
+    """Stands in for DuetExecutor's solo path: records each call; call i reports 1000 + i ns and checksum i.
+
+    Its rows carry a foreign label, instance, repetition and clock, which the set must not take.
+    """
+
+    def __init__(self):
+        self.calls = []
+
+    def solo_invoke(self, *args, **kwargs):
+        i = len(self.calls)
+        self.calls.append((args, kwargs))
+        return replace(make_measurement(1000 + i, "X", instance_id=99, repetition=99), result=WorkResult(i, 0))
+
+
+@pytest.mark.parametrize("runner", [run_independent, run_rmit])
+def test_live_solo_set_takes_its_layout_from_the_strategy(runner):
+    executor = _SoloRecorder()
+    mset = runner(SPECS, LiveInstance(executor, instance_id=2, seed=11), 6)
+    layout = runner(SPECS, sim_backend(seed=11, instance_id=2), 6)  # the same instance's order stream
+    assert executor.calls == [((SPECS[v], ClockMode.WALL_CLOCK), {}) for v in layout.version.tolist()]
+    for name in ("version", "repetition", "order_position", "instance_id", "clock_mode"):
+        assert getattr(mset, name).tolist() == getattr(layout, name).tolist(), name
+    assert set(mset.instance_id.tolist()) == {2}
+    assert set(mset.clock_mode.tolist()) == {CLOCKS.index(ClockMode.WALL_CLOCK)}
+    assert mset.duration_ns.tolist() == list(range(1000, 1012))
+    assert [m.result.checksum for m in mset] == list(range(12))
+    assert not mset.cold.any()
