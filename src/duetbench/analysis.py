@@ -39,8 +39,9 @@ MIN_SAMPLE_SIZE = 50
 # so bootstrap_ci refuses rather than silently returning a too-narrow CI.
 
 # Resamples are drawn in chunks whose int64 index block stays near this size,
-# so memory does not grow with n; any split gives the same index stream.
-_CHUNK_BYTES = 512 << 10
+# so memory does not grow with n; any split gives the same index stream. Strategies are bootstrapped side
+# by side (`harness._analyze_all`), so each chunk's blocks are alive once per thread.
+_CHUNK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)

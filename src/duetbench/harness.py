@@ -5,7 +5,7 @@ or more strategies, fanning each strategy out over `instances` parallel
 "instances" (fresh simulated instances, or in live mode one shared executor
 whose measurements carry the instance id), merging the measurements,
 filtering cold starts, pairing, and bootstrapping a confidence interval of
-the median change.
+the median change. Strategies are analysed side by side on the usable cores.
 
 Everything that ends up in the summary is regenerable from the raw
 measurement CSV plus the seed; analysis RNG streams are derived from the
@@ -19,6 +19,8 @@ import io
 import itertools
 import json
 import math
+import threading
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -37,7 +39,7 @@ from .analysis import (
 )
 from .config import ALL_STRATEGIES, ExperimentConfig
 from .errors import BenchmarkError
-from .executor import CorePlan, DuetExecutor
+from .executor import CorePlan, DuetExecutor, available_cores
 from .measurement import CLOCKS, Backend, MeasurementSet, Strategy, codes, version_codes
 from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
 
@@ -129,10 +131,16 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor
     return merged[np.lexsort((merged.repetition, merged.instance_id))]  # stable: in-repetition order kept
 
 
+# Strategies analysed side by side filter and pair one at a time, so only their bootstraps and sweeps overlap:
+# two filtered copies of large sets never sit in memory at once.
+_PAIRING = threading.Lock()
+
+
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.strategy
-    samples = pair_measurements(filter_cold_starts(mset), scheme=cfg.pairing, rng=_stream(cfg.seed, 3, strategy))
+    with _PAIRING:
+        samples = pair_measurements(filter_cold_starts(mset), scheme=cfg.pairing, rng=_stream(cfg.seed, 3, strategy))
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
     sweep = None
     if cfg.run_sweep:
@@ -154,20 +162,54 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     )
 
 
+def _analyze_all(sets: Sequence[MeasurementSet], cfg: ExperimentConfig) -> list[StrategyResult]:
+    """`analyze_measurement_set` of each set, in order, on this thread and up to one helper per further usable core.
+
+    Threads take sets in order. Every analysis stream is keyed by (seed, purpose, strategy), so results are the
+    same bits on any number of cores. The first failure in set order is raised once every helper has stopped.
+    """
+    todo = deque(enumerate(sets))
+    outcomes: list[Any] = [None] * len(sets)  # each set's result, or what its analysis raised
+
+    def work() -> None:
+        while True:
+            try:
+                i, mset = todo.popleft()
+            except IndexError:
+                return
+            try:
+                outcomes[i] = analyze_measurement_set(mset, cfg=cfg)
+            except BaseException as exc:  # raised again on the calling thread
+                outcomes[i] = exc
+                todo.clear()  # sets are taken in order, so every earlier one has been taken already
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(len(sets), available_cores()) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run every configured strategy and assemble the report.
 
     A live gate opens one executor, and so forks its duet workers at most
-    once, for all strategies and instances.
+    once, for all strategies and instances. It closes the executor before
+    analysing, so no analysis thread runs beside the pinned workers.
     """
     started = datetime.now(timezone.utc).isoformat()
     specs = cfg.specs()
     live = cfg.backend is Backend.LIVE
     with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
-        results = []
-        for strategy in cfg.strategies:
-            mset = _run_one_strategy(cfg, strategy, specs, executor)
-            results.append(analyze_measurement_set(mset, cfg=cfg))
+        sets = [_run_one_strategy(cfg, strategy, specs, executor) for strategy in cfg.strategies]
+    results = _analyze_all(sets, cfg)
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
 
@@ -360,7 +402,7 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     cfg = ExperimentConfig(seed=seed, **settings)
     started = datetime.now(timezone.utc).isoformat()
     grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
-    results = [analyze_measurement_set(grouped[s], cfg=cfg) for s in sorted(grouped, key=_STRATEGY_CODE.get)]
+    results = _analyze_all([grouped[s] for s in sorted(grouped, key=_STRATEGY_CODE.get)], cfg)
     finished = datetime.now(timezone.utc).isoformat()
     config = {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

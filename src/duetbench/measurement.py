@@ -120,7 +120,7 @@ class MeasurementSet(Sequence):
     repetition: np.ndarray = _column(np.int64)
     version: np.ndarray = _column(np.int8)  # index into version_labels
     cold: np.ndarray = _column(np.bool_)
-    order_position: np.ndarray = _column(np.int64)  # -1 for none
+    order_position: np.ndarray = _column(np.int8)  # -1 for none
     clock_mode: np.ndarray = _column(np.int8)  # index into CLOCKS
     result: np.ndarray = _column(object, None)  # None: no workload results, as on the simulated backend
 
@@ -129,14 +129,16 @@ class MeasurementSet(Sequence):
             raise ValueError(f"the two versions need distinct labels, both are {self.version_labels[0]!r}")
         if self.result is None:
             self.result = np.full(len(self.duration_ns), None, object)
-        for name, dtype in COLUMNS.items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype))
+        for name, dtype in COLUMNS.items():  # order_position narrows after its range check, so 257 cannot wrap to 1
+            setattr(self, name, np.asarray(getattr(self, name), None if name == "order_position" else dtype))
         if len({len(getattr(self, name)) for name in COLUMNS}) > 1:
             raise ValueError("measurement columns differ in length")
+        position = self.order_position
         for name, bad, rule in (("duration_ns", self.duration_ns < 1, "> 0"), ("repetition", self.repetition < 0, ">= 0"),
-                                ("order_position", abs(self.order_position) > 1, "-1 (none), 0 or 1")):
+                                ("order_position", (position < -1) | (position > 1), "-1 (none), 0 or 1")):
             if bad.any():
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)[bad][0]}")
+        self.order_position = position.astype(np.int8, copy=False)
 
     @classmethod
     def from_rows(cls, strategy: Strategy, version_labels: tuple[str, str], rows: Iterable[Measurement]) -> MeasurementSet:
@@ -160,7 +162,12 @@ class MeasurementSet(Sequence):
     def pair_order(self) -> np.ndarray:
         """Row positions by (instance, repetition, version): each pair's baseline, then its candidate.
 
+        Rows already in whole pairs of ascending keys, as every run and archive is, take an O(n) path
+        that swaps candidate-first pairs; any other set is sorted.
         PairingError names the first (instance, repetition) keys without exactly one row of each."""
+        order = self._pairs_in_place()
+        if order is not None:
+            return order
         order = np.lexsort((self.version, self.repetition, self.instance_id))
         inst, rep = self.instance_id[order], self.repetition[order]
         starts = np.flatnonzero(np.r_[True, (inst[1:] != inst[:-1]) | (rep[1:] != rep[:-1])][: len(order)])
@@ -170,6 +177,24 @@ class MeasurementSet(Sequence):
             at = starts[broken][:5]
             keys = list(zip(inst[at].tolist(), rep[at].tolist()))
             raise PairingError(f"measurements do not form whole pairs at (instance, repetition) {keys}")
+        return order
+
+    def _pairs_in_place(self) -> np.ndarray | None:
+        """`pair_order()` of rows 2k and 2k + 1 forming pair k, with keys ascending from pair to pair; else None."""
+        n = len(self)
+        if n % 2:
+            return None
+        inst, rep = self.instance_id, self.repetition
+        v0, v1 = self.version[0::2], self.version[1::2]
+        if not (np.array_equal(inst[0::2], inst[1::2]) and np.array_equal(rep[0::2], rep[1::2])
+                and (((v0 == 0) & (v1 == 1)) | ((v0 == 1) & (v1 == 0))).all()):
+            return None
+        pi, pr = inst[0::2], rep[0::2]
+        if not ((pi[1:] > pi[:-1]) | ((pi[1:] == pi[:-1]) & (pr[1:] > pr[:-1]))).all():
+            return None
+        order = np.arange(n)
+        swapped = np.flatnonzero(v0) * 2  # candidate-first pairs, as rmit runs them
+        order[swapped], order[swapped + 1] = swapped + 1, swapped
         return order
 
     @property

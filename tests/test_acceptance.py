@@ -168,7 +168,7 @@ def test_small_sample_width_live_duet():
     if not ok:
         pytest.xfail(
             f"environment-sensitive live check: CI width {ci.width_pp:.2f} pp > 2 pp "
-            f"(CPU-time clock granularity {_cpu_tick_ms():.0f}ms, shared host noise)"
+            f"(CPU-time clock granularity {_cpu_tick_ms() * 1e3:#.3g} µs, shared host noise)"
         )
 
 

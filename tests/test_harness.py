@@ -172,11 +172,21 @@ def test_live_gate_builds_one_executor_and_forks_once(monkeypatch):
         workers.append(process(*args, **kwargs))
         return workers[-1]
 
+    bootstrap_ci = duetbench.harness.bootstrap_ci
+    bootstraps = []
+
+    def bootstrap_without_workers(*args, **kwargs):  # analysis never runs beside the pinned workers
+        assert workers and not any(w.is_alive() for w in workers)
+        bootstraps.append(args)
+        return bootstrap_ci(*args, **kwargs)
+
     monkeypatch.setattr(duetbench.harness, "DuetExecutor", CountingExecutor)
     monkeypatch.setattr(executor_mod._CTX, "Process", counting_process)
+    monkeypatch.setattr(duetbench.harness, "bootstrap_ci", bootstrap_without_workers)
     cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), backend=Backend.LIVE, repetitions=100,
                            instances=2, resamples=1000, scale=2000)
     report = run_experiment(cfg)
+    assert len(bootstraps) == 2
     assert len(executors) == 1
     assert len(workers) == 2  # one fork of the two duet workers
     assert not any(w.is_alive() for w in workers)

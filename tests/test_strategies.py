@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_measurement, requires_two_cores
 from duetbench.analysis import filter_cold_starts
@@ -258,3 +261,59 @@ def test_live_solo_set_takes_its_layout_from_the_strategy(runner):
     assert mset.duration_ns.tolist() == list(range(1000, 1012))
     assert [m.result.checksum for m in mset] == list(range(12))
     assert not mset.cold.any()
+
+
+def _set(instance_id, repetition, version, order_position=-1):
+    n = len(version)
+    return MeasurementSet(Strategy.RMIT, ("A", "B"), duration_ns=np.arange(1, n + 1), instance_id=instance_id,
+                          repetition=repetition, version=version, cold=np.zeros(n, bool),
+                          order_position=np.broadcast_to(order_position, n), clock_mode=np.zeros(n))
+
+
+@pytest.mark.parametrize("position", [257, -255, 2, -2])
+def test_order_position_is_checked_before_it_narrows(position):
+    # 257 and -255 would wrap to 1 as int8
+    with pytest.raises(ValueError, match=rf"order_position must be -1 \(none\), 0 or 1, got {position}$"):
+        _set([0, 0], [0, 0], [0, 1], [position, 0])
+
+
+def test_order_position_is_int8():
+    mset = run_rmit(SPECS, sim_backend(seed=3), 10)
+    assert mset.order_position.dtype == np.int8
+    assert mset.order_position.tolist() == [0, 1] * 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 30)), unique=True, max_size=40), data=st.data())
+def test_pair_order_in_place_matches_the_sort(keys, data):
+    # Runs and archives hold pairs of one key in ascending key order; other sets take the sort, whole or not.
+    keys = sorted(keys)
+    n = 2 * len(keys)
+    candidate_first = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))  # rmit's coin
+    inst, rep = (np.repeat(np.array([k[i] for k in keys], dtype=np.int64), 2) for i in (0, 1))
+    version = np.array([(1, 0) if c else (0, 1) for c in candidate_first], dtype=np.int8).reshape(n)
+    rows = list(range(n))
+    change = data.draw(st.sampled_from(["none", "shuffle", "drop", "duplicate", "flip"]) if n else st.just("none"))
+    if change == "shuffle":
+        rows = data.draw(st.permutations(rows))
+    elif change in ("drop", "duplicate", "flip"):
+        i = data.draw(st.integers(0, n - 1))
+        if change == "drop":  # odd length
+            del rows[i]
+        elif change == "duplicate":  # odd length, one key thrice
+            rows.insert(i, i)
+        else:  # a pair of two baselines or two candidates
+            version[i] = 1 - version[i]
+    mset = _set(inst[rows], rep[rows], version[rows])
+
+    def outcome():
+        try:
+            return mset.pair_order().tolist()
+        except PairingError as exc:
+            return str(exc)
+
+    in_place = outcome()
+    with mock.patch.object(MeasurementSet, "_pairs_in_place", return_value=None):
+        assert in_place == outcome()
+    if change == "none":
+        assert mset._pairs_in_place() is not None
