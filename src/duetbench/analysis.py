@@ -39,8 +39,9 @@ MIN_SAMPLE_SIZE = 50
 # so bootstrap_ci refuses rather than silently returning a too-narrow CI.
 
 # Resamples are drawn in chunks whose int64 index block stays near this size,
-# so memory does not grow with n; any split gives the same index stream. Strategies are bootstrapped side
-# by side (`harness._analyze_all`), so each chunk's blocks are alive once per thread.
+# so memory does not grow with n; any split gives the same index stream. Each
+# strategy is bootstrapped on its own thread (`harness._analyze_all`), so a
+# chunk's blocks are alive once per analysis thread.
 _CHUNK_BYTES = 256 << 10
 
 
@@ -133,6 +134,8 @@ def bootstrap_ci(
     lands on may differ.)
     """
     values = np.asarray(samples, dtype=float)
+    if values.size == 0:
+        raise EmptySamplesError("cannot bootstrap zero samples")
     if not np.isfinite(values).all():
         raise ValueError("bootstrap samples must all be finite")
     if values.size < min_samples:
@@ -153,13 +156,13 @@ def bootstrap_ci(
     medians = np.empty(resamples, dtype=float)
     for done in range(0, resamples, rows):
         chunk = min(rows, resamples - done)
-        ranks = rank[gen.integers(0, n, size=(chunk, n))]
+        ranks = rank.take(gen.integers(0, n, size=(chunk, n)))
         ranks.partition(half, axis=1)
         upper = ordered[ranks[:, half]]
         if n % 2:
             medians[done : done + chunk] = upper
         else:
-            medians[done : done + chunk] = (ordered[ranks[:, :half].max(axis=1)] + upper) / 2
+            medians[done : done + chunk] = (ordered[np.maximum.reduce(ranks[:, :half], axis=1)] + upper) / 2
     return percentile_interval(medians, level)
 
 

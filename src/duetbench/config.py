@@ -153,7 +153,8 @@ class ExperimentConfig:
         check_fields(self)
         if self.scale is None:
             object.__setattr__(self, "scale", DEFAULT_SCALES[self.workload])
-        for name, least in (("seed", 0), ("instances", 1), ("repetitions", 1), ("resamples", MIN_RESAMPLES)):
+        for name, least in (("seed", 0), ("instances", 1), ("repetitions", 1), ("resamples", MIN_RESAMPLES),
+                            ("min_samples", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.ci_level < 1.0:

@@ -15,12 +15,14 @@ off its cores shows in `last_barrier`.
 Each invocation is timed with both per-thread CPU time and wall-clock
 timestamps; which one ends up in the Measurement is decided by the clock
 mode (duet defaults to CPU time, solo invocations to wall clock).
+
+`multiprocessing` is imported when the first workers are spawned, so a
+process that spawns none (a simulated gate, `analyze`) never loads it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 import threading
 import time
@@ -38,9 +40,16 @@ from .workloads import WorkloadSpec, WorkResult, run_workload
 
 DEFAULT_BARRIER_TIMEOUT_S = 5.0
 
-# fork keeps worker startup cheap and works regardless of how the caller's
-# main module was loaded; platforms without fork fall back to spawn.
-_CTX = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context("spawn")
+
+def _context():
+    """The multiprocessing context duet workers start from.
+
+    fork keeps worker startup cheap and works regardless of how the caller's
+    main module was loaded; platforms without fork fall back to spawn.
+    """
+    import multiprocessing as mp
+
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
 
 def available_cores() -> int:
@@ -172,7 +181,7 @@ class DuetExecutor:
             raise AffinityUnsupportedError("platform cannot set CPU affinity; construct with pinning=False to run unpinned")
         self.barrier_timeout_s = barrier_timeout_s
         self.last_barrier: BarrierTrace | None = None
-        self._procs: list[mp.process.BaseProcess] = []
+        self._procs: list = []  # multiprocessing processes
         self._conns: list = []
         self._barrier = None
 
@@ -192,10 +201,11 @@ class DuetExecutor:
         cores = (self.plan.core_a, self.plan.core_b)
         if self.pinning and max(cores) >= available:
             raise InsufficientCoresError(f"core {max(cores)} requested but host exposes {available} cores")
-        self._barrier = _CTX.Barrier(3)
+        ctx = _context()
+        self._barrier = ctx.Barrier(3)
         for core in cores:
-            parent_conn, child_conn = _CTX.Pipe()
-            proc = _CTX.Process(
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
                 target=_worker_main,
                 args=(child_conn, self._barrier, self.barrier_timeout_s),
                 daemon=True,

@@ -5,7 +5,8 @@ or more strategies, fanning each strategy out over `instances` parallel
 "instances" (fresh simulated instances, or in live mode one shared executor
 whose measurements carry the instance id), merging the measurements,
 filtering cold starts, pairing, and bootstrapping a confidence interval of
-the median change. Strategies are analysed side by side on the usable cores.
+the median change. With two or more usable cores each strategy is analysed
+on its own thread; on one core they are analysed in turn.
 
 Everything that ends up in the summary is regenerable from the raw
 measurement CSV plus the seed; analysis RNG streams are derived from the
@@ -163,10 +164,13 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
 
 
 def _analyze_all(sets: Sequence[MeasurementSet], cfg: ExperimentConfig) -> list[StrategyResult]:
-    """`analyze_measurement_set` of each set, in order, on this thread and up to one helper per further usable core.
+    """`analyze_measurement_set` of each set, in order.
 
-    Threads take sets in order. Every analysis stream is keyed by (seed, purpose, strategy), so results are the
-    same bits on any number of cores. The first failure in set order is raised once every helper has stopped.
+    On two or more usable cores this thread and its helpers give each set a thread, up to one per strategy:
+    three bootstraps on two cores finish sooner on three threads than on two, where the third would run alone.
+    On one usable core this thread analyses the sets in turn. Threads take sets in order. Every analysis stream
+    is keyed by (seed, purpose, strategy), so results are the same bits on any number of threads. The first
+    failure in set order is raised once every helper has stopped.
     """
     todo = deque(enumerate(sets))
     outcomes: list[Any] = [None] * len(sets)  # each set's result, or what its analysis raised
@@ -183,7 +187,8 @@ def _analyze_all(sets: Sequence[MeasurementSet], cfg: ExperimentConfig) -> list[
                 outcomes[i] = exc
                 todo.clear()  # sets are taken in order, so every earlier one has been taken already
 
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(len(sets), available_cores()) - 1)]
+    threads = min(len(sets), len(Strategy)) if available_cores() > 1 else 1
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
     try:

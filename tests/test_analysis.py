@@ -115,6 +115,8 @@ def test_bootstrap_seed_determinism():
 def test_bootstrap_preconditions():
     with pytest.raises(InsufficientSamplesError):
         bootstrap_ci(list(range(49)), 0.99, 1000, rng=0)
+    with pytest.raises(EmptySamplesError):
+        bootstrap_ci([], 0.99, 1000, rng=0, min_samples=0)
     with pytest.raises(ValueError):
         bootstrap_ci(list(range(100)), 0.99, 999, rng=0)
     for bad in (math.nan, math.inf, -math.inf):

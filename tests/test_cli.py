@@ -228,16 +228,36 @@ def test_config_file_plus_flag_override(tmp_path):
     assert code == EXIT_PASS
 
 
-def test_console_entrypoint_smoke(tmp_path):
-    # the child imports the package this suite imports, installed or not
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports the package this suite imports, installed or not."""
     src = str(Path(duetbench.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entrypoint_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "duetbench", "run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300, env=env,
+        capture_output=True, text=True, timeout=300, env=_child_env(),
     )
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert "overall verdict: pass" in proc.stdout
+
+
+def test_simulated_gate_and_analyze_never_import_multiprocessing(tmp_path):
+    # only a live gate spawns worker processes, so only a live gate needs multiprocessing
+    script = "\n".join([
+        "import sys",
+        "from duetbench.cli import main",
+        f"run = main(['run', *{FAST_FLAGS!r}, '--out', {str(tmp_path)!r}])",
+        f"analyze = main(['analyze', {str(tmp_path / 'raw.csv')!r}])",
+        "print(run, analyze, 'multiprocessing' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    run_code, analyze_code, imported = proc.stdout.splitlines()[-1].split()
+    assert run_code == analyze_code != str(EXIT_ERROR)
+    assert imported == "False"
 
 
 @pytest.mark.parametrize(("config", "flags"), [
@@ -264,6 +284,10 @@ def test_console_entrypoint_smoke(tmp_path):
                         "--resamples", "1000"], id="repeated-strategy-flag"),
     pytest.param({"strategies": ["rmit", "duet", "rmit"], "repetitions": 100, "resamples": 1000}, [],
                  id="repeated-strategy-file"),
+    pytest.param(None, ["--strategy", "duet", "--repetitions", "1", "--instances", "1", "--min-samples", "0",
+                        "--resamples", "1000"], id="min-samples-zero"),
+    pytest.param(None, ["--strategy", "duet", "--repetitions", "1", "--instances", "1", "--min-samples", "-4",
+                        "--resamples", "1000"], id="min-samples-negative"),
 ])
 def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, flags):
     if config is not None:

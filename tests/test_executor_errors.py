@@ -15,7 +15,7 @@ SPEC_B = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
 
 
 @requires_two_cores
-@pytest.mark.skipif(executor_mod._CTX.get_start_method() != "fork",
+@pytest.mark.skipif(executor_mod._context().get_start_method() != "fork",
                     reason="a patched run_workload reaches the workers only when they are forked")
 def test_worker_execution_error_raises_and_the_next_pair_recovers(monkeypatch):
     def fail(spec):

@@ -166,7 +166,8 @@ def test_live_gate_builds_one_executor_and_forks_once(monkeypatch):
             super().__init__(*args, **kwargs)
             executors.append(self)
 
-    process = executor_mod._CTX.Process
+    ctx = executor_mod._context()
+    process = ctx.Process
 
     def counting_process(*args, **kwargs):
         workers.append(process(*args, **kwargs))
@@ -181,7 +182,7 @@ def test_live_gate_builds_one_executor_and_forks_once(monkeypatch):
         return bootstrap_ci(*args, **kwargs)
 
     monkeypatch.setattr(duetbench.harness, "DuetExecutor", CountingExecutor)
-    monkeypatch.setattr(executor_mod._CTX, "Process", counting_process)
+    monkeypatch.setattr(ctx, "Process", counting_process)
     monkeypatch.setattr(duetbench.harness, "bootstrap_ci", bootstrap_without_workers)
     cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), backend=Backend.LIVE, repetitions=100,
                            instances=2, resamples=1000, scale=2000)

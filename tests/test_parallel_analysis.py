@@ -1,8 +1,9 @@
 """Strategies analysed side by side give exactly what a sequential loop gives.
 
-`harness._analyze_all` runs `analyze_measurement_set` on the calling thread and
-on one helper per further usable core. Every analysis stream is keyed by
-(seed, purpose, strategy), so the bits cannot depend on the core count.
+On two or more usable cores `harness._analyze_all` runs `analyze_measurement_set`
+on one thread per strategy: the calling thread and its helpers. On one core the
+calling thread analyses the strategies in turn. Every analysis stream is keyed
+by (seed, purpose, strategy), so the bits cannot depend on the core count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _fingerprint(result):
             result.pairs_before_filter, result.pairs_after_filter)
 
 
-@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("pairing", list(Pairing))
 def test_concurrent_analysis_equals_a_sequential_loop(tmp_path, monkeypatch, cores, pairing):
     monkeypatch.setattr(duetbench.harness, "available_cores", lambda: cores)
@@ -48,6 +49,26 @@ def test_concurrent_analysis_equals_a_sequential_loop(tmp_path, monkeypatch, cor
     again = reanalyze_raw(emit_report(report, tmp_path, ())["raw_csv"], seed=cfg.seed, resamples=cfg.resamples,
                           pairing=pairing, **SWEEP)
     assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, sequential))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_each_strategy_has_its_own_thread_on_two_cores(monkeypatch, cores):
+    monkeypatch.setattr(duetbench.harness, "available_cores", lambda: cores)
+    all_started = threading.Barrier(len(ALL_STRATEGIES), timeout=10)  # no thread takes a second set
+    threads = {}
+
+    def record_thread(mset, **kwargs):
+        threads[mset] = threading.get_ident()
+        if cores > 1:
+            all_started.wait()
+        return mset
+
+    monkeypatch.setattr(duetbench.harness, "analyze_measurement_set", record_thread)
+    assert duetbench.harness._analyze_all(list(ALL_STRATEGIES), cfg=None) == list(ALL_STRATEGIES)
+    if cores > 1:
+        assert len(set(threads.values())) == len(ALL_STRATEGIES)
+    else:
+        assert set(threads.values()) == {threading.get_ident()}
 
 
 def test_first_failure_in_config_order_is_raised_after_every_helper_stops(tmp_path, monkeypatch, capsys):
@@ -82,7 +103,7 @@ def test_first_failure_in_config_order_is_raised_after_every_helper_stops(tmp_pa
 
 
 def test_every_set_is_analysed_once_by_more_threads_than_cores(monkeypatch):
-    monkeypatch.setattr(duetbench.harness, "available_cores", lambda: 8)
+    monkeypatch.setattr(duetbench.harness, "available_cores", lambda: 2)  # three threads, one per strategy
     taken = []
 
     def double(mset, **kwargs):
