@@ -27,7 +27,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
 
 from .errors import (
     AffinityUnsupportedError,
@@ -104,31 +103,29 @@ def timed_run(spec: WorkloadSpec) -> tuple[WorkResult, int, int]:
     return result, max(cpu_ns, 1), max(wall_ns, 1)
 
 
-def _row(spec: WorkloadSpec, clock: ClockMode, result: WorkResult, cpu_ns: int, wall_ns: int, **where: Any) -> Measurement:
-    """The row of one live invocation, timed on `clock`; `where` names its strategy, instance and repetition.
+def _row(spec: WorkloadSpec, clock: ClockMode, strategy: Strategy, result: WorkResult, cpu_ns: int,
+         wall_ns: int) -> Measurement:
+    """The row of one live invocation, timed on `clock`.
 
-    Live invocations are never cold: process startup is not being measured.
+    It carries instance 0 and repetition 0: the strategy runner lays out the
+    set and keeps only the row's duration and result. Live invocations are
+    never cold: process startup is not being measured.
     """
     duration = cpu_ns if clock is ClockMode.CPU_TIME else wall_ns
-    return Measurement(duration, clock, spec.version_label, cold=False, result=result, **where)
+    return Measurement(duration, clock, spec.version_label, strategy, 0, 0, cold=False, result=result)
 
 
-def solo_invoke(
-    spec: WorkloadSpec,
-    clock: ClockMode = ClockMode.WALL_CLOCK,
-    *,
-    strategy: Strategy = Strategy.INDEPENDENT,
-    repetition: int = 0,
-    instance_id: int = 0,
-    order_position: int | None = None,
-) -> Measurement:
-    """Run one workload alone in this process and time it."""
+def solo_invoke(spec: WorkloadSpec, clock: ClockMode = ClockMode.WALL_CLOCK) -> Measurement:
+    """Run one workload alone in this process and time it.
+
+    Its row is an independent one of instance 0 and repetition 0; the
+    strategy runner lays out the set.
+    """
     try:
         timing = timed_run(spec)
     except MemoryError as exc:
         raise ExecutionError(f"workload exhausted resources: {exc!r}") from exc
-    return _row(spec, clock, *timing, strategy=strategy, instance_id=instance_id, repetition=repetition,
-                order_position=order_position)
+    return _row(spec, clock, Strategy.INDEPENDENT, *timing)
 
 
 def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
@@ -199,8 +196,8 @@ class DuetExecutor:
         if available < 2:
             raise InsufficientCoresError(f"duet mode needs >= 2 cores, host exposes {available}")
         cores = (self.plan.core_a, self.plan.core_b)
-        if self.pinning and max(cores) >= available:
-            raise InsufficientCoresError(f"core {max(cores)} requested but host exposes {available} cores")
+        if self.pinning and not set(cores) <= (mask := os.sched_getaffinity(0)):
+            raise InsufficientCoresError(f"cores {list(cores)} requested but the affinity mask is {sorted(mask)}")
         ctx = _context()
         self._barrier = ctx.Barrier(3)
         for core in cores:
@@ -226,14 +223,14 @@ class DuetExecutor:
         spec_a: WorkloadSpec,
         spec_b: WorkloadSpec,
         *,
-        repetition: int = 0,
-        instance_id: int = 0,
         clock: ClockMode | None = None,
     ) -> tuple[Measurement, Measurement]:
         """Run both versions in parallel behind a shared start barrier.
 
         Returns the (baseline, candidate) measurements in argument order,
-        timed with per-worker CPU time unless `clock` overrides it.
+        timed with per-worker CPU time unless `clock` overrides it. Both are
+        duet rows of instance 0 and repetition 0; the strategy runner lays
+        out the set.
         """
         self._ensure_workers()
         for conn, spec in zip(self._conns, (spec_a, spec_b)):
@@ -259,19 +256,12 @@ class DuetExecutor:
             affinity_b=pb["affinity"],
         )
         clock = clock if clock is not None else default_clock(Strategy.DUET)
-        m_a, m_b = (_row(spec, clock, p["result"], p["cpu_ns"], p["wall_ns"],
-                         strategy=Strategy.DUET, instance_id=instance_id, repetition=repetition)
-                    for spec, p in ((spec_a, pa), (spec_b, pb)))
-        return m_a, m_b
+        return (_row(spec_a, clock, Strategy.DUET, pa["result"], pa["cpu_ns"], pa["wall_ns"]),
+                _row(spec_b, clock, Strategy.DUET, pb["result"], pb["cpu_ns"], pb["wall_ns"]))
 
-    def solo_invoke(
-        self,
-        spec: WorkloadSpec,
-        clock: ClockMode = ClockMode.WALL_CLOCK,
-        **kwargs,
-    ) -> Measurement:
+    def solo_invoke(self, spec: WorkloadSpec, clock: ClockMode = ClockMode.WALL_CLOCK) -> Measurement:
         """Single invocation in the coordinator process (see `solo_invoke`)."""
-        return solo_invoke(spec, clock, **kwargs)
+        return solo_invoke(spec, clock)
 
     def _recv(self, idx: int):
         conn, proc = self._conns[idx], self._procs[idx]

@@ -1,12 +1,13 @@
 """Experiment orchestration: instance fan-out, reports, file output.
 
 An experiment runs one workload comparison (baseline vs candidate) under one
-or more strategies, fanning each strategy out over `instances` parallel
-"instances" (fresh simulated instances, or in live mode one shared executor
-whose measurements carry the instance id), merging the measurements,
-filtering cold starts, pairing, and bootstrapping a confidence interval of
-the median change. With two or more usable cores each strategy is analysed
-on its own thread; on one core they are analysed in turn.
+or more strategies. Each strategy runs on `instances` "instances" one after
+another (fresh simulated instances, or in live mode one shared executor;
+the strategy runner tags each row with its instance id), then its
+measurements are merged, cold starts filtered, pairs formed and a
+confidence interval of the median change bootstrapped. With two or more
+usable cores each strategy is analysed on its own thread; on one core they
+are analysed in turn.
 
 Everything that ends up in the summary is regenerable from the raw
 measurement CSV plus the seed; analysis RNG streams are derived from the
@@ -21,7 +22,6 @@ import itertools
 import json
 import math
 import threading
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -166,33 +166,28 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
 def _analyze_all(sets: Sequence[MeasurementSet], cfg: ExperimentConfig) -> list[StrategyResult]:
     """`analyze_measurement_set` of each set, in order.
 
-    On two or more usable cores this thread and its helpers give each set a thread, up to one per strategy:
-    three bootstraps on two cores finish sooner on three threads than on two, where the third would run alone.
-    On one usable core this thread analyses the sets in turn. Threads take sets in order. Every analysis stream
+    Callers pass at most one set per strategy: `ExperimentConfig` refuses a repeated strategy and
+    `load_raw_csv` groups by strategy. On two or more usable cores each set gets its own thread, this one
+    taking the first: three bootstraps on two cores finish sooner on three threads than on two, where the
+    third would run alone. On one usable core this thread analyses the sets in turn. Every analysis stream
     is keyed by (seed, purpose, strategy), so results are the same bits on any number of threads. The first
     failure in set order is raised once every helper has stopped.
     """
-    todo = deque(enumerate(sets))
+    if available_cores() < 2:
+        return [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
     outcomes: list[Any] = [None] * len(sets)  # each set's result, or what its analysis raised
 
-    def work() -> None:
-        while True:
-            try:
-                i, mset = todo.popleft()
-            except IndexError:
-                return
-            try:
-                outcomes[i] = analyze_measurement_set(mset, cfg=cfg)
-            except BaseException as exc:  # raised again on the calling thread
-                outcomes[i] = exc
-                todo.clear()  # sets are taken in order, so every earlier one has been taken already
+    def work(i: int) -> None:
+        try:
+            outcomes[i] = analyze_measurement_set(sets[i], cfg=cfg)
+        except BaseException as exc:  # raised again on the calling thread
+            outcomes[i] = exc
 
-    threads = min(len(sets), len(Strategy)) if available_cores() > 1 else 1
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(threads - 1)]
+    helpers = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, len(sets))]
     for helper in helpers:
         helper.start()
     try:
-        work()
+        work(0)
     finally:
         for helper in helpers:
             helper.join()

@@ -52,6 +52,25 @@ def test_duet_refuses_core_beyond_host():
         assert not ex._procs
 
 
+def test_duet_cores_must_lie_in_the_affinity_mask(monkeypatch):
+    class Spawned(Exception):
+        pass
+
+    def spawn():
+        raise Spawned
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 3})  # e.g. under `taskset -c 2,3`
+    monkeypatch.setattr(executor_mod, "_context", spawn)
+    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    with DuetExecutor(CorePlan(2, 3)) as ex:
+        with pytest.raises(Spawned):
+            ex.duet_invoke(SPEC_SMALL, spec_b)
+    for plan in (CorePlan(0, 1), CorePlan(2, 5)):
+        with DuetExecutor(plan) as ex:
+            with pytest.raises(InsufficientCoresError, match=r"affinity mask is \[2, 3\]"):
+                ex.duet_invoke(SPEC_SMALL, spec_b)
+
+
 def test_affinity_unsupported_platform(monkeypatch):
     monkeypatch.setattr(executor_mod, "pinning_supported", lambda: False)
     with pytest.raises(AffinityUnsupportedError):
@@ -104,7 +123,7 @@ def test_duet_barrier_ordering_and_affinity_isolation():
     spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(0, 1)) as ex:
         for rep in range(5):
-            ex.duet_invoke(SPEC_SMALL, spec_b, repetition=rep)
+            ex.duet_invoke(SPEC_SMALL, spec_b)
             trace = ex.last_barrier
             assert trace.start_a_ns >= trace.release_ns
             assert trace.start_b_ns >= trace.release_ns
@@ -160,9 +179,9 @@ def test_duet_detects_five_percent_direction():
     with DuetExecutor() as ex:
         for rep in range(100):
             if rep % 2 == 0:
-                m_a, m_b = ex.duet_invoke(spec_a, spec_b, repetition=rep, clock=ClockMode.WALL_CLOCK)
+                m_a, m_b = ex.duet_invoke(spec_a, spec_b, clock=ClockMode.WALL_CLOCK)
             else:
-                m_b, m_a = ex.duet_invoke(spec_b, spec_a, repetition=rep, clock=ClockMode.WALL_CLOCK)
+                m_b, m_a = ex.duet_invoke(spec_b, spec_a, clock=ClockMode.WALL_CLOCK)
             changes.append(relative_change(m_a.duration_ns, m_b.duration_ns))
     slower = sum(1 for c in changes if c > 0)
     assert slower > 50, f"candidate slower in only {slower}/100 repetitions (median {np.median(changes):.2f}%)"

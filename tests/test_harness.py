@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -28,7 +29,7 @@ from duetbench.harness import (
 )
 from duetbench.measurement import CLOCKS, Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
-from duetbench.workloads import WorkloadKind
+from duetbench.workloads import WorkloadKind, WorkResult
 
 FAST = dict(repetitions=200, instances=2, resamples=1000, backend=Backend.SIMULATED)
 
@@ -401,3 +402,42 @@ def test_harness_calls_its_layers_through_its_module_names(tmp_path, monkeypatch
     assert len(sent) == 2 and sent[0] is report.results[0].samples and sent[1] is again.results[0].samples
     assert all(args[2] == cfg.resamples for args in calls["bootstrap_ci"])
     assert all(args[0].backend is Backend.SIMULATED for args in calls["run_strategy"])
+
+
+@requires_two_cores
+def test_live_gate_calls_the_executor_through_its_method_names(monkeypatch):
+    # The benchmark's executor metrics and its checksum fault replace these DuetExecutor methods and read what
+    # they return; a live gate that bypassed one would make a metric read 0 with no error.
+    calls = {name: [] for name in ("duet_invoke", "solo_invoke", "_recv")}
+    for name, seen in calls.items():
+        def counting(executor, *args, _fn=getattr(DuetExecutor, name), _seen=seen, **kwargs):
+            spawns = not executor._procs
+            out = _fn(executor, *args, **kwargs)
+            _seen.append((executor, spawns, out))
+            return out
+
+        monkeypatch.setattr(DuetExecutor, name, counting)
+    counted_duet = DuetExecutor.duet_invoke
+    swapped = WorkResult(checksum=-1, units_done=-1)
+
+    def swap_first_candidate(executor, *args, **kwargs):
+        m_a, m_b = counted_duet(executor, *args, **kwargs)
+        if len(calls["duet_invoke"]) == 1:
+            m_b = dataclasses.replace(m_b, result=swapped)
+        return m_a, m_b
+
+    monkeypatch.setattr(DuetExecutor, "duet_invoke", swap_first_candidate)
+    cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), backend=Backend.LIVE, repetitions=100,
+                           instances=2, resamples=1000, scale=2000)
+    duet, rmit = run_experiment(cfg).results
+    pairs = len(duet.measurements) // 2
+    assert len(calls["duet_invoke"]) == pairs == 100
+    assert len(calls["_recv"]) == 2 * pairs
+    assert len(calls["solo_invoke"]) == len(rmit.measurements) > 0
+    assert [spawns for _, spawns, _ in calls["duet_invoke"]] == [True] + [False] * (pairs - 1)
+    for _, _, row in calls["solo_invoke"]:
+        assert row.clock_mode is ClockMode.WALL_CLOCK and row.duration_ns > 0
+    for _, _, (status, payload) in calls["_recv"]:
+        assert status == "ok" and {"cpu_ns", "wall_ns", "start_ns", "affinity", "result"} <= payload.keys()
+    assert {executor.last_barrier is not None for executor, _, _ in calls["duet_invoke"]} == {True}
+    assert sum(result is swapped for result in duet.measurements.result) == 1
