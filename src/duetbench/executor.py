@@ -193,8 +193,10 @@ class DuetExecutor:
             return
         self.close()
         available = available_cores()
-        if available < 2:
-            raise InsufficientCoresError(f"duet mode needs >= 2 cores, host exposes {available}")
+        if available < 2:  # a one-core mask on a larger host is refused here too, so name both
+            mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "unknown"
+            raise InsufficientCoresError(f"duet mode needs >= 2 usable cores, got {available}: "
+                                         f"affinity mask {mask}, os.cpu_count() {os.cpu_count()}")
         cores = (self.plan.core_a, self.plan.core_b)
         if self.pinning and not set(cores) <= (mask := os.sched_getaffinity(0)):
             raise InsufficientCoresError(f"cores {list(cores)} requested but the affinity mask is {sorted(mask)}")

@@ -21,12 +21,14 @@ import io
 import itertools
 import json
 import math
+import re
 import threading
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -294,7 +296,7 @@ def _raw_lines(m: MeasurementSet) -> Iterable[str]:
         m.repetition.tolist(),
         _cells(labels, m.version),
         m.duration_ns.tolist(),
-        _cells([c.value for c in CLOCKS], m.clock_mode),
+        _cells(_CLOCK_CELLS, m.clock_mode),
         _cells(_COLD_CELLS, m.cold.astype(np.int8)),
         _cells(_ORDER_CELLS, m.order_position + 1),
     )
@@ -322,21 +324,30 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]])
 def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, MeasurementSet]:
     """Read a raw.csv back into one measurement set per strategy, with (baseline, candidate) `labels`.
 
-    Strategies keep their order of first appearance, rows their order within a strategy.
-    Integer cells read as `int()` reads them, within int64; `cold` is `true` or `false`, and
-    `order_position` empty, 0 or 1. Any other cell raises ValueError, a label other than the two PairingError.
+    Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
+    skipped. An integer cell is an optional sign and ASCII digits, with optional surrounding spaces, within
+    int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell raises
+    ValueError, a label other than the two PairingError.
     """
     parts: dict[int, list[dict[str, np.ndarray]]] = {}  # strategy code: its columns of each chunk
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last column
+        header = {name: i for i, name in enumerate(next(csv.reader(fh), []))}  # a repeated name: its last column
         missing = set(RAW_CSV_COLUMNS) - set(header)
         if missing:
             raise BenchmarkError(f"raw csv is missing columns: {sorted(missing)}")
-        # Rows become columns a chunk at a time, split by strategy at once, so few row lists are ever alive.
-        for rows in iter(lambda: list(itertools.islice(reader, _CHUNK_ROWS)), []):
-            for code, columns in _raw_columns(rows, header, labels):
+        cells = {**_TEXT_CELLS, "version": labels}
+        # A text cell is cut one character past the longest value it may hold, so a longer one matches none.
+        dtype = np.dtype([(name, np.int64 if name in _INT_COLUMNS else f"U{max(map(len, cells[name])) + 1}")
+                          for name in RAW_CSV_COLUMNS])
+        usecols = [header[name] for name in RAW_CSV_COLUMNS]
+        # The rows after the header become columns a chunk at a time, split by strategy at once, so few rows
+        # are ever alive.
+        while True:
+            chunk = _read_chunk(fh, dtype, usecols)
+            for code, columns in _raw_columns(chunk, labels):
                 parts.setdefault(code, []).append(columns)
+            if len(chunk) < _CHUNK_ROWS:
+                break
     if not parts:
         raise BenchmarkError(f"no measurements found in {path}")
     grouped = {}
@@ -347,46 +358,56 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
     return grouped
 
 
-# raw.csv rows read at a time. Loading 48 000 rows, chunks of 256 to 2 048 rows take about the same time, and
-# the Python-level (tracemalloc) peak above the result grows with it: 0.28 MiB at 256 rows, 0.37 at 512, 2.28 at 4 096.
-_CHUNK_ROWS = 512
+# raw.csv rows read at a time. Loading 48 000 rows on one core (best of 40 interleaved loads), 256-row chunks take
+# 33 ms, 512 27 ms, 1 024 24 ms and 2 048 to 4 096 23 ms, as each loadtxt call has a fixed cost; the Python-level
+# (tracemalloc) peak above the result grows with the chunk: 0.13 MiB at 256 rows, 0.16 at 512, 0.23 at 1 024,
+# 0.27 at 2 048 and 0.81 at 4 096.
+_CHUNK_ROWS = 1024
+_INT_COLUMNS = ("duration_ns", "instance_id", "repetition")
 
 
-def _raw_columns(rows: list[list[str]], header: dict[str, int],
-                 labels: tuple[str, str]) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """(strategy code, columns) of each strategy in `rows`, in order of first appearance."""
-    rows = [row for row in rows if row]  # a blank line holds no measurement
-    if not rows:
-        return
-    width = max(header[name] for name in RAW_CSV_COLUMNS) + 1
-    if min(map(len, rows)) < width:
-        raise ValueError(f"raw csv has a row of fewer than the {width} cells its header names")
-    cells = list(zip(*rows))
-    col = {name: cells[header[name]] for name in RAW_CSV_COLUMNS}
-    ints = {name: _int_column(col[name], name) for name in ("duration_ns", "instance_id", "repetition")}
+def _read_chunk(fh: IO[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
+    """The next `_CHUNK_ROWS` rows of `fh`, or the rest, one `dtype` record each; ValueError names a bad cell."""
+    try:
+        # loadtxt warns of a blank line and of a call that finds no row, both expected here. catch_warnings
+        # swaps the warning filters of the whole process, which is safe because a file is loaded before any
+        # analysis thread starts.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                              max_rows=_CHUNK_ROWS, ndmin=1)
+    except ValueError as exc:
+        message = str(exc)
+    if bad := re.fullmatch(r"could not convert string (.*) to int64 at row \d+, column (\d+)\.", message, re.S):
+        name = RAW_CSV_COLUMNS[usecols.index(int(bad[2]) - 1)]  # numpy counts the file's columns from 1
+        raise ValueError(f"raw csv {name} {bad[1]} is not an integer within int64")
+    if re.fullmatch(r"invalid column index \d+ at row \d+ with \d+ columns", message):
+        raise ValueError(f"raw csv has a row of fewer than the {max(usecols) + 1} cells its header names")
+    raise ValueError(f"raw csv: {message}")
+
+
+def _raw_columns(chunk: np.ndarray, labels: tuple[str, str]) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """(strategy code, columns) of each strategy in `chunk`, in order of first appearance."""
+    ints = {name: chunk[name].copy() for name in _INT_COLUMNS}  # a view would keep the whole chunk alive
     columns = dict(
         **ints,
-        version=version_codes(labels, col["version"], ints["instance_id"], ints["repetition"]),
-        cold=codes(col["cold"], _COLD_CELLS, "raw csv cold"),
-        order_position=codes(col["order_position"], _ORDER_CELLS, "raw csv order_position") - 1,
-        clock_mode=codes(col["clock_mode"], [c.value for c in CLOCKS], "raw csv clock_mode"),
+        version=version_codes(labels, chunk["version"], ints["instance_id"], ints["repetition"]),
+        cold=codes(chunk["cold"], _COLD_CELLS, "raw csv cold"),
+        order_position=codes(chunk["order_position"], _ORDER_CELLS, "raw csv order_position") - 1,
+        clock_mode=codes(chunk["clock_mode"], _CLOCK_CELLS, "raw csv clock_mode"),
     )
-    strategy = codes(col["strategy"], [s.value for s in Strategy], "raw csv strategy")
-    for code in dict.fromkeys(strategy.tolist()):  # in order of first appearance
+    strategy = codes(chunk["strategy"], _TEXT_CELLS["strategy"], "raw csv strategy")
+    first = np.unique(strategy, return_index=True)[1]
+    for code in strategy[np.sort(first)].tolist():  # in order of first appearance
         rows_of = strategy == code
         yield code, columns if rows_of.all() else {name: c[rows_of] for name, c in columns.items()}
 
 
-def _int_column(cells: Sequence[str], name: str) -> np.ndarray:
-    try:
-        return np.array(cells, dtype=np.int64)
-    except OverflowError:  # cells before the first too large one all read as int64
-        cell = next(c for c in cells if not -2**63 <= int(c) < 2**63)
-        raise ValueError(f"raw csv {name} {cell!r} is out of the int64 range") from None
-
-
 _COLD_CELLS = ("false", "true")
 _ORDER_CELLS = ("", "0", "1")  # no position, first, second
+_CLOCK_CELLS = tuple(c.value for c in CLOCKS)
+_TEXT_CELLS = {"strategy": tuple(s.value for s in Strategy), "clock_mode": _CLOCK_CELLS, "cold": _COLD_CELLS,
+               "order_position": _ORDER_CELLS}  # the cells each text column but `version` may hold
 
 
 def _cells(values: Sequence[Any], index: np.ndarray) -> list[Any]:

@@ -86,11 +86,13 @@ CLOCKS = tuple(ClockMode)
 
 def codes(cells: Sequence[str], values: Sequence[str], what: str) -> np.ndarray:
     """The index of each cell in `values`; ValueError names the first cell that is none of them."""
-    index = {value: i for i, value in enumerate(values)}
-    try:
-        return np.fromiter(map(index.__getitem__, cells), np.int8, len(cells))
-    except KeyError as exc:
-        raise ValueError(f"{what} {exc.args[0]!r} is none of {list(values)}") from None
+    cells = np.asarray(cells, str)
+    out = np.full(len(cells), -1, np.int8)
+    for i, value in enumerate(values):
+        out[cells == value] = i
+    if (unknown := np.flatnonzero(out < 0)).size:
+        raise ValueError(f"{what} {str(cells[unknown[0]])!r} is none of {list(values)}")
+    return out
 
 
 def version_codes(labels: tuple[str, str], names: Sequence[str], instance_id: Sequence[int],

@@ -155,6 +155,8 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     pytest.param({6: "True"}, id="cold-True"),
     pytest.param({4: "0"}, id="zero-duration"),
     pytest.param({4: "1.5"}, id="fractional-duration"),
+    pytest.param({4: "1_000"}, id="underscored-duration"),  # int() reads it; the C reader does not
+    pytest.param({4: "\u0661\u0660\u0660"}, id="arabic-indic-duration"),  # likewise: 100 in Arabic-Indic digits
     pytest.param({2: "-5"}, id="negative-repetition"),
     pytest.param({7: "2"}, id="order-position-2"),
     pytest.param({5: "sundial"}, id="unknown-clock"),
@@ -165,13 +167,13 @@ def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
     # one cell of the cold row (or the row cut short) is corrupted: exit 2 with the JSON error, never a verdict
     assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
     raw = tmp_path / "raw.csv"
-    lines = raw.read_text().splitlines(keepends=True)
+    lines = raw.read_text(encoding="utf-8").splitlines(keepends=True)
     row = lines[1].rstrip("\n").split(",")
     assert row[:4] == ["duet", "0", "0", "A"] and row[6] == "true"
     for k, value in (cells or {}).items():
         row[k] = value
     lines[1] = ",".join(row if cells else row[:5]) + "\n"
-    raw.write_text("".join(lines))
+    raw.write_text("".join(lines), encoding="utf-8")
     capsys.readouterr()
     assert main(["analyze", str(raw), "--out", str(tmp_path / "again")]) == EXIT_ERROR
     assert set(json.loads(capsys.readouterr().err)) == {"error", "message"}

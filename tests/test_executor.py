@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.analysis import relative_change
+from duetbench.cli import EXIT_ERROR, main
 from duetbench.errors import AffinityUnsupportedError, BarrierTimeoutError, InsufficientCoresError
 from duetbench.executor import (
     CorePlan,
@@ -69,6 +71,24 @@ def test_duet_cores_must_lie_in_the_affinity_mask(monkeypatch):
         with DuetExecutor(plan) as ex:
             with pytest.raises(InsufficientCoresError, match=r"affinity mask is \[2, 3\]"):
                 ex.duet_invoke(SPEC_SMALL, spec_b)
+
+
+def test_a_one_core_mask_is_named_with_the_host_size(monkeypatch, tmp_path, capsys):
+    # e.g. `taskset -c 1` on a larger host: the refusal names the mask and os.cpu_count(), not 1 as the host's size
+    class Spawned(Exception):
+        pass
+
+    def spawn():
+        raise Spawned
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    monkeypatch.setattr(executor_mod, "_context", spawn)
+    args = ["run", "--backend", "live", "--strategy", "duet", "--cores", "1", "0", "--repetitions", "4",
+            "--out", str(tmp_path)]
+    assert main(args) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InsufficientCoresError"
+    assert "affinity mask [1]" in err["message"] and f"os.cpu_count() {os.cpu_count()}" in err["message"]
 
 
 def test_affinity_unsupported_platform(monkeypatch):

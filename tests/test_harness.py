@@ -6,8 +6,10 @@ import io
 import json
 import random
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.analysis import Verdict
-from duetbench.errors import BenchmarkError, ConfigError
+from duetbench.errors import BenchmarkError, ConfigError, PairingError
 from duetbench.executor import DuetExecutor
 from duetbench.harness import (
     ExperimentConfig,
@@ -350,9 +352,10 @@ def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
     slots = [s for s in rows for _ in range(len(lines) // 3 - 1)]
     random.Random(5).shuffle(slots)
     mixed = [next(rows[s]) for s in ["duet", "independent", "rmit", *slots]]
-    assert len(mixed) == len(lines) > 1500
-    assert all(len({line.split(",")[0] for line in mixed[b - 3:b + 3]}) > 1 for b in (512, 1024, 1536))
-    mixed.insert(512, "\r\n")  # a blank line, the first row of the second 512-row chunk
+    chunk = duetbench.harness._CHUNK_ROWS
+    assert len(mixed) == len(lines) > chunk + 3
+    assert all(len({line.split(",")[0] for line in mixed[b - 3:b + 3]}) > 1 for b in range(chunk, len(mixed), chunk))
+    mixed.insert(chunk, "\r\n")  # a blank line, the first row of the second chunk
     path = tmp_path / "mixed.csv"
     path.write_text(header + "".join(mixed), encoding="utf-8")
 
@@ -368,6 +371,45 @@ def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
         cells = [[strategy.value, str(i), str(rep), labels[v], str(d), CLOCKS[c].value, "true" if cold else "false",
                   "" if pos < 0 else str(pos)] for i, rep, v, d, c, cold, pos in got]
         assert cells == [list(row.values()) for row in expected[strategy.value]]
+
+
+_LONG_LABELS = st.tuples(st.text('ab"\r\n, é漢', min_size=40, max_size=40), st.text('ab"\r\n, é漢', max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(labels=_LABELS | _LONG_LABELS, seed=st.integers(0, 2**32))
+def test_load_raw_csv_reads_back_what_emit_report_wrote(tmp_path_factory, labels, seed):
+    labels = tuple(labels)
+    cfg = ExperimentConfig(seed=seed, repetitions=8, instances=2, resamples=1000, min_samples=1,
+                           backend=Backend.SIMULATED, baseline_label=labels[0], candidate_label=labels[1])
+    report = run_experiment(cfg)
+    loaded = load_raw_csv(emit_report(report, tmp_path_factory.mktemp("raw"), ())["raw_csv"], labels)
+    assert list(loaded) == [r.strategy for r in report.results]
+    for r in report.results:
+        assert loaded[r.strategy].version_labels == labels
+        for name in ("duration_ns", "instance_id", "repetition", "version", "cold", "order_position", "clock_mode"):
+            assert np.array_equal(getattr(loaded[r.strategy], name), getattr(r.measurements, name)), name
+    # a third label longer than both is cut one character past the longer, and still matches neither
+    third = max(labels, key=len) + "xy"
+    foreign = run_experiment(dataclasses.replace(cfg, candidate_label=third))
+    with pytest.raises(PairingError):
+        load_raw_csv(emit_report(foreign, tmp_path_factory.mktemp("foreign"), ())["raw_csv"], labels)
+
+
+def test_load_raw_csv_warns_nothing(tmp_path):
+    cfg = ExperimentConfig(seed=4, repetitions=600, instances=2, resamples=1000, backend=Backend.SIMULATED)
+    header, *lines = emit_report(run_experiment(cfg), tmp_path, ())["raw_csv"].read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    chunk = duetbench.harness._CHUNK_ROWS
+    rows = lines[:2 * chunk]  # whole chunks, so the last read finds no row
+    assert len(rows) == 2 * chunk
+    path = tmp_path / "blank.csv"
+    # a blank line opens the second chunk, and one ends the file
+    path.write_text(header + "".join(rows[:chunk]) + "\r\n" + "".join(rows[chunk:]) + "\r\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_raw_csv(path, ("A", "B"))
+    assert sum(map(len, loaded.values())) == 2 * chunk
 
 
 def test_load_raw_csv_peaks_little_above_its_result(tmp_path):
