@@ -11,19 +11,20 @@ resulting medians (sort ascending, drop floor(n*(1-level)/2) values from each
 end; the remaining extremes are the bounds). This makes no distributional
 assumptions about the measurements.
 
-The bootstrap never gathers floats: it sorts the samples once, turns each
-resample's drawn indices into ranks and finds the middle ranks by a partial
-sort of small integers (see `bootstrap_ci`). Sorting is monotone, so the
-k-th smallest rank names the k-th smallest value, and the draws are those of
-a plain gather: the bounds are the bits `np.median` over `values[idx]` gives.
+No resample is drawn: the distribution of a resample's median is a closed
+form in the sorted samples (Maritz & Jarrett, JASA 1978; Efron 1982), so
+`bootstrap_ci` returns the limit of that trimming rule as the number of
+resamples grows without bound. Over all n**n equally likely resamples of a
+small set it gives the bits `percentile_interval` gives over their medians.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +39,13 @@ MIN_SAMPLE_SIZE = 50
 # Bootstrapping below ~50 samples is known to underestimate interval size,
 # so bootstrap_ci refuses rather than silently returning a too-narrow CI.
 
-# Resamples are drawn in chunks whose int64 index block stays near this size,
-# so memory does not grow with n; any split gives the same index stream. Each
-# strategy is bootstrapped on its own thread (`harness._analyze_all`), so a
-# chunk's blocks are alive once per analysis thread.
-_CHUNK_BYTES = 256 << 10
+# A share of the median's distribution within this of a tail share counts as equal to it, as in
+# `_trim_count`: the log-factorial arithmetic is good to about 1e-11.
+_SLACK = 1e-9
+# Even n: ranks whose q_i is below e**_LOG_CUT are left out; together they move F by far less than _SLACK.
+_LOG_CUT = -46.0
+# For even n, a resample's two middle draws lie _GAP or more ranks apart with a chance below e**-31.
+_GAP = 64
 
 
 @dataclass(frozen=True)
@@ -112,26 +115,27 @@ def bootstrap_ci(
     samples: Sequence[float] | np.ndarray,
     level: float = DEFAULT_LEVEL,
     resamples: int = DEFAULT_RESAMPLES,
-    rng: np.random.Generator | int | None = None,
     *,
     min_samples: int = MIN_SAMPLE_SIZE,
 ) -> ConfidenceInterval:
-    """Percentile bootstrap CI of the median relative change.
+    """Percentile bootstrap CI of the median relative change, computed exactly.
 
-    Draws `resamples` same-size resamples with replacement, takes the median
-    of each and applies `percentile_interval` to the medians. `samples` are
-    plain numbers; `rng` may be a Generator or a seed.
+    The bounds are those `percentile_interval` gives over the medians of
+    resamples drawn with replacement, in the limit of infinitely many
+    resamples: with F the distribution function of a resample's median and
+    a = (1 - level) / 2, the lower bound is the smallest value v with
+    F(v) > a and the upper the smallest with F(v) >= 1 - a. `resamples` is
+    checked but does not change them.
 
-    Each resample's median comes from ranks: the samples are sorted once
-    (stable, so tied values get distinct ranks), a resample's drawn indices
-    become ranks (int16 up to 32 767 samples, int32 above), and the row is
-    partitioned in place at n // 2. That rank is the upper middle; for even
-    n the lower middle is the largest rank left of it. The median is the
-    sorted value at the upper middle for odd n and `(lower + upper) / 2` for
-    even n, the same mean of the two middle values `np.median` computes, so
-    the bounds are bit-identical to taking `np.median` of the gathered rows.
-    (Where both -0.0 and +0.0 occur, which of those equal zeros a median
-    lands on may differ.)
+    With x sorted, 1-based ranks, h = n // 2 and N_j ~ Binom(n, j/n) the
+    draws on ranks <= j, a resample's median is x at its (h+1)-th smallest
+    rank for odd n, so F(x_j) = P(N_j >= h+1). For even n it is
+    (x_L + x_U) / 2, as `np.median` computes it, over the h-th and (h+1)-th
+    smallest ranks L and U. Summing P(L = i, U = j) over j telescopes:
+    F(v) = P(N_I >= h) - sum over i <= I of q_i * ((n - J_i) / (n - i))**(n - h),
+    where q_i = P(N_i = h) * (1 - ((i-1)/i)**h), I = #{x <= v} and
+    J_i = #{j : (x_i + x_j) / 2 <= v}. Each bound is found by bisection over
+    the order statistics, then over the pair means in the last gap.
     """
     values = np.asarray(samples, dtype=float)
     if values.size == 0:
@@ -145,25 +149,50 @@ def bootstrap_ci(
         )
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
-    gen = np.random.default_rng(rng)
-    n = values.size
-    half = n // 2
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    rank = np.empty(n, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
-    rank[order] = np.arange(n)
-    rows = max(1, _CHUNK_BYTES // (8 * n))
-    medians = np.empty(resamples, dtype=float)
-    for done in range(0, resamples, rows):
-        chunk = min(rows, resamples - done)
-        ranks = rank.take(gen.integers(0, n, size=(chunk, n)))
-        ranks.partition(half, axis=1)
-        upper = ordered[ranks[:, half]]
-        if n % 2:
-            medians[done : done + chunk] = upper
-        else:
-            medians[done : done + chunk] = (ordered[np.maximum.reduce(ranks[:, :half], axis=1)] + upper) / 2
-    return percentile_interval(medians, level)
+    x = np.sort(values)
+    n, half = x.size, x.size // 2
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_choose = log_fact[n] - log_fact - log_fact[::-1]
+
+    def log_pmf(k: Any, ranks: Any) -> Any:
+        """log P(N_ranks = k), for 0 < ranks < n."""
+        return log_choose[k] + k * np.log(ranks / n) + (n - k) * np.log((n - ranks) / n)
+
+    def at_least(count: int, ranks: int) -> float:
+        """P(N_ranks >= count)."""
+        return 1.0 if ranks == n else float(np.exp(log_pmf(np.arange(count, n + 1), ranks)).sum())
+
+    if n % 2:
+        def cdf(v: float) -> float:
+            return at_least(half + 1, int(np.searchsorted(x, v, "right")))
+    else:
+        # Only ranks i where q_i carries mass, each with its pair means up to _GAP ranks on (+inf past x_n).
+        i = np.arange(1, n)
+        i = i[log_pmf(half, i) > _LOG_CUT]
+        q = np.exp(log_pmf(half, i)) * (1 - ((i - 1) / i) ** half)
+        partner = np.minimum(i[:, None] - 1 + np.arange(min(_GAP, n)), n)
+        means = (x[i - 1, None] + np.append(x, np.inf)[partner]) / 2
+
+        def cdf(v: float) -> float:
+            ranks = int(np.searchsorted(x, v, "right"))
+            rows = slice(0, np.searchsorted(i, ranks, "right"))  # i <= I, so J_i >= i
+            below = i[rows] - 1 + (means[rows] <= v).sum(axis=1)
+            return at_least(half, ranks) - float((q[rows] * ((n - below) / (n - i[rows])) ** (n - half)).sum())
+
+    def smallest(holds: Callable[[float], bool]) -> float:
+        """The smallest value v a median can take with holds(F(v)); F(x_n) = 1 holds."""
+        t = bisect.bisect_left(x, True, key=lambda v: holds(cdf(v)))
+        if n % 2 or t == 0:
+            return float(x[t])
+        between = np.append(np.unique(means[(means > x[t - 1]) & (means < x[t])]), x[t])
+        return float(between[bisect.bisect_left(between, True, key=lambda v: holds(cdf(v)))])
+
+    tail = (1.0 - level) / 2
+    return ConfidenceInterval(
+        lower_pct=smallest(lambda f: f > tail + _SLACK),
+        upper_pct=smallest(lambda f: f >= 1.0 - tail - _SLACK),
+        level=level,
+    )
 
 
 def sweep_sample_size(
@@ -173,7 +202,6 @@ def sweep_sample_size(
     step: int,
     level: float = DEFAULT_LEVEL,
     resamples: int = DEFAULT_RESAMPLES,
-    rng: np.random.Generator | int | None = None,
     *,
     min_samples: int = MIN_SAMPLE_SIZE,
 ) -> list[tuple[int, float]]:
@@ -191,12 +219,8 @@ def sweep_sample_size(
         raise SweepRangeError(f"sweep start {start} exceeds stop {stop}")
     if stop > values.size:
         raise SweepRangeError(f"sweep stop {stop} exceeds the {values.size} available samples")
-    gen = np.random.default_rng(rng)
-    series: list[tuple[int, float]] = []
-    for n in range(start, stop + 1, step):
-        ci = bootstrap_ci(values[:n], level, resamples, gen, min_samples=min_samples)
-        series.append((n, ci.width_pp))
-    return series
+    return [(n, bootstrap_ci(values[:n], level, resamples, min_samples=min_samples).width_pp)
+            for n in range(start, stop + 1, step)]
 
 
 def verdict(ci: ConfidenceInterval, threshold_pct: float) -> Verdict:

@@ -4,14 +4,14 @@ An experiment runs one workload comparison (baseline vs candidate) under one
 or more strategies. Each strategy runs on `instances` "instances" one after
 another (fresh simulated instances, or in live mode one shared executor;
 the strategy runner tags each row with its instance id), then its
-measurements are merged, cold starts filtered, pairs formed and a
-confidence interval of the median change bootstrapped. With two or more
-usable cores each strategy is analysed on its own thread; on one core they
-are analysed in turn.
+measurements are merged, cold starts filtered, pairs formed and the exact
+bootstrap confidence interval of the median change computed, one strategy
+after another.
 
 Everything that ends up in the summary is regenerable from the raw
-measurement CSV plus the seed; analysis RNG streams are derived from the
-seed and the strategy alone, never from run order.
+measurement CSV plus the seed: the one analysis RNG stream, the random
+pairing's, is derived from the seed and the strategy alone, never from run
+order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import re
-import threading
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -42,12 +41,12 @@ from .analysis import (
 )
 from .config import ALL_STRATEGIES, ExperimentConfig
 from .errors import BenchmarkError
-from .executor import CorePlan, DuetExecutor, available_cores
+from .executor import CorePlan, DuetExecutor
 from .measurement import CLOCKS, Backend, MeasurementSet, Strategy, codes, version_codes
 from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
 
 # Fixed per-strategy codes for analysis stream derivation; independent of the
-# order strategies appear in a config, so re-analysis reproduces the same CI.
+# order strategies appear in a config, so re-analysis pairs the same way.
 _STRATEGY_CODE = {Strategy.INDEPENDENT: 0, Strategy.RMIT: 1, Strategy.DUET: 2}
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
@@ -55,21 +54,14 @@ SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_uppe
                        "measurements", "pairs_before_filter", "pairs_after_filter")
 
 
-def _stream(seed: int, purpose: int, strategy: Strategy) -> np.random.Generator:
-    """The generator of one analysis `purpose` for `strategy`, keyed by (seed, purpose, strategy code) alone.
+def _pairing_rng(seed: int, strategy: Strategy) -> np.random.Generator:
+    """The random pairing's generator for `strategy`, keyed by (seed, purpose 3, strategy code) alone.
 
-    Purposes: 0 the per-instance lottery, noise and order streams (`strategies._instance_streams`,
-    keyed by instance id instead of strategy), 1 the bootstrap, 2 the sweep, 3 the random pairing.
+    Purpose 0 keys the per-instance lottery, noise and order streams (`strategies._instance_streams`, by
+    instance id instead of strategy). Purposes 1 and 2 keyed the Monte Carlo bootstrap and sweep, which the
+    exact CI replaced; they are retired, not reused, so `raw.csv` pairs as it always did.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, _STRATEGY_CODE[strategy])))
-
-
-def analysis_rng(seed: int, strategy: Strategy) -> np.random.Generator:
-    return _stream(seed, 1, strategy)
-
-
-def sweep_rng(seed: int, strategy: Strategy) -> np.random.Generator:
-    return _stream(seed, 2, strategy)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
 
 
 def instance_repetitions(total: int, instances: int) -> list[int]:
@@ -107,7 +99,11 @@ class Report:
 
     @property
     def overall_verdict(self) -> Verdict:
-        verdicts = {r.verdict for r in self.results}
+        """Duet's verdict when duet ran, the others being comparisons; else any regression, then any inconclusive.
+
+        Independent in particular is fooled by the platform drift that duet cancels.
+        """
+        verdicts = {r.verdict for r in self.results if r.strategy is Strategy.DUET} or {r.verdict for r in self.results}
         if Verdict.REGRESSION in verdicts:
             return Verdict.REGRESSION
         if Verdict.INCONCLUSIVE in verdicts:
@@ -134,23 +130,17 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor
     return merged[np.lexsort((merged.repetition, merged.instance_id))]  # stable: in-repetition order kept
 
 
-# Strategies analysed side by side filter and pair one at a time, so only their bootstraps and sweeps overlap:
-# two filtered copies of large sets never sit in memory at once.
-_PAIRING = threading.Lock()
-
-
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.strategy
-    with _PAIRING:
-        samples = pair_measurements(filter_cold_starts(mset), scheme=cfg.pairing, rng=_stream(cfg.seed, 3, strategy))
-    ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, analysis_rng(cfg.seed, strategy), min_samples=cfg.min_samples)
+    samples = pair_measurements(filter_cold_starts(mset), scheme=cfg.pairing, rng=_pairing_rng(cfg.seed, strategy))
+    ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, min_samples=cfg.min_samples)
     sweep = None
     if cfg.run_sweep:
         # cold filtering may leave fewer pairs than the configured stop
         sweep = sweep_sample_size(
             samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step, cfg.ci_level, cfg.resamples,
-            sweep_rng(cfg.seed, strategy), min_samples=cfg.min_samples,
+            min_samples=cfg.min_samples,
         )
     return StrategyResult(
         strategy=strategy,
@@ -165,53 +155,19 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     )
 
 
-def _analyze_all(sets: Sequence[MeasurementSet], cfg: ExperimentConfig) -> list[StrategyResult]:
-    """`analyze_measurement_set` of each set, in order.
-
-    Callers pass at most one set per strategy: `ExperimentConfig` refuses a repeated strategy and
-    `load_raw_csv` groups by strategy. On two or more usable cores each set gets its own thread, this one
-    taking the first: three bootstraps on two cores finish sooner on three threads than on two, where the
-    third would run alone. On one usable core this thread analyses the sets in turn. Every analysis stream
-    is keyed by (seed, purpose, strategy), so results are the same bits on any number of threads. The first
-    failure in set order is raised once every helper has stopped.
-    """
-    if available_cores() < 2:
-        return [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
-    outcomes: list[Any] = [None] * len(sets)  # each set's result, or what its analysis raised
-
-    def work(i: int) -> None:
-        try:
-            outcomes[i] = analyze_measurement_set(sets[i], cfg=cfg)
-        except BaseException as exc:  # raised again on the calling thread
-            outcomes[i] = exc
-
-    helpers = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, len(sets))]
-    for helper in helpers:
-        helper.start()
-    try:
-        work(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return outcomes
-
-
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run every configured strategy and assemble the report.
 
     A live gate opens one executor, and so forks its duet workers at most
     once, for all strategies and instances. It closes the executor before
-    analysing, so no analysis thread runs beside the pinned workers.
+    analysing, so no analysis runs beside the pinned workers.
     """
     started = datetime.now(timezone.utc).isoformat()
     specs = cfg.specs()
     live = cfg.backend is Backend.LIVE
     with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
         sets = [_run_one_strategy(cfg, strategy, specs, executor) for strategy in cfg.strategies]
-    results = _analyze_all(sets, cfg)
+    results = [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
 
@@ -326,8 +282,8 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
 
     Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
     skipped. An integer cell is an optional sign and ASCII digits, with optional surrounding spaces, within
-    int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell raises
-    ValueError, a label other than the two PairingError.
+    int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell, and any cell that
+    ends in a NUL character, raises ValueError, a label other than the two PairingError.
     """
     parts: dict[int, list[dict[str, np.ndarray]]] = {}  # strategy code: its columns of each chunk
     with open(path, newline="", encoding="utf-8") as fh:
@@ -342,12 +298,9 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
         usecols = [header[name] for name in RAW_CSV_COLUMNS]
         # The rows after the header become columns a chunk at a time, split by strategy at once, so few rows
         # are ever alive.
-        while True:
-            chunk = _read_chunk(fh, dtype, usecols)
-            for code, columns in _raw_columns(chunk, labels):
+        while lines := _next_lines(fh):
+            for code, columns in _raw_columns(_read_chunk(lines, dtype, usecols), labels):
                 parts.setdefault(code, []).append(columns)
-            if len(chunk) < _CHUNK_ROWS:
-                break
     if not parts:
         raise BenchmarkError(f"no measurements found in {path}")
     grouped = {}
@@ -358,24 +311,41 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
     return grouped
 
 
-# raw.csv rows read at a time. Loading 48 000 rows on one core (best of 40 interleaved loads), 256-row chunks take
+# raw.csv lines read at a time. Loading 48 000 rows on one core (best of 40 interleaved loads), 256-row chunks take
 # 33 ms, 512 27 ms, 1 024 24 ms and 2 048 to 4 096 23 ms, as each loadtxt call has a fixed cost; the Python-level
 # (tracemalloc) peak above the result grows with the chunk: 0.13 MiB at 256 rows, 0.16 at 512, 0.23 at 1 024,
-# 0.27 at 2 048 and 0.81 at 4 096.
+# 0.27 at 2 048 and 0.81 at 4 096. (Measured with loadtxt reading the file; fed the lines of 1 024 rows and
+# checked for NUL, a load takes as long and peaks at 0.10 MiB.)
 _CHUNK_ROWS = 1024
 _INT_COLUMNS = ("duration_ns", "instance_id", "repetition")
+# A NUL that ends a cell: numpy drops trailing NULs from its strings, so `A\x00` would read as label A.
+_CELL_ENDING_IN_NUL = re.compile(r'\x00(?=[,"\r\n]|\Z)')
 
 
-def _read_chunk(fh: IO[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
-    """The next `_CHUNK_ROWS` rows of `fh`, or the rest, one `dtype` record each; ValueError names a bad cell."""
+def _next_lines(fh: IO[str]) -> list[str]:
+    """The next `_CHUNK_ROWS` lines of `fh`, on to the end of a quoted cell they open; ValueError on a NUL cell end."""
+    lines = list(itertools.islice(fh, _CHUNK_ROWS))
+    text = "".join(lines)
+    quotes = text.count('"')
+    while quotes % 2 and (line := fh.readline()):  # a quoted label may hold a line break
+        lines.append(line)
+        text += line
+        quotes += line.count('"')
+    if "\x00" in text and _CELL_ENDING_IN_NUL.search(text):  # the plain scan is the cheaper test
+        raise ValueError("raw csv has a cell that ends in a NUL character")
+    return lines
+
+
+def _read_chunk(lines: list[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
+    """The rows of `lines`, one `dtype` record each; ValueError names a bad cell."""
     try:
-        # loadtxt warns of a blank line and of a call that finds no row, both expected here. catch_warnings
-        # swaps the warning filters of the whole process, which is safe because a file is loaded before any
-        # analysis thread starts.
+        # loadtxt warns of a blank line and of lines that hold no row, both expected here. catch_warnings
+        # swaps the warning filters of the whole process, which is safe because a load runs on one thread
+        # and duetbench starts no other.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
-                              max_rows=_CHUNK_ROWS, ndmin=1)
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                              ndmin=1)
     except ValueError as exc:
         message = str(exc)
     if bad := re.fullmatch(r"could not convert string (.*) to int64 at row \d+, column (\d+)\.", message, re.S):
@@ -423,7 +393,7 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     cfg = ExperimentConfig(seed=seed, **settings)
     started = datetime.now(timezone.utc).isoformat()
     grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
-    results = _analyze_all([grouped[s] for s in sorted(grouped, key=_STRATEGY_CODE.get)], cfg)
+    results = [analyze_measurement_set(grouped[s], cfg=cfg) for s in sorted(grouped, key=_STRATEGY_CODE.get)]
     finished = datetime.now(timezone.utc).isoformat()
     config = {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

@@ -27,7 +27,7 @@ from duetbench.analysis import (
     sweep_sample_size,
 )
 from duetbench.executor import DuetExecutor
-from duetbench.harness import ExperimentConfig, analysis_rng, run_experiment, summary_dict, sweep_rng
+from duetbench.harness import ExperimentConfig, run_experiment, summary_dict
 from duetbench.measurement import Backend, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.strategies import (
@@ -87,9 +87,8 @@ def test_bootstrap_coverage_of_normal_median():
     hits = 0
     trials = 500
     for ss in np.random.SeedSequence(424242).spawn(trials):
-        gen = np.random.default_rng(ss)
-        data = gen.normal(5.0, 1.0, size=500)
-        ci = bootstrap_ci(data, 0.99, 10_000, gen)
+        data = np.random.default_rng(ss).normal(5.0, 1.0, size=500)
+        ci = bootstrap_ci(data, 0.99, 10_000)
         hits += ci.lower_pct <= 5.0 <= ci.upper_pct
     elapsed = time.perf_counter() - t0
     _report(
@@ -139,7 +138,7 @@ def test_simulated_injected_regression_detected():
 def test_small_sample_width_simulated():
     samples = _duet_pairs(seed=7, repetitions=101)  # first pair is cold-filtered
     assert len(samples) == 100
-    ci = bootstrap_ci(samples, 0.99, 10_000, analysis_rng(7, Strategy.DUET))
+    ci = bootstrap_ci(samples, 0.99, 10_000)
     median = float(np.median(samples))
     bound = 0.02 * abs(median + 100.0)
     _report(
@@ -160,7 +159,7 @@ def test_small_sample_width_live_duet():
         live = LiveInstance(executor, seed=1)
         mset = run_duet((spec_a, spec_b), live, 100)
     samples = pair_measurements(filter_cold_starts(mset))
-    ci = bootstrap_ci(samples, 0.99, 10_000, analysis_rng(1, Strategy.DUET))
+    ci = bootstrap_ci(samples, 0.99, 10_000)
     elapsed = time.perf_counter() - t0
     ok = ci.width_pp <= 2.0
     print(f"[acceptance] live duet A/A with 100 repetitions stays within 2 pp: "
@@ -195,15 +194,12 @@ def test_sweep_shape_and_small_sample_advantage():
 
     duet_pairs = next(r.samples for r in report.results if r.strategy is Strategy.DUET)
     indep_pairs = next(r.samples for r in report.results if r.strategy is Strategy.INDEPENDENT)
-    duet_100 = bootstrap_ci(duet_pairs[:100], 0.99, 10_000, sweep_rng(0, Strategy.DUET)).width_pp
-    indep_1500 = bootstrap_ci(indep_pairs[:1500], 0.99, 10_000, sweep_rng(0, Strategy.INDEPENDENT)).width_pp
+    duet_100 = bootstrap_ci(duet_pairs[:100], 0.99, 10_000).width_pp
+    indep_1500 = bootstrap_ci(indep_pairs[:1500], 0.99, 10_000).width_pp
 
     down = 0
     for seed in range(50):
-        series = dict(sweep_sample_size(
-            _duet_pairs(seed=seed, repetitions=101), 50, 100, 50, 0.99, 10_000,
-            sweep_rng(seed, Strategy.DUET),
-        ))
+        series = dict(sweep_sample_size(_duet_pairs(seed=seed, repetitions=101), 50, 100, 50, 0.99, 10_000))
         down += series[100] <= series[50]
     elapsed = time.perf_counter() - t0
 
@@ -252,7 +248,7 @@ def test_end_to_end_determinism_byte_identical():
 def test_correlated_cancellation_exact_zero():
     model = VariabilityModel(duet_jitter_cv=0.0)  # fully shared draws
     samples = _duet_pairs(seed=5, repetitions=101, model=model)
-    ci = bootstrap_ci(samples, 0.99, 10_000, analysis_rng(5, Strategy.DUET))
+    ci = bootstrap_ci(samples, 0.99, 10_000)
     ok = (
         len(samples) == 100
         and (samples == 0.0).all()

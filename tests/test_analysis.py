@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import duetbench.analysis
 from conftest import make_measurement
 from duetbench.analysis import (
     ConfidenceInterval,
@@ -101,27 +100,27 @@ def test_percentile_shift_equivariance(values, shift, level):
 
 
 def test_bootstrap_degenerate_distribution():
-    ci = bootstrap_ci([4.2] * 60, 0.99, 1000, rng=0)
+    ci = bootstrap_ci([4.2] * 60, 0.99, 1000)
     assert (ci.lower_pct, ci.upper_pct, ci.width_pp) == (4.2, 4.2, 0.0)
 
 
 def test_bootstrap_seed_determinism():
+    # no resample is drawn, so the bounds depend on the data alone: not on a seed, a call or `resamples`
     data = np.random.default_rng(7).normal(0, 1, 200)
-    a = bootstrap_ci(data, 0.99, 2000, rng=42)
-    b = bootstrap_ci(data, 0.99, 2000, rng=42)
-    assert a == b
+    a = bootstrap_ci(data, 0.99, 2000)
+    assert bootstrap_ci(data, 0.99, 2000) == a == bootstrap_ci(data, 0.99, 1_000_000)
 
 
 def test_bootstrap_preconditions():
     with pytest.raises(InsufficientSamplesError):
-        bootstrap_ci(list(range(49)), 0.99, 1000, rng=0)
+        bootstrap_ci(list(range(49)), 0.99, 1000)
     with pytest.raises(EmptySamplesError):
-        bootstrap_ci([], 0.99, 1000, rng=0, min_samples=0)
+        bootstrap_ci([], 0.99, 1000, min_samples=0)
     with pytest.raises(ValueError):
-        bootstrap_ci(list(range(100)), 0.99, 999, rng=0)
+        bootstrap_ci(list(range(100)), 0.99, 999)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            bootstrap_ci(np.array([1.0] * 60 + [bad]), 0.99, 1000, rng=0)
+            bootstrap_ci(np.array([1.0] * 60 + [bad]), 0.99, 1000)
 
 
 def test_bootstrap_shift_equivariance_same_index_sequence():
@@ -129,8 +128,8 @@ def test_bootstrap_shift_equivariance_same_index_sequence():
     # shift moves both bounds exactly
     data = list(np.random.default_rng(3).normal(5, 2, 101))
     shift = 17.0
-    a = bootstrap_ci(data, 0.95, 1000, rng=9)
-    b = bootstrap_ci([v + shift for v in data], 0.95, 1000, rng=9)
+    a = bootstrap_ci(data, 0.95, 1000)
+    b = bootstrap_ci([v + shift for v in data], 0.95, 1000)
     assert b.lower_pct == pytest.approx(a.lower_pct + shift, abs=1e-9)
     assert b.upper_pct == pytest.approx(a.upper_pct + shift, abs=1e-9)
 
@@ -138,13 +137,54 @@ def test_bootstrap_shift_equivariance_same_index_sequence():
 def test_bootstrap_width_nonnegative_and_bounds_ordered():
     for seed in range(5):
         data = np.random.default_rng(seed).normal(0, 3, 120)
-        ci = bootstrap_ci(data, 0.99, 1000, rng=seed)
+        ci = bootstrap_ci(data, 0.99, 1000)
         assert ci.lower_pct <= ci.upper_pct
         assert ci.width_pp >= 0.0
 
 
+def _bits(ci):
+    return np.array([ci.lower_pct, ci.upper_pct]).view(np.int64).tolist()
+
+
+def _every_resample_median(values):
+    """np.median of each of the n**n resamples of `values`, one leading draw at a time."""
+    n = len(values)
+    rest = np.indices((n,) * (n - 1)).reshape(n - 1, -1).T
+    return np.concatenate([np.median(values[np.column_stack([np.full(len(rest), first), rest])], axis=1)
+                           for first in range(n)])
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("data", ["distinct", "ties"])
+def test_bootstrap_equals_the_trimmed_medians_of_every_resample(n, data):
+    # The exact CI is the percentile bootstrap over all n**n equally likely resamples, bit for bit, at every
+    # level whose tail holds a whole number of them.
+    values = np.random.default_rng(n).normal(0.5, 3.0, n)
+    if data == "ties":
+        values = np.round(values)[[0, 0, *range(2, n)]]  # a pair of equal values, and whatever rounding ties
+    medians = _every_resample_median(values)
+    for share in (0.25, 0.05, 0.005, 0.001):
+        tail = max(1, round(n**n * share))  # resamples trimmed from each end
+        level = 1 - 2 * tail / n**n
+        want = percentile_interval(medians, level)
+        got = bootstrap_ci(values, level, 1000, min_samples=1)
+        assert _bits(got) == _bits(want), (share, level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0]), min_size=50, max_size=400),
+       seed=st.integers(0, 2**32 - 1), level=st.sampled_from([0.90, 0.95, 0.99]))
+def test_bootstrap_bounds_do_not_change_when_the_samples_are_permuted(values, seed, level):
+    shuffled = np.random.default_rng(seed).permutation(values)
+    got, want = bootstrap_ci(shuffled, level, 1000), bootstrap_ci(values, level, 1000)
+    # == and not _bits: with both -0.0 and +0.0 present, which of the equal zeros sorts first is the order's choice
+    assert (got.lower_pct, got.upper_pct) == (want.lower_pct, want.upper_pct)
+    if not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in values):
+        assert _bits(got) == _bits(want)
+
+
 def gathered_median_ci(values, level, resamples, gen):
-    """The float-gathering bootstrap: np.median of values[idx] in 2 000-row chunks."""
+    """The Monte Carlo bootstrap: np.median of values[idx] in 2 000-row chunks."""
     values = np.asarray(values, dtype=float)
     medians = np.empty(resamples)
     for done in range(0, resamples, 2_000):
@@ -154,65 +194,22 @@ def gathered_median_ci(values, level, resamples, gen):
     return percentile_interval(medians, level)
 
 
-def _bits(ci):
-    return np.array([ci.lower_pct, ci.upper_pct]).view(np.int64).tolist()
-
-
-@pytest.mark.parametrize("n, data, level, resamples", [
-    (50, "normal", 0.99, 10_000),
-    (51, "normal", 0.95, 1_001),
-    (1_500, "ties", 0.99, 1_001),
-    (1_501, "normal", 0.9, 1_000),
-    (60, "equal", 0.95, 1_000),
-    (32_767, "normal", 0.99, 1_000),
-    (32_768, "ties", 0.9, 1_000),
-])
-def test_bootstrap_matches_gathered_median_bit_for_bit(n, data, level, resamples):
+@pytest.mark.parametrize("n, data", [(100, "normal"), (101, "normal"), (100, "ties")])
+def test_bootstrap_lies_within_seeded_monte_carlo_bounds(n, data):
     values = np.random.default_rng(n).normal(0.5, 3.0, n)
     if data == "ties":
-        values = np.round(values, 1)
-    elif data == "equal":
-        values = np.full(n, -2.75)
-    got = bootstrap_ci(values, level, resamples, np.random.default_rng(11))
-    want = gathered_median_ci(values, level, resamples, np.random.default_rng(11))
-    assert _bits(got) == _bits(want)
-
-
-def test_bootstrap_consumes_a_shared_generator_like_the_gather():
-    # sweep_sample_size hands one Generator to consecutive calls
-    values = np.random.default_rng(5).normal(0, 2, 1_501)
-    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-    for n in (1_500, 1_501):
-        got = bootstrap_ci(values[:n], 0.99, 1_001, ours)
-        assert _bits(got) == _bits(gathered_median_ci(values[:n], 0.99, 1_001, theirs))
-    assert ours.integers(1 << 62) == theirs.integers(1 << 62)
-
-
-@settings(max_examples=40, deadline=None)
-@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=50, max_size=300))
-def test_bootstrap_matches_gathered_median_on_any_finite_data(values):
-    with np.errstate(over="ignore"):
-        got = bootstrap_ci(values, 0.95, 1_000, np.random.default_rng(0))
-        want = gathered_median_ci(values, 0.95, 1_000, np.random.default_rng(0))
-    # == and not _bits: with both -0.0 and +0.0 present, which zero a
-    # partition lands on is the sort's choice, and the two zeros are equal
-    assert (got.lower_pct, got.upper_pct) == (want.lower_pct, want.upper_pct)
-    if not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in values):
-        assert _bits(got) == _bits(want)
-
-
-def test_bootstrap_chunk_size_does_not_change_bounds(monkeypatch):
-    values = np.random.default_rng(2).normal(0, 1, 80)
-    default = bootstrap_ci(values, 0.99, 1_000, rng=4)
-    monkeypatch.setattr(duetbench.analysis, "_CHUNK_BYTES", 1)  # one row per chunk
-    assert _bits(bootstrap_ci(values, 0.99, 1_000, rng=4)) == _bits(default)
+        values = np.round(values)
+    exact = bootstrap_ci(values, 0.99, 10_000)
+    runs = [gathered_median_ci(values, 0.99, 10_000, np.random.default_rng(seed)) for seed in range(20)]
+    assert min(r.lower_pct for r in runs) <= exact.lower_pct <= max(r.lower_pct for r in runs)
+    assert min(r.upper_pct for r in runs) <= exact.upper_pct <= max(r.upper_pct for r in runs)
 
 
 def test_bootstrap_memory_stays_small_at_large_n():
     values = np.random.default_rng(8).normal(0, 1, 8_000)
     tracemalloc.start()
     try:
-        bootstrap_ci(values, 0.99, 1_000, rng=1)
+        bootstrap_ci(values, 0.99, 1_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,22 +218,23 @@ def test_bootstrap_memory_stays_small_at_large_n():
 
 def test_sweep_point_counts_and_prefix_semantics():
     data = list(np.random.default_rng(0).normal(0, 1, 200))
-    series = sweep_sample_size(data, 50, 200, 50, 0.95, 1000, rng=1)
+    series = sweep_sample_size(data, 50, 200, 50, 0.95, 1000)
     assert [n for n, _ in series] == [50, 100, 150, 200]
-    single = sweep_sample_size(data, 50, 50, 5, 0.95, 1000, rng=1)
+    assert series == [(n, bootstrap_ci(data[:n], 0.95, 1000).width_pp) for n in (50, 100, 150, 200)]
+    single = sweep_sample_size(data, 50, 50, 5, 0.95, 1000)
     assert len(single) == 1 and single[0][0] == 50
 
 
 def test_sweep_errors():
     data = list(range(100))
     with pytest.raises(ValueError):
-        sweep_sample_size(data, 50, 100, 0, 0.95, 1000, rng=0)
+        sweep_sample_size(data, 50, 100, 0, 0.95, 1000)
     with pytest.raises(SweepRangeError):
-        sweep_sample_size(data, 50, 101, 5, 0.95, 1000, rng=0)
+        sweep_sample_size(data, 50, 101, 5, 0.95, 1000)
     with pytest.raises(InsufficientSamplesError):
-        sweep_sample_size(data, 10, 100, 5, 0.95, 1000, rng=0)
+        sweep_sample_size(data, 10, 100, 5, 0.95, 1000)
     with pytest.raises(SweepRangeError):
-        sweep_sample_size(data, 90, 60, 5, 0.95, 1000, rng=0)
+        sweep_sample_size(data, 90, 60, 5, 0.95, 1000)
 
 
 def test_verdict_rules():

@@ -162,6 +162,8 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     pytest.param({5: "sundial"}, id="unknown-clock"),
     pytest.param({0: "solo"}, id="unknown-strategy"),
     pytest.param(None, id="short-row"),
+    pytest.param({3: "A\x00"}, id="version-ends-in-nul"),  # numpy drops a trailing NUL: this read as label A
+    pytest.param({6: "true\x00"}, id="cold-ends-in-nul"),
 ])
 def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
     # one cell of the cold row (or the row cut short) is corrupted: exit 2 with the JSON error, never a verdict
@@ -199,9 +201,12 @@ def _widths(path):
 
 def test_analyze_uses_the_archived_settings(tmp_path, capsys):
     run = tmp_path / "run"
-    assert main(["run", "--seed", "7", "--resamples", "1000", "--repetitions", "300", "--out", str(run)]) == EXIT_INCONCLUSIVE
+    # duet decides the exit code and is inconclusive at +1 %; the random pairing makes the bounds depend on the seed
+    gate = ["--regression-pct", "1.0", "--pairing", "random"]
+    assert main(["run", "--seed", "7", "--resamples", "1000", "--repetitions", "300", *gate, "--out", str(run)]) \
+        == EXIT_INCONCLUSIVE
     archived = _widths(run / "summary.json")
-    # no flag given: seed 7 and 1 000 resamples come from summary.json, not run's defaults
+    # no flag given: seed 7, 1 000 resamples and the pairing come from summary.json, not run's defaults
     assert main(["analyze", str(run / "raw.csv"), "--out", str(tmp_path / "again")]) == EXIT_INCONCLUSIVE
     assert _widths(tmp_path / "again" / "summary.json") == archived
     # a re-analysis archives the same settings, so it re-analyses alike
@@ -215,7 +220,8 @@ def test_analyze_uses_the_archived_settings(tmp_path, capsys):
     bare = tmp_path / "bare"
     bare.mkdir()
     (bare / "raw.csv").write_bytes((run / "raw.csv").read_bytes())
-    args = ["analyze", str(bare / "raw.csv"), "--seed", "7", "--resamples", "1000", "--out", str(tmp_path / "flags")]
+    args = ["analyze", str(bare / "raw.csv"), "--seed", "7", "--resamples", "1000", "--pairing", "random",
+            "--out", str(tmp_path / "flags")]
     assert main(args) == EXIT_INCONCLUSIVE
     assert _widths(tmp_path / "flags" / "summary.json") == archived
 

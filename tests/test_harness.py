@@ -18,6 +18,7 @@ import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.analysis import Verdict
+from duetbench.config import ALL_STRATEGIES
 from duetbench.errors import BenchmarkError, ConfigError, PairingError
 from duetbench.executor import DuetExecutor
 from duetbench.harness import (
@@ -29,7 +30,7 @@ from duetbench.harness import (
     reanalyze_raw,
     run_experiment,
 )
-from duetbench.measurement import CLOCKS, Backend, ClockMode, Strategy
+from duetbench.measurement import CLOCKS, Backend, ClockMode, Pairing, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.workloads import WorkloadKind, WorkResult
 
@@ -300,6 +301,37 @@ def test_reanalysis_reproduces_cis_exactly(tmp_path):
         assert result.verdict == orig[result.strategy].verdict
 
 
+def _fingerprint(result):
+    bits = np.array([result.ci.lower_pct, result.ci.upper_pct, result.median_change_pct]).view(np.int64).tolist()
+    return (result.strategy, bits, result.verdict, result.samples.tobytes(), result.sweep,
+            result.pairs_before_filter, result.pairs_after_filter)
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+def test_reanalysis_reproduces_every_result_bit_for_bit(tmp_path, pairing):
+    sweep = dict(run_sweep=True, sweep_start=50, sweep_stop=200, sweep_step=50)
+    cfg = ExperimentConfig(strategies=ALL_STRATEGIES, seed=23, pairing=pairing, **FAST, **sweep)
+    report = run_experiment(cfg)
+    assert [r.strategy for r in report.results] == list(ALL_STRATEGIES) and all(r.sweep for r in report.results)
+    again = reanalyze_raw(emit_report(report, tmp_path, ())["raw_csv"], seed=cfg.seed, resamples=cfg.resamples,
+                          pairing=pairing, **sweep)
+    assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))
+
+
+@pytest.mark.parametrize("verdicts, overall", [
+    ({"independent": "regression", "rmit": "inconclusive", "duet": "pass"}, "pass"),
+    ({"independent": "pass", "rmit": "pass", "duet": "inconclusive"}, "inconclusive"),
+    ({"duet": "regression", "rmit": "pass"}, "regression"),
+    ({"independent": "inconclusive", "rmit": "regression"}, "regression"),
+    ({"independent": "pass", "rmit": "inconclusive"}, "inconclusive"),
+    ({"independent": "pass", "rmit": "pass"}, "pass"),
+])
+def test_the_overall_verdict_is_duets_when_duet_ran(verdicts, overall):
+    report = run_experiment(ExperimentConfig(strategies=tuple(map(Strategy, verdicts)), seed=4, **FAST))
+    report.results = [dataclasses.replace(r, verdict=Verdict(verdicts[r.strategy.value])) for r in report.results]
+    assert report.overall_verdict is Verdict(overall)
+
+
 def test_config_from_file_with_overrides(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
@@ -371,6 +403,22 @@ def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
         cells = [[strategy.value, str(i), str(rep), labels[v], str(d), CLOCKS[c].value, "true" if cold else "false",
                   "" if pos < 0 else str(pos)] for i, rep, v, d, c, cold, pos in got]
         assert cells == [list(row.values()) for row in expected[strategy.value]]
+
+
+def test_load_raw_csv_reads_a_label_line_break_that_a_chunk_ends_in(tmp_path):
+    labels = ("A", "x\r\ny")  # a pair takes three lines, so some chunk of _CHUNK_ROWS lines ends inside a label
+    cfg = ExperimentConfig(strategies=(Strategy.DUET,), seed=3, repetitions=700, instances=1, resamples=1000,
+                           backend=Backend.SIMULATED, baseline_label=labels[0], candidate_label=labels[1])
+    report = run_experiment(cfg)
+    measured = report.results[0].measurements
+    path = emit_report(report, tmp_path, ())["raw_csv"]
+    data = path.read_bytes().decode("utf-8").splitlines(keepends=True)[1:]
+    chunk = duetbench.harness._CHUNK_ROWS
+    assert any(data[end - 1].endswith('"x\r\n') for end in range(chunk, len(data), chunk))
+    loaded = load_raw_csv(path, labels)[Strategy.DUET]
+    assert loaded.version_labels == labels
+    assert loaded.version.tolist() == measured.version.tolist()
+    assert loaded.duration_ns.tolist() == measured.duration_ns.tolist()
 
 
 _LONG_LABELS = st.tuples(st.text('ab"\r\n, é漢', min_size=40, max_size=40), st.text('ab"\r\n, é漢', max_size=4))

@@ -18,6 +18,6 @@ def test_summary_and_sweep_csv_digests_are_pinned(tmp_path):
     written = emit_report(run_experiment(cfg), tmp_path, ("csv",))
     digests = {name: hashlib.sha256(written[name].read_bytes()).hexdigest() for name in ("summary_csv", "sweep_csv")}
     assert digests == {
-        "summary_csv": "a8ea0bb98b86d2d1c4624125ffb2c4d105500eebabc737fcbb2792f68fa75a98",
-        "sweep_csv": "b926e89d0958f85e2f7d1111368c9989567e586c1fc0aaa5004f995abb20c523",
+        "summary_csv": "ceba334a52a34427e35f22b8c4eac74da1a3e1a3ea481b803eeca8f1addf49ba",
+        "sweep_csv": "dd61b92baa8a5451dcd46c4f7bd11f2cbc717cb38ece321700d7c3823627461c",
     }
