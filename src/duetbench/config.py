@@ -176,6 +176,9 @@ class ExperimentConfig:
                 raise ConfigError(f"strategy {strategy.value!r} is given more than once")
         if self.baseline_label == self.candidate_label:
             raise ConfigError("baseline and candidate labels must differ")
+        for label in (self.baseline_label, self.candidate_label):
+            if label.endswith("\x00"):  # raw.csv could not be read back: numpy drops a cell's trailing NULs
+                raise ConfigError(f"label {label!r} ends in a NUL character")
 
     def specs(self) -> tuple[WorkloadSpec, WorkloadSpec]:
         return (

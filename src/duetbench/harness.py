@@ -218,10 +218,10 @@ def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = 
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
 
-    with open(out / "raw.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(RAW_CSV_COLUMNS)
+    with open(out / "raw.csv", "wb") as fh:
+        fh.write((",".join(RAW_CSV_COLUMNS) + "\r\n").encode())
         for r in report.results:
-            fh.writelines(_raw_lines(r.measurements))
+            _write_raw(fh, r.measurements)
     written["raw_csv"] = out / "raw.csv"
     summary = summary_dict(report)
     if "json" in formats:
@@ -239,26 +239,53 @@ def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = 
     return written
 
 
-def _raw_lines(m: MeasurementSet) -> Iterable[str]:
-    """raw.csv's lines of one set, cells in RAW_CSV_COLUMNS order, as `csv.writer` writes them.
+def _write_raw(fh: IO[bytes], m: MeasurementSet) -> None:
+    """Append raw.csv's lines of `m` to `fh` as `csv.writer` writes them: CRLF line ends, only labels quoted.
 
-    Only a label can need quoting; the csv module quotes each label once, every other cell is written as is.
+    A chunk of rows becomes one byte matrix with a column per row and a row per byte position: the byte rows of each
+    cell in turn, every cell but the first led by its comma. A mask of the same shape keeps each cell's own bytes.
     """
-    labels = [_csv_cell(label) for label in m.version_labels]
-    return map(
-        _RAW_LINE,
-        itertools.repeat(m.strategy.value, len(m)),
-        m.instance_id.tolist(),
-        m.repetition.tolist(),
-        _cells(labels, m.version),
-        m.duration_ns.tolist(),
-        _cells(_CLOCK_CELLS, m.clock_mode),
-        _cells(_COLD_CELLS, m.cold.astype(np.int8)),
-        _cells(_ORDER_CELLS, m.order_position + 1),
-    )
+    head = _byte_table([m.strategy.value])
+    labels = _byte_table([f",{_csv_cell(label)}" for label in m.version_labels])
+    for start in range(0, len(m), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        tail = (m.clock_mode[rows] * 2 + m.cold[rows]) * 3 + m.order_position[rows] + 1
+        parts = [_pick(head, np.zeros(len(tail), np.intp)), _digits(m.instance_id[rows]), _digits(m.repetition[rows]),
+                 _pick(labels, m.version[rows]), _digits(m.duration_ns[rows]), _pick(_TAIL_CELLS, tail)]
+        matrix, keep = map(np.concatenate, zip(*parts))
+        fh.write(matrix.T[keep.T])
 
 
-_RAW_LINE = "{},{},{},{},{},{},{},{}\r\n".format  # str.format writes an int as str() does, as csv.writer does
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 `values` as `_write_raw` cells: a comma, a sign and right-aligned decimal digits, one row each."""
+    magnitude = values.view(np.uint64)
+    magnitude = np.where(values < 0, -magnitude, magnitude)  # wraps, so -2**63 gives 2**63
+    width = len(str(int(magnitude.max())))
+    out = np.empty((width + 2, len(values)), np.uint8)
+    out[0], out[1] = ord(","), ord("-")
+    for row in range(width + 1, 1, -1):
+        rest = magnitude // 10
+        out[row] = magnitude - rest * 10
+        magnitude = rest
+    keep = np.ones(out.shape, bool)
+    keep[1] = values < 0
+    np.logical_or.accumulate(out[2:] != 0, axis=0, out=keep[2:])  # no leading zero
+    keep[-1] = True  # the one digit of 0
+    out[2:] += ord("0")
+    return out, keep
+
+
+def _byte_table(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """`cells` in UTF-8, one NUL-padded row each, and the mask of each row's own bytes."""
+    encoded = [cell.encode() for cell in cells]
+    width = max(map(len, encoded))
+    table = np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    return table, np.arange(width) < np.array([len(b) for b in encoded])[:, None]
+
+
+def _pick(table: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a byte table and of its mask at `index`, as `_write_raw` lays a cell out: a row per byte."""
+    return table[0].take(index, axis=0).T, table[1].take(index, axis=0).T
 
 
 def _csv_cell(text: str) -> str:
@@ -311,11 +338,13 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
     return grouped
 
 
-# raw.csv lines read at a time. Loading 48 000 rows on one core (best of 40 interleaved loads), 256-row chunks take
-# 33 ms, 512 27 ms, 1 024 24 ms and 2 048 to 4 096 23 ms, as each loadtxt call has a fixed cost; the Python-level
-# (tracemalloc) peak above the result grows with the chunk: 0.13 MiB at 256 rows, 0.16 at 512, 0.23 at 1 024,
-# 0.27 at 2 048 and 0.81 at 4 096. (Measured with loadtxt reading the file; fed the lines of 1 024 rows and
-# checked for NUL, a load takes as long and peaks at 0.10 MiB.)
+# raw.csv rows read or written at a time. Loading 48 000 rows on one core (best of 40 interleaved loads), 256-row
+# chunks take 33 ms, 512 27 ms, 1 024 24 ms and 2 048 to 4 096 23 ms, as each loadtxt call has a fixed cost; the
+# Python-level (tracemalloc) peak above the result grows with the chunk: 0.13 MiB at 256 rows, 0.16 at 512, 0.23 at
+# 1 024, 0.27 at 2 048 and 0.81 at 4 096. (Measured with loadtxt reading the file; fed the lines of 1 024 rows and
+# checked for NUL, a load takes as long and peaks at 0.10 MiB.) Writing those rows (`emit_report`, three 16 000-row
+# sets, best of 40 interleaved writes) takes 34 ms at 256 rows, 25 at 512, 20 at 1 024, 18 at 2 048 and 4 096, and
+# peaks at 0.13, 0.17, 0.33, 0.65 and 1.29 MiB.
 _CHUNK_ROWS = 1024
 _INT_COLUMNS = ("duration_ns", "instance_id", "repetition")
 # A NUL that ends a cell: numpy drops trailing NULs from its strings, so `A\x00` would read as label A.
@@ -378,11 +407,9 @@ _ORDER_CELLS = ("", "0", "1")  # no position, first, second
 _CLOCK_CELLS = tuple(c.value for c in CLOCKS)
 _TEXT_CELLS = {"strategy": tuple(s.value for s in Strategy), "clock_mode": _CLOCK_CELLS, "cold": _COLD_CELLS,
                "order_position": _ORDER_CELLS}  # the cells each text column but `version` may hold
-
-
-def _cells(values: Sequence[Any], index: np.ndarray) -> list[Any]:
-    """The cell of each row: `values[index]`."""
-    return np.array(values, dtype=object)[index].tolist()
+# `,clock_mode,cold,order_position` and the line end, at (clock_mode * 2 + cold) * 3 + order_position + 1
+_TAIL_CELLS = _byte_table([f",{clock},{cold},{order}\r\n" for clock in _CLOCK_CELLS for cold in _COLD_CELLS
+                           for order in _ORDER_CELLS])
 
 
 def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:

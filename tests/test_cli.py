@@ -277,6 +277,7 @@ def test_simulated_gate_and_analyze_never_import_multiprocessing(tmp_path):
     pytest.param({"repetition": 10}, [], id="unknown-key"),
     pytest.param({"pinning": "no"}, [], id="string-bool"),
     pytest.param({"labels": ["A"]}, [], id="one-label"),
+    pytest.param({"labels": ["A\u0000", "B"]}, [], id="label-ends-in-nul"),
     pytest.param({"cores": [0, 1, 2]}, [], id="three-cores"),
     pytest.param(None, ["--threshold-pct", "nan"], id="nan-flag"),
     pytest.param(None, ["--resamples", "999"], id="few-resamples"),

@@ -11,18 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
-from duetbench.analysis import Verdict
+from duetbench.analysis import ConfidenceInterval, Verdict
 from duetbench.config import ALL_STRATEGIES
 from duetbench.errors import BenchmarkError, ConfigError, PairingError
 from duetbench.executor import DuetExecutor
 from duetbench.harness import (
+    RAW_CSV_COLUMNS,
     ExperimentConfig,
+    Report,
+    StrategyResult,
     compare_strategies,
     emit_report,
     instance_repetitions,
@@ -30,7 +33,7 @@ from duetbench.harness import (
     reanalyze_raw,
     run_experiment,
 )
-from duetbench.measurement import CLOCKS, Backend, ClockMode, Pairing, Strategy
+from duetbench.measurement import CLOCKS, Backend, ClockMode, MeasurementSet, Pairing, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.workloads import WorkloadKind, WorkResult
 
@@ -353,6 +356,20 @@ def test_config_from_file_with_overrides(tmp_path):
 _LABELS = st.lists(st.text('ab"\r\n, é漢', max_size=4), min_size=2, max_size=2, unique=True)
 
 
+def _written_by_csv_writer(sets) -> bytes:
+    """The reference raw.csv of `sets`: every row through csv.writer, one cell at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold",
+                     "order_position"))
+    for mset in sets:
+        for m in mset:
+            writer.writerow([m.strategy.value, m.instance_id, m.repetition, m.version_label, m.duration_ns,
+                             m.clock_mode.value, "true" if m.cold else "false",
+                             "" if m.order_position is None else m.order_position])
+    return buf.getvalue().encode("utf-8")
+
+
 @settings(max_examples=40, deadline=None)
 @given(labels=_LABELS, seed=st.integers(0, 2**32))
 def test_raw_csv_is_what_csv_writer_writes(tmp_path_factory, labels, seed):
@@ -360,17 +377,82 @@ def test_raw_csv_is_what_csv_writer_writes(tmp_path_factory, labels, seed):
                            backend=Backend.SIMULATED, baseline_label=labels[0], candidate_label=labels[1])
     report = run_experiment(cfg)
     path = emit_report(report, tmp_path_factory.mktemp("raw"), ())["raw_csv"]
-    # the reference: every row through csv.writer, one cell at a time
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold",
-                     "order_position"))
-    for r in report.results:
-        for m in r.measurements:
-            writer.writerow([m.strategy.value, m.instance_id, m.repetition, m.version_label, m.duration_ns,
-                             m.clock_mode.value, "true" if m.cold else "false",
-                             "" if m.order_position is None else m.order_position])
-    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert path.read_bytes() == _written_by_csv_writer(r.measurements for r in report.results)
+
+
+@st.composite
+def _measurement_sets(draw, label_alphabet='ab"\r\n, é漢\x00'):
+    """One to three sets of distinct strategies, of 0 to 40 rows each, every column over its whole range."""
+    labels = tuple(draw(st.lists(st.text(label_alphabet, max_size=4), min_size=2, max_size=2, unique=True)))
+    sets = []
+    for strategy in draw(st.lists(st.sampled_from(Strategy), min_size=1, max_size=3, unique=True)):
+        rows = draw(st.integers(0, 40))
+
+        def column(least, most, dtype=np.int64):
+            return np.array(draw(st.lists(st.integers(least, most), min_size=rows, max_size=rows)), dtype)
+
+        sets.append(MeasurementSet(strategy, labels, instance_id=column(-2**63, 2**63 - 1),
+                                   repetition=column(0, 2**63 - 1), duration_ns=column(1, 2**63 - 1),
+                                   version=column(0, 1, np.int8), cold=column(0, 1, bool),
+                                   order_position=column(-1, 1, np.int8), clock_mode=column(0, 1, np.int8)))
+    return sets
+
+
+# Every extreme at once, 0 and 10 next to them, every clock, cold and order code, and a set of no rows.
+_EXTREMES = [
+    MeasurementSet(Strategy.RMIT, ('x,"y', "é\n"), instance_id=[-2**63, 0, -1, 10, 2**63 - 1, -10],
+                   repetition=[0, 10**18, 2**63 - 1, 10, 0, 1], duration_ns=[2**63 - 1, 1, 10, 100, 9, 10**18],
+                   version=[0, 1, 1, 0, 0, 1], cold=[True, False, True, False, True, False],
+                   order_position=[-1, 0, 1, -1, 0, 1], clock_mode=[0, 0, 1, 1, 0, 1]),
+    MeasurementSet(Strategy.DUET, ('x,"y', "é\n")),
+    MeasurementSet(Strategy.INDEPENDENT, ('x,"y', "é\n"), instance_id=[0], repetition=[0], duration_ns=[1],
+                   version=[1], cold=[False], order_position=[-1], clock_mode=[1]),
+]
+
+
+def _report_of(sets) -> Report:
+    ci = ConfidenceInterval(0.0, 0.0, 0.99)
+    return Report(results=[StrategyResult(m.strategy, m, 0, 0, 0.0, ci, Verdict.PASS, np.zeros(0)) for m in sets],
+                  config={}, seed=0, started_at="", finished_at="")
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=_measurement_sets())
+@example(sets=_EXTREMES)
+@example(sets=[MeasurementSet(Strategy.DUET, ("A", ""))])
+def test_raw_csv_is_what_csv_writer_writes_on_any_set(tmp_path_factory, sets):
+    path = emit_report(_report_of(sets), tmp_path_factory.mktemp("raw"), ())["raw_csv"]
+    assert path.read_bytes() == _written_by_csv_writer(sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets=_measurement_sets(label_alphabet='ab"\r\n, é漢'))
+@example(sets=_EXTREMES)
+def test_load_raw_csv_reads_back_any_set(tmp_path_factory, sets):
+    labels = sets[0].version_labels
+    path = emit_report(_report_of(sets), tmp_path_factory.mktemp("raw"), ())["raw_csv"]
+    if not any(map(len, sets)):
+        with pytest.raises(BenchmarkError, match="no measurements"):
+            load_raw_csv(path, labels)
+        return
+    loaded = load_raw_csv(path, labels)
+    assert list(loaded) == [m.strategy for m in sets if len(m)]
+    for mset in filter(len, sets):
+        for name in RAW_CSV_COLUMNS[1:]:
+            assert np.array_equal(getattr(loaded[mset.strategy], name), getattr(mset, name)), name
+
+
+def test_emit_report_writes_raw_csv_in_little_memory(tmp_path):
+    cfg = ExperimentConfig(seed=8, repetitions=8000, instances=8, resamples=1000, backend=Backend.SIMULATED)
+    report = run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        raw = emit_report(report, tmp_path, ())["raw_csv"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.read_bytes().count(b"\r\n") == 1 + 48_000
+    assert peak < 0.5 * 2**20  # 0.5 MiB; a str.format per row peaked at 1.87 MiB
 
 
 def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
