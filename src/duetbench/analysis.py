@@ -21,7 +21,9 @@ small set it gives the bits `percentile_interval` gives over their medians.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Sequence
@@ -46,6 +48,10 @@ _SLACK = 1e-9
 _LOG_CUT = -46.0
 # For even n, a resample's two middle draws lie _GAP or more ranks apart with a chance below e**-31.
 _GAP = 64
+# log k! by math.lgamma for k = 0 .. the largest n any bootstrap_ci call has asked for, shared by every call in the
+# process. It grows only to that n (8 bytes a value), under _LOG_FACT_LOCK, and is replaced, never written in place.
+_LOG_FACT = np.zeros(0)
+_LOG_FACT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,22 @@ def percentile_interval(samples: Sequence[float], level: float) -> ConfidenceInt
     return ConfidenceInterval(lower_pct=float(ordered[k]), upper_pct=float(ordered[ordered.size - 1 - k]), level=level)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n: a read-only prefix of the shared table."""
+    global _LOG_FACT
+    with _LOG_FACT_LOCK:
+        if _LOG_FACT.size <= n:
+            _LOG_FACT = np.append(_LOG_FACT, [math.lgamma(k + 1) for k in range(_LOG_FACT.size, n + 1)])
+            _LOG_FACT.flags.writeable = False
+        return _LOG_FACT[: n + 1]
+
+
+def _undecided_ranks(n: int, tail: float) -> range:
+    """The ranks I = #{x <= v} at which bootstrap_ci computes F(v); Hoeffding's bound decides the others."""
+    reach = math.sqrt(n * math.log(4 / tail) / 2)
+    return range(math.ceil(n // 2 - reach), math.floor(n // 2 + reach) + 1)
+
+
 def bootstrap_ci(
     samples: Sequence[float] | np.ndarray,
     level: float = DEFAULT_LEVEL,
@@ -136,6 +158,15 @@ def bootstrap_ci(
     where q_i = P(N_i = h) * (1 - ((i-1)/i)**h), I = #{x <= v} and
     J_i = #{j : (x_i + x_j) / 2 <= v}. Each bound is found by bisection over
     the order statistics, then over the pair means in the last gap.
+
+    A probe that Hoeffding's bound decides is not computed. A median <= v
+    needs N_I >= h and follows from N_I >= h+1, so P(N_I >= h+1) <= F(v) <=
+    P(N_I >= h); for odd n, F(v) is the left end. With d = sqrt(n ln(4/a) / 2),
+    Hoeffding (JASA 1963) gives P(N_I >= h) <= exp(-2 (h-I)**2 / n) < a/4
+    when h - I > d, and P(N_I <= h) < a/4 when I - h > d. So outside
+    `_undecided_ranks`, F(v) < a/4 or F(v) > 1 - a/4: at least 3a/4 from
+    both tests' thresholds, where the computed F strays by far less than
+    _SLACK, so both tests are False there, or both True, as on the sum.
     """
     values = np.asarray(samples, dtype=float)
     if values.size == 0:
@@ -149,22 +180,28 @@ def bootstrap_ci(
         )
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
     x = np.sort(values)
     n, half = x.size, x.size // 2
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_fact = _log_factorials(n)
     log_choose = log_fact[n] - log_fact - log_fact[::-1]
+    ks = np.arange(n + 1.0)  # k = 0..n and, read backwards, n - k
+    tail = (1.0 - level) / 2
+    undecided = _undecided_ranks(n, tail)
 
-    def log_pmf(k: Any, ranks: Any) -> Any:
-        """log P(N_ranks = k), for 0 < ranks < n."""
-        return log_choose[k] + k * np.log(ranks / n) + (n - k) * np.log((n - ranks) / n)
+    def log_pmf(k: int | slice, ranks: Any) -> Any:
+        """log P(N_ranks = k), for 0 < ranks < n and k an index or a slice of 0..n."""
+        return log_choose[k] + ks[k] * np.log(ranks / n) + ks[::-1][k] * np.log((n - ranks) / n)
 
+    @functools.cache  # the bisection over pair means probes ranks again
     def at_least(count: int, ranks: int) -> float:
         """P(N_ranks >= count)."""
-        return 1.0 if ranks == n else float(np.exp(log_pmf(np.arange(count, n + 1), ranks)).sum())
+        return 1.0 if ranks == n else float(np.exp(log_pmf(slice(count, None), ranks)).sum())
 
     if n % 2:
-        def cdf(v: float) -> float:
-            return at_least(half + 1, int(np.searchsorted(x, v, "right")))
+        def cdf(v: float, ranks: int) -> float:
+            return at_least(half + 1, ranks)
     else:
         # Only ranks i where q_i carries mass, each with its pair means up to _GAP ranks on (+inf past x_n).
         i = np.arange(1, n)
@@ -173,21 +210,24 @@ def bootstrap_ci(
         partner = np.minimum(i[:, None] - 1 + np.arange(min(_GAP, n)), n)
         means = (x[i - 1, None] + np.append(x, np.inf)[partner]) / 2
 
-        def cdf(v: float) -> float:
-            ranks = int(np.searchsorted(x, v, "right"))
-            rows = slice(0, np.searchsorted(i, ranks, "right"))  # i <= I, so J_i >= i
-            below = i[rows] - 1 + (means[rows] <= v).sum(axis=1)
-            return at_least(half, ranks) - float((q[rows] * ((n - below) / (n - i[rows])) ** (n - half)).sum())
+        def cdf(v: float, ranks: int) -> float:
+            rows = np.searchsorted(i, ranks, "right")  # i <= I, so J_i >= i
+            whole = np.searchsorted(means[:rows, -1], v, "right")  # rows ascend both ways: these lie wholly <= v
+            below = i[:rows] - 1 + np.append(np.full(whole, means.shape[1]), (means[whole:rows] <= v).sum(axis=1))
+            return at_least(half, ranks) - float((q[:rows] * ((n - below) / (n - i[:rows])) ** (n - half)).sum())
 
     def smallest(holds: Callable[[float], bool]) -> float:
         """The smallest value v a median can take with holds(F(v)); F(x_n) = 1 holds."""
-        t = bisect.bisect_left(x, True, key=lambda v: holds(cdf(v)))
+        def key(v: float) -> bool:
+            ranks = int(np.searchsorted(x, v, "right"))
+            return ranks > half if ranks not in undecided else holds(cdf(v, ranks))
+
+        t = bisect.bisect_left(x, True, key=key)
         if n % 2 or t == 0:
             return float(x[t])
         between = np.append(np.unique(means[(means > x[t - 1]) & (means < x[t])]), x[t])
-        return float(between[bisect.bisect_left(between, True, key=lambda v: holds(cdf(v)))])
+        return float(between[bisect.bisect_left(between, True, key=key)])
 
-    tail = (1.0 - level) / 2
     return ConfidenceInterval(
         lower_pct=smallest(lambda f: f > tail + _SLACK),
         upper_pct=smallest(lambda f: f >= 1.0 - tail - _SLACK),

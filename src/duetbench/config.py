@@ -177,8 +177,10 @@ class ExperimentConfig:
         if self.baseline_label == self.candidate_label:
             raise ConfigError("baseline and candidate labels must differ")
         for label in (self.baseline_label, self.candidate_label):
-            if label.endswith("\x00"):  # raw.csv could not be read back: numpy drops a cell's trailing NULs
-                raise ConfigError(f"label {label!r} ends in a NUL character")
+            if "\x00" in label:  # raw.csv could not be read back: its reader takes a NUL for the end of a cell
+                raise ConfigError(f"label {label!r} holds a NUL character")
+            if any("\ud800" <= c <= "\udfff" for c in label):  # the only code points UTF-8, raw.csv's encoding, lacks
+                raise ConfigError(f"label {label!r} holds a lone surrogate, which UTF-8 cannot encode")
 
     def specs(self) -> tuple[WorkloadSpec, WorkloadSpec]:
         return (

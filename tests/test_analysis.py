@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ci_reference
 from conftest import make_measurement
+from duetbench import analysis
 from duetbench.analysis import (
     ConfidenceInterval,
     Verdict,
+    _log_factorials,
+    _undecided_ranks,
     bootstrap_ci,
     filter_cold_starts,
     percentile_interval,
@@ -121,6 +127,9 @@ def test_bootstrap_preconditions():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             bootstrap_ci(np.array([1.0] * 60 + [bad]), 0.99, 1000)
+    for level in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="level must lie in"):
+            bootstrap_ci(list(range(100)), level, 1000)
 
 
 def test_bootstrap_shift_equivariance_same_index_sequence():
@@ -181,6 +190,80 @@ def test_bootstrap_bounds_do_not_change_when_the_samples_are_permuted(values, se
     assert (got.lower_pct, got.upper_pct) == (want.lower_pct, want.upper_pct)
     if not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in values):
         assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(50, 20_000), seed=st.integers(0, 2**32 - 1), data=st.sampled_from(["normal", "ties", "zeros"]),
+       level=st.floats(0.80, 0.999))
+@example(n=20_000, seed=1, data="normal", level=0.99)
+@example(n=19_999, seed=2, data="ties", level=0.999)
+@example(n=8_000, seed=3, data="zeros", level=0.80)
+def test_bootstrap_equals_the_reference_bit_for_bit(n, seed, data, level):
+    gen = np.random.default_rng(seed)
+    values = gen.normal(0.5, 3.0, n)
+    if data == "ties":
+        values = np.round(values)
+    elif data == "zeros":  # mostly -0.0 and +0.0, the rest ties at -1 and 1
+        values = np.round(values / 6) * gen.choice([-1.0, 1.0], n)
+    got = bootstrap_ci(values, level, 1000)
+    # the same input sorts the same way in both, so even the sign of a zero bound agrees: _bits, not ==
+    assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [50, 51, 1000, 1001, 4000, 4001])
+@pytest.mark.parametrize("level", [0.80, 0.95, 0.99, 0.999])
+def test_hoeffding_decides_only_what_the_full_sum_agrees_with(n, level):
+    tail, half = (1 - level) / 2, n // 2
+    undecided = _undecided_ranks(n, tail)
+    _, at_least = ci_reference.tables(n)
+    for ranks in range(1, n + 1):
+        # Hoeffding: P(N_I >= h) and P(N_I <= h) are each at most this, the first for I < h, the second for I > h
+        bound = math.exp(-2 * (ranks - half) ** 2 / n)
+        assert (ranks in undecided) == (bound >= tail / 4), ranks  # left to the sum are the ranks the bound leaves open
+        if ranks < undecided.start:
+            assert at_least(half, ranks) < tail / 4, ranks  # F(v) <= P(N_I >= h)
+        elif ranks >= undecided.stop:
+            assert at_least(half + 1, ranks) > 1 - tail / 4, ranks  # F(v) >= P(N_I >= h+1)
+
+
+def test_log_factorial_table_grows_only_to_the_largest_n(monkeypatch):
+    empty = np.zeros(0)
+    empty.flags.writeable = False
+    monkeypatch.setattr(analysis, "_LOG_FACT", empty)
+    values = np.random.default_rng(9).normal(0, 1, 16_000)
+    bootstrap_ci(values, 0.99, 1000)
+    bootstrap_ci(values[:60], 0.99, 1000)
+    table = analysis._LOG_FACT
+    assert not table.flags.writeable and not _log_factorials(60).flags.writeable
+    assert table.size == 16_001  # log k! for k = 0..16 000, the largest n asked for
+    assert table.tolist() == [math.lgamma(k + 1) for k in range(16_001)]
+
+
+def test_log_factorial_table_keeps_every_growth_under_threads(monkeypatch):
+    empty = np.zeros(0)
+    empty.flags.writeable = False
+    monkeypatch.setattr(analysis, "_LOG_FACT", empty)
+    sizes = [[(w * 37 + j * 101) % 3000 for j in range(40)] for w in range(8)]
+    wrong = []
+
+    def grow(ns):
+        for n in ns:
+            if _log_factorials(n).size != n + 1:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=grow, args=(ns,)) for ns in sizes]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not wrong
+    # a smaller table stored over a larger one (a lost update) would leave it short of the largest n
+    assert analysis._LOG_FACT.tolist() == [math.lgamma(k + 1) for k in range(max(map(max, sizes)) + 1)]
 
 
 def gathered_median_ci(values, level, resamples, gen):

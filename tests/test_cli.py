@@ -278,6 +278,8 @@ def test_simulated_gate_and_analyze_never_import_multiprocessing(tmp_path):
     pytest.param({"pinning": "no"}, [], id="string-bool"),
     pytest.param({"labels": ["A"]}, [], id="one-label"),
     pytest.param({"labels": ["A\u0000", "B"]}, [], id="label-ends-in-nul"),
+    pytest.param({"labels": ["a\u0000,b", "B"]}, [], id="label-holds-nul"),
+    pytest.param({"labels": ["a\ud800", "B"]}, [], id="label-not-utf8"),
     pytest.param({"cores": [0, 1, 2]}, [], id="three-cores"),
     pytest.param(None, ["--threshold-pct", "nan"], id="nan-flag"),
     pytest.param(None, ["--resamples", "999"], id="few-resamples"),
