@@ -30,7 +30,7 @@ from .errors import (
     PairingError,
     SweepRangeError,
 )
-from .executor import BarrierTrace, CorePlan, DuetExecutor, available_cores, solo_invoke, timed_run
+from .executor import BarrierTrace, CorePlan, DuetExecutor, Timing, available_cores, timed_run
 from .harness import (
     ExperimentConfig,
     Report,

@@ -177,7 +177,7 @@ class ExperimentConfig:
         if self.baseline_label == self.candidate_label:
             raise ConfigError("baseline and candidate labels must differ")
         for label in (self.baseline_label, self.candidate_label):
-            if "\x00" in label:  # raw.csv could not be read back: its reader takes a NUL for the end of a cell
+            if "\x00" in label:  # raw.csv could not be read back: its reader refuses any NUL
                 raise ConfigError(f"label {label!r} holds a NUL character")
             if any("\ud800" <= c <= "\udfff" for c in label):  # the only code points UTF-8, raw.csv's encoding, lacks
                 raise ConfigError(f"label {label!r} holds a lone surrogate, which UTF-8 cannot encode")

@@ -13,8 +13,8 @@ each worker reports its affinity mask with every result, so a pair that ran
 off its cores shows in `last_barrier`.
 
 Each invocation is timed with both per-thread CPU time and wall-clock
-timestamps; which one ends up in the Measurement is decided by the clock
-mode (duet defaults to CPU time, solo invocations to wall clock).
+timestamps; which one ends up in its `Timing` is decided by the clock mode
+(duet defaults to CPU time, solo invocations to wall clock).
 
 `multiprocessing` is imported when the first workers are spawned, so a
 process that spawns none (a simulated gate, `analyze`) never loads it.
@@ -34,7 +34,7 @@ from .errors import (
     ExecutionError,
     InsufficientCoresError,
 )
-from .measurement import ClockMode, Measurement, Strategy, default_clock
+from .measurement import ClockMode, Strategy, default_clock
 from .workloads import WorkloadSpec, WorkResult, run_workload
 
 DEFAULT_BARRIER_TIMEOUT_S = 5.0
@@ -93,6 +93,18 @@ class BarrierTrace:
     affinity_b: tuple[int, ...] | None
 
 
+@dataclass(frozen=True)
+class Timing:
+    """What one live invocation measured: its duration on `clock_mode` and the workload's result.
+
+    The strategy runner lays out the set (labels, instance, repetition, order) and keeps only these.
+    """
+
+    duration_ns: int
+    clock_mode: ClockMode
+    result: WorkResult
+
+
 def timed_run(spec: WorkloadSpec) -> tuple[WorkResult, int, int]:
     """Run one workload, returning (result, cpu_time_ns, wall_clock_ns)."""
     wall0 = time.perf_counter_ns()
@@ -101,31 +113,6 @@ def timed_run(spec: WorkloadSpec) -> tuple[WorkResult, int, int]:
     cpu_ns = time.thread_time_ns() - cpu0
     wall_ns = time.perf_counter_ns() - wall0
     return result, max(cpu_ns, 1), max(wall_ns, 1)
-
-
-def _row(spec: WorkloadSpec, clock: ClockMode, strategy: Strategy, result: WorkResult, cpu_ns: int,
-         wall_ns: int) -> Measurement:
-    """The row of one live invocation, timed on `clock`.
-
-    It carries instance 0 and repetition 0: the strategy runner lays out the
-    set and keeps only the row's duration and result. Live invocations are
-    never cold: process startup is not being measured.
-    """
-    duration = cpu_ns if clock is ClockMode.CPU_TIME else wall_ns
-    return Measurement(duration, clock, spec.version_label, strategy, 0, 0, cold=False, result=result)
-
-
-def solo_invoke(spec: WorkloadSpec, clock: ClockMode = ClockMode.WALL_CLOCK) -> Measurement:
-    """Run one workload alone in this process and time it.
-
-    Its row is an independent one of instance 0 and repetition 0; the
-    strategy runner lays out the set.
-    """
-    try:
-        timing = timed_run(spec)
-    except MemoryError as exc:
-        raise ExecutionError(f"workload exhausted resources: {exc!r}") from exc
-    return _row(spec, clock, Strategy.INDEPENDENT, *timing)
 
 
 def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
@@ -226,13 +213,11 @@ class DuetExecutor:
         spec_b: WorkloadSpec,
         *,
         clock: ClockMode | None = None,
-    ) -> tuple[Measurement, Measurement]:
+    ) -> tuple[Timing, Timing]:
         """Run both versions in parallel behind a shared start barrier.
 
-        Returns the (baseline, candidate) measurements in argument order,
-        timed with per-worker CPU time unless `clock` overrides it. Both are
-        duet rows of instance 0 and repetition 0; the strategy runner lays
-        out the set.
+        Returns the timings of (spec_a, spec_b) in argument order, on
+        per-worker CPU time unless `clock` overrides it.
         """
         self._ensure_workers()
         for conn, spec in zip(self._conns, (spec_a, spec_b)):
@@ -258,12 +243,16 @@ class DuetExecutor:
             affinity_b=pb["affinity"],
         )
         clock = clock if clock is not None else default_clock(Strategy.DUET)
-        return (_row(spec_a, clock, Strategy.DUET, pa["result"], pa["cpu_ns"], pa["wall_ns"]),
-                _row(spec_b, clock, Strategy.DUET, pb["result"], pb["cpu_ns"], pb["wall_ns"]))
+        key = "cpu_ns" if clock is ClockMode.CPU_TIME else "wall_ns"
+        return Timing(pa[key], clock, pa["result"]), Timing(pb[key], clock, pb["result"])
 
-    def solo_invoke(self, spec: WorkloadSpec, clock: ClockMode = ClockMode.WALL_CLOCK) -> Measurement:
-        """Single invocation in the coordinator process (see `solo_invoke`)."""
-        return solo_invoke(spec, clock)
+    def solo_invoke(self, spec: WorkloadSpec, clock: ClockMode = ClockMode.WALL_CLOCK) -> Timing:
+        """Run one workload alone in this process, no worker needed, and time it on `clock`."""
+        try:
+            result, cpu_ns, wall_ns = timed_run(spec)
+        except MemoryError as exc:
+            raise ExecutionError(f"workload exhausted resources: {exc!r}") from exc
+        return Timing(cpu_ns if clock is ClockMode.CPU_TIME else wall_ns, clock, result)
 
     def _recv(self, idx: int):
         conn, proc = self._conns[idx], self._procs[idx]

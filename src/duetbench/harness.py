@@ -309,8 +309,8 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
 
     Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
     skipped. An integer cell is an optional sign and ASCII digits, with optional surrounding spaces, within
-    int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell, and any cell that
-    ends in a NUL character, raises ValueError, a label other than the two PairingError.
+    int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell, and a NUL character
+    anywhere in the rows, raises ValueError, a label other than the two PairingError.
     """
     parts: dict[int, list[dict[str, np.ndarray]]] = {}  # strategy code: its columns of each chunk
     with open(path, newline="", encoding="utf-8") as fh:
@@ -347,12 +347,10 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
 # peaks at 0.13, 0.17, 0.33, 0.65 and 1.29 MiB.
 _CHUNK_ROWS = 1024
 _INT_COLUMNS = ("duration_ns", "instance_id", "repetition")
-# A NUL that ends a cell: numpy drops trailing NULs from its strings, so `A\x00` would read as label A.
-_CELL_ENDING_IN_NUL = re.compile(r'\x00(?=[,"\r\n]|\Z)')
 
 
 def _next_lines(fh: IO[str]) -> list[str]:
-    """The next `_CHUNK_ROWS` lines of `fh`, on to the end of a quoted cell they open; ValueError on a NUL cell end."""
+    """The next `_CHUNK_ROWS` lines of `fh`, on to the end of a quoted cell they open; ValueError on a NUL."""
     lines = list(itertools.islice(fh, _CHUNK_ROWS))
     text = "".join(lines)
     quotes = text.count('"')
@@ -360,8 +358,8 @@ def _next_lines(fh: IO[str]) -> list[str]:
         lines.append(line)
         text += line
         quotes += line.count('"')
-    if "\x00" in text and _CELL_ENDING_IN_NUL.search(text):  # the plain scan is the cheaper test
-        raise ValueError("raw csv has a cell that ends in a NUL character")
+    if "\x00" in text:  # no raw.csv holds one (labels may not), and numpy drops one where it cuts a cell
+        raise ValueError("raw csv holds a NUL character")
     return lines
 
 

@@ -1,12 +1,10 @@
 """Measurements: one row type, one columnar set, and the enums that tag them.
 
-A `Measurement` is one timed invocation of one workload version, the row the
-live executor returns. Those rows carry instance 0 and repetition 0: the
-strategy runner lays out the set and keeps only each row's duration and
-result. A `MeasurementSet` holds one strategy run as numpy columns;
-everything downstream (pairing, cold filtering, bootstrap analysis, CSV
-export) works on those columns, whether they came from the live executor or
-the simulated platform.
+A `MeasurementSet` holds one strategy run as numpy columns; everything
+downstream (pairing, cold filtering, bootstrap analysis, CSV export) works on
+those columns, whether they came from the live executor or the simulated
+platform. A `Measurement` is one row of a set, one timed invocation of one
+workload version, built when the set is read as a sequence.
 """
 
 from __future__ import annotations

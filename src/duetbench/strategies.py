@@ -86,13 +86,13 @@ class LiveInstance:
         the two cores then does not read as one between the versions.
         """
         if strategy is Strategy.DUET:
-            rows = []
+            timings = []
             for k in range(len(version) // 2):
-                flip = -1 if k % 2 else 1  # reverses the specs sent and the rows returned
-                rows += self.executor.duet_invoke(*specs[::flip], clock=clock)[::flip]
+                flip = -1 if k % 2 else 1  # reverses the specs sent and the timings returned
+                timings += self.executor.duet_invoke(*specs[::flip], clock=clock)[::flip]
         else:
-            rows = [self.executor.solo_invoke(specs[v], clock) for v in version.tolist()]
-        return [m.duration_ns for m in rows], np.zeros(len(rows), bool), [m.result for m in rows]
+            timings = [self.executor.solo_invoke(specs[v], clock) for v in version.tolist()]
+        return [t.duration_ns for t in timings], np.zeros(len(timings), bool), [t.result for t in timings]
 
 
 InstanceBackend = SimulatedInstance | LiveInstance

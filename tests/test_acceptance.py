@@ -19,6 +19,7 @@ import pytest
 from scipy import stats
 
 from conftest import requires_two_cores
+from duetbench.cli import _VERDICT_EXIT, EXIT_PASS, EXIT_REGRESSION
 from duetbench.analysis import (
     Verdict,
     bootstrap_ci,
@@ -132,6 +133,39 @@ def test_simulated_injected_regression_detected():
         "duet 99% CI contains the injected +5% and flags a regression",
         hits >= 48 and elapsed < 300.0,  # >= 95% of 50 seeds
         f"detected in {hits}/50 seeds, {elapsed:.0f}s",
+    )
+
+
+# Binomial slack of the error-rate gate: three standard deviations of the number of a level-0.99 CI's misses in
+# 200 gates, sqrt(200 * 0.01 * 0.99) = 1.41, rounded up. It bounds each one-sided error count and each miss count.
+_GATES = 200
+_SLACK = math.ceil(3 * math.sqrt(_GATES * 0.01 * 0.99))
+
+
+def test_gate_error_rates_at_readme_defaults():
+    # Exit 1 must mean a regression: a default gate (duet decides) at fixed seeds, A/A, near the 1 % threshold and
+    # at +5 %. Independent's coverage is recorded only: it measures platform drift as much as the change.
+    t0 = time.perf_counter()
+    level = ExperimentConfig().ci_level
+    errors, covered = {}, {}
+    for pct in (0.0, 2.0, 5.0):
+        wrong = EXIT_REGRESSION if pct == 0.0 else EXIT_PASS  # a CI that covers pct cannot give this exit
+        errors[pct] = 0
+        for seed in range(_GATES):
+            report = run_experiment(ExperimentConfig(seed=seed, regression_pct=pct))
+            errors[pct] += _VERDICT_EXIT[report.overall_verdict] == wrong
+            for r in report.results:
+                covered[r.strategy, pct] = covered.get((r.strategy, pct), 0) + (r.ci.lower_pct <= pct <= r.ci.upper_pct)
+    elapsed = time.perf_counter() - t0
+    most_errors = (1 - level) / 2 * _GATES + _SLACK
+    least_covered = level * _GATES - _SLACK
+    checked = [covered[s, pct] for s in (Strategy.DUET, Strategy.RMIT) for pct in errors]
+    coverage = "; ".join(f"{s.value} {[covered[s, pct] for pct in errors]}" for s in Strategy)
+    _report(
+        "gate exit errors and CI coverage over 200 seeds at 0 %, +2 % and +5 %",
+        max(errors.values()) <= most_errors and min(checked) >= least_covered,
+        f"wrong exits {list(errors.values())} <= {most_errors:g}; covered {coverage} of {_GATES} "
+        f"(duet and rmit >= {least_covered:g}); {elapsed:.1f}s",
     )
 
 

@@ -164,6 +164,7 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     pytest.param(None, id="short-row"),
     pytest.param({3: "A\x00"}, id="version-ends-in-nul"),  # numpy drops a trailing NUL: this read as label A
     pytest.param({6: "true\x00"}, id="cold-ends-in-nul"),
+    pytest.param({3: "A\x00B"}, id="label-holds-nul"),  # numpy's cut of the cell leaves A\x00: this read as label A
 ])
 def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
     # one cell of the cold row (or the row cut short) is corrupted: exit 2 with the JSON error, never a verdict

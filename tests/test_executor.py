@@ -15,11 +15,11 @@ from duetbench.errors import AffinityUnsupportedError, BarrierTimeoutError, Insu
 from duetbench.executor import (
     CorePlan,
     DuetExecutor,
+    Timing,
     available_cores,
-    solo_invoke,
     timed_run,
 )
-from duetbench.measurement import ClockMode, Strategy
+from duetbench.measurement import ClockMode
 from duetbench.workloads import WorkloadKind, make_workload
 
 SPEC_SMALL = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "A")
@@ -101,21 +101,20 @@ def test_affinity_unsupported_platform(monkeypatch):
 
 def test_solo_smallest_workload():
     spec = make_workload(WorkloadKind.MEM_SIEVE, 2, "A")
-    m = solo_invoke(spec, ClockMode.WALL_CLOCK)
+    m = DuetExecutor(pinning=False).solo_invoke(spec, ClockMode.WALL_CLOCK)
     assert m.duration_ns > 0
     assert m.result.units_done == 1
-    assert not m.cold
 
 
 def test_solo_clock_mode_echo():
-    m = solo_invoke(SPEC_SMALL, clock=ClockMode.CPU_TIME)
+    m = DuetExecutor(pinning=False).solo_invoke(SPEC_SMALL, clock=ClockMode.CPU_TIME)
     assert m.clock_mode is ClockMode.CPU_TIME
-    assert m.strategy is Strategy.INDEPENDENT
 
 
 def test_solo_repeated_same_order_of_magnitude():
-    a = solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
-    b = solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
+    ex = DuetExecutor(pinning=False)
+    a = ex.solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
+    b = ex.solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
     ratio = max(a.duration_ns, b.duration_ns) / min(a.duration_ns, b.duration_ns)
     assert ratio < 10
 
@@ -133,9 +132,33 @@ def test_duet_aa_identical_work_results():
     with DuetExecutor(CorePlan(0, 1)) as ex:
         m_a, m_b = ex.duet_invoke(SPEC_SMALL, spec_b)
     assert m_a.result == m_b.result
-    assert (m_a.version_label, m_b.version_label) == ("A", "B")
     assert m_a.clock_mode is ClockMode.CPU_TIME
-    assert not m_a.cold and not m_b.cold
+
+
+def test_solo_returns_only_a_timing_on_the_clock_asked_for(monkeypatch):
+    result = timed_run(SPEC_SMALL)[0]
+    monkeypatch.setattr(executor_mod, "timed_run", lambda spec: (result, 7, 11))  # (result, cpu_ns, wall_ns)
+    ex = DuetExecutor(pinning=False)
+    assert ex.solo_invoke(SPEC_SMALL) == Timing(11, ClockMode.WALL_CLOCK, result)
+    assert ex.solo_invoke(SPEC_SMALL, ClockMode.CPU_TIME) == Timing(7, ClockMode.CPU_TIME, result)
+
+
+@requires_two_cores
+def test_duet_returns_only_timings_on_the_clock_asked_for(monkeypatch):
+    replies = []
+    recv = DuetExecutor._recv
+
+    def recording(executor, idx):
+        replies.append(recv(executor, idx)[1])
+        return "ok", replies[-1]
+
+    monkeypatch.setattr(DuetExecutor, "_recv", recording)
+    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    with DuetExecutor(CorePlan(0, 1)) as ex:
+        for clock, key in ((None, "cpu_ns"), (ClockMode.CPU_TIME, "cpu_ns"), (ClockMode.WALL_CLOCK, "wall_ns")):
+            timings = ex.duet_invoke(SPEC_SMALL, spec_b, clock=clock)
+            mode = clock or ClockMode.CPU_TIME  # dataclass equality also asks for exactly a Timing
+            assert timings == tuple(Timing(r[key], mode, r["result"]) for r in replies[-2:])
 
 
 @requires_two_cores

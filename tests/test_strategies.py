@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_measurement, requires_two_cores
 from duetbench.analysis import filter_cold_starts
 from duetbench.errors import PairingError
-from duetbench.executor import DuetExecutor
+from duetbench.executor import DuetExecutor, Timing
 from duetbench.harness import ExperimentConfig
 from duetbench.measurement import CLOCKS, Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
@@ -197,13 +196,8 @@ class _RecordingExecutor:
 
     def duet_invoke(self, spec_a, spec_b, *, clock):
         self.sent.append((spec_a.version_label, spec_b.version_label))
-        return tuple(
-            replace(
-                make_measurement(1000 * (worker + 1), spec.version_label, clock=clock),
-                result=WorkResult(checksum=ord(spec.version_label), units_done=worker),
-            )
-            for worker, spec in enumerate((spec_a, spec_b))
-        )
+        return tuple(Timing(1000 * (worker + 1), clock, WorkResult(checksum=ord(spec.version_label), units_done=worker))
+                     for worker, spec in enumerate((spec_a, spec_b)))
 
 
 def test_live_duet_alternates_the_baseline_worker():
@@ -236,7 +230,7 @@ def test_work_results_identical_across_strategies_live():
 class _SoloRecorder:
     """Stands in for DuetExecutor's solo path: records each call; call i reports 1000 + i ns and checksum i.
 
-    Its rows carry a foreign label, instance, repetition and clock, which the set must not take.
+    Its timings carry a foreign clock, which the set must not take.
     """
 
     def __init__(self):
@@ -245,7 +239,7 @@ class _SoloRecorder:
     def solo_invoke(self, *args, **kwargs):
         i = len(self.calls)
         self.calls.append((args, kwargs))
-        return replace(make_measurement(1000 + i, "X", instance_id=99, repetition=99), result=WorkResult(i, 0))
+        return Timing(1000 + i, ClockMode.CPU_TIME, WorkResult(i, 0))
 
 
 @pytest.mark.parametrize("runner", [run_independent, run_rmit])
