@@ -127,10 +127,19 @@ def _log_factorials(n: int) -> np.ndarray:
         return _LOG_FACT[: n + 1]
 
 
-def _undecided_ranks(n: int, tail: float) -> range:
-    """The ranks I = #{x <= v} at which bootstrap_ci computes F(v); Hoeffding's bound decides the others."""
-    reach = math.sqrt(n * math.log(4 / tail) / 2)
-    return range(math.ceil(n // 2 - reach), math.floor(n // 2 + reach) + 1)
+def _first_true(key: Callable[[int], bool], n: int, guess: int) -> int:
+    """bisect.bisect_left(range(n), True, key=key) for a key False, then True, over 0..n-1, without asking key(n - 1).
+    Steps 1, 2, 4, ... out from `guess`, clamped into 0..n-2, until the switch is bracketed, then bisects the bracket:
+    at most 2 * log2(d + 1) + 2 calls of key, d the distance from the clamped guess to the result."""
+    lo, hi, step = -1, n - 1, 1  # key is False at lo (-1 stands before index 0) and True at hi
+    probe = min(max(guess, 0), n - 2)
+    while lo < probe < hi:  # the first step back across the switch lands beyond lo or hi
+        if key(probe):
+            hi, probe = probe, probe - step
+        else:
+            lo, probe = probe, probe + step
+        step *= 2
+    return bisect.bisect_left(range(n), True, lo + 1, hi, key=key)
 
 
 def bootstrap_ci(
@@ -156,17 +165,14 @@ def bootstrap_ci(
     smallest ranks L and U. Summing P(L = i, U = j) over j telescopes:
     F(v) = P(N_I >= h) - sum over i <= I of q_i * ((n - J_i) / (n - i))**(n - h),
     where q_i = P(N_i = h) * (1 - ((i-1)/i)**h), I = #{x <= v} and
-    J_i = #{j : (x_i + x_j) / 2 <= v}. Each bound is found by bisection over
-    the order statistics, then over the pair means in the last gap.
+    J_i = #{j : (x_i + x_j) / 2 <= v}. Each bound is found over the order
+    statistics first, then by bisection over the pair means in the last gap.
 
-    A probe that Hoeffding's bound decides is not computed. A median <= v
-    needs N_I >= h and follows from N_I >= h+1, so P(N_I >= h+1) <= F(v) <=
-    P(N_I >= h); for odd n, F(v) is the left end. With d = sqrt(n ln(4/a) / 2),
-    Hoeffding (JASA 1963) gives P(N_I >= h) <= exp(-2 (h-I)**2 / n) < a/4
-    when h - I > d, and P(N_I <= h) < a/4 when I - h > d. So outside
-    `_undecided_ranks`, F(v) < a/4 or F(v) > 1 - a/4: at least 3a/4 from
-    both tests' thresholds, where the computed F strays by far less than
-    _SLACK, so both tests are False there, or both True, as on the sum.
+    A resample median's rank is near normal around h with spread sqrt(n)/2,
+    so each bound's search starts at index h + z * sqrt(n) / 2, z the normal
+    quantile of its tail share, and steps out from there (`_first_true`). As
+    F grows with v, the search returns what bisecting all of x returns; the
+    guess sets only how often F is computed (twice per bound, mostly).
     """
     values = np.asarray(samples, dtype=float)
     if values.size == 0:
@@ -188,7 +194,6 @@ def bootstrap_ci(
     log_choose = log_fact[n] - log_fact - log_fact[::-1]
     ks = np.arange(n + 1.0)  # k = 0..n and, read backwards, n - k
     tail = (1.0 - level) / 2
-    undecided = _undecided_ranks(n, tail)
 
     def log_pmf(k: int | slice, ranks: Any) -> Any:
         """log P(N_ranks = k), for 0 < ranks < n and k an index or a slice of 0..n."""
@@ -207,8 +212,8 @@ def bootstrap_ci(
         i = np.arange(1, n)
         i = i[log_pmf(half, i) > _LOG_CUT]
         q = np.exp(log_pmf(half, i)) * (1 - ((i - 1) / i) ** half)
-        partner = np.minimum(i[:, None] - 1 + np.arange(min(_GAP, n)), n)
-        means = (x[i - 1, None] + np.append(x, np.inf)[partner]) / 2
+        window = np.lib.stride_tricks.sliding_window_view(np.append(x, [np.inf] * _GAP), _GAP)
+        means = (x[i - 1, None] + window[i - 1]) / 2
 
         def cdf(v: float, ranks: int) -> float:
             rows = np.searchsorted(i, ranks, "right")  # i <= I, so J_i >= i
@@ -216,21 +221,25 @@ def bootstrap_ci(
             below = i[:rows] - 1 + np.append(np.full(whole, means.shape[1]), (means[whole:rows] <= v).sum(axis=1))
             return at_least(half, ranks) - float((q[:rows] * ((n - below) / (n - i[:rows])) ** (n - half)).sum())
 
-    def smallest(holds: Callable[[float], bool]) -> float:
-        """The smallest value v a median can take with holds(F(v)); F(x_n) = 1 holds."""
+    def smallest(holds: Callable[[float], bool], z: float) -> float:
+        """The smallest value v a median can take with holds(F(v)), searched from z; F(x_n) = 1 holds."""
+        @functools.cache  # tied samples give one value many indices
         def key(v: float) -> bool:
-            ranks = int(np.searchsorted(x, v, "right"))
-            return ranks > half if ranks not in undecided else holds(cdf(v, ranks))
+            return holds(cdf(v, int(np.searchsorted(x, v, "right"))))
 
-        t = bisect.bisect_left(x, True, key=key)
+        t = _first_true(lambda t: key(x[t]), n, math.floor(half + z * math.sqrt(n) / 2))
         if n % 2 or t == 0:
             return float(x[t])
-        between = np.append(np.unique(means[(means > x[t - 1]) & (means < x[t])]), x[t])
+        between = np.append(np.sort(means[(means > x[t - 1]) & (means < x[t])]), x[t])
+        between = between[np.append(True, between[1:] != between[:-1])]  # np.unique's own steps; x[t] tops them
         return float(between[bisect.bisect_left(between, True, key=key)])
 
+    z = 0.0  # Phi(z) = tail, by Newton's method from 0: Phi is convex below 0, so no step overshoots
+    while abs(step := (math.erfc(-z / math.sqrt(2)) / 2 - tail) * math.sqrt(2 * math.pi) * math.exp(z * z / 2)) > 1e-3:
+        z -= step
     return ConfidenceInterval(
-        lower_pct=smallest(lambda f: f > tail + _SLACK),
-        upper_pct=smallest(lambda f: f >= 1.0 - tail - _SLACK),
+        lower_pct=smallest(lambda f: f > tail + _SLACK, z),
+        upper_pct=smallest(lambda f: f >= 1.0 - tail - _SLACK, -z),
         level=level,
     )
 

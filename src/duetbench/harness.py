@@ -147,7 +147,8 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
         measurements=mset,
         pairs_before_filter=len(mset) // 2,  # the filter refuses a set that is not whole pairs
         pairs_after_filter=len(samples),
-        median_change_pct=float(np.median(samples)),
+        # np.median's mean of the middle one or two values, without its NaN check, which imports numpy.ma
+        median_change_pct=float(np.sort(samples)[(len(samples) - 1) // 2 : len(samples) // 2 + 1].mean()),
         ci=ci,
         verdict=verdict(ci, cfg.threshold_pct),
         samples=samples,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 import threading
@@ -17,8 +18,8 @@ from duetbench import analysis
 from duetbench.analysis import (
     ConfidenceInterval,
     Verdict,
+    _first_true,
     _log_factorials,
-    _undecided_ranks,
     bootstrap_ci,
     filter_cold_starts,
     percentile_interval,
@@ -210,20 +211,62 @@ def test_bootstrap_equals_the_reference_bit_for_bit(n, seed, data, level):
     assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist()
 
 
-@pytest.mark.parametrize("n", [50, 51, 1000, 1001, 4000, 4001])
-@pytest.mark.parametrize("level", [0.80, 0.95, 0.99, 0.999])
-def test_hoeffding_decides_only_what_the_full_sum_agrees_with(n, level):
-    tail, half = (1 - level) / 2, n // 2
-    undecided = _undecided_ranks(n, tail)
-    _, at_least = ci_reference.tables(n)
-    for ranks in range(1, n + 1):
-        # Hoeffding: P(N_I >= h) and P(N_I <= h) are each at most this, the first for I < h, the second for I > h
-        bound = math.exp(-2 * (ranks - half) ** 2 / n)
-        assert (ranks in undecided) == (bound >= tail / 4), ranks  # left to the sum are the ranks the bound leaves open
-        if ranks < undecided.start:
-            assert at_least(half, ranks) < tail / 4, ranks  # F(v) <= P(N_I >= h)
-        elif ranks >= undecided.stop:
-            assert at_least(half + 1, ranks) > 1 - tail / 4, ranks  # F(v) >= P(N_I >= h+1)
+_LEVELS = (0.80, 0.90, 0.95, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("n", [1496, 1497, 7992, 7993])  # the benchmark's sizes after cold filtering
+@pytest.mark.parametrize("data", ["normal", "ties", "zeros"])
+def test_bootstrap_equals_the_reference_at_the_benchmark_sizes_in_a_few_probes(n, data, monkeypatch):
+    gen = np.random.default_rng(n)
+    values = gen.normal(0.5, 3.0, n)
+    if data == "ties":
+        values = np.round(values)
+    elif data == "zeros":  # mostly -0.0 and +0.0, the rest ties at -1 and 1
+        values = np.round(values / 6) * gen.choice([-1.0, 1.0], n)
+    x, probes, values_probed = np.sort(values), [], []
+
+    def counted(key, n, guess):
+        asked = []
+        found = _first_true(lambda t: asked.append(t) or key(t), n, guess)
+        probes.append(len(asked))
+        values_probed.append(len({float(x[t]) for t in asked}))  # F is computed once per value
+        return found
+
+    monkeypatch.setattr(analysis, "_first_true", counted)
+    for level in _LEVELS:
+        got = bootstrap_ci(values, level, 1000)
+        assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist(), level
+    # Each bound's search over the order statistics starts at its normal guess and computes F at 2 or 3
+    # values, where bisecting all of x took about log2(n), 11 to 13. Ties make it step over runs of one value.
+    assert len(probes) == 2 * len(_LEVELS) and max(values_probed) <= 3, values_probed
+    if data == "normal":
+        assert max(probes) <= 4, probes
+
+
+@pytest.mark.parametrize("n", range(1, 50))
+def test_bootstrap_equals_the_reference_below_the_minimum_sample_size(n):
+    values = np.random.default_rng(n).normal(0.5, 3.0, n)
+    for level in (0.50, *_LEVELS):
+        got = bootstrap_ci(values, level, 1000, min_samples=1)
+        assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist(), level
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 400))
+def test_first_true_is_bisect_left_in_few_calls_from_any_guess(data, n):
+    switch = data.draw(st.integers(0, n - 1), "switch")  # n - 1: all False but the last
+    guess = data.draw(st.integers(-2 * n - 5, 2 * n + 5), "guess")  # out of range on either side too
+    keys = [t >= switch for t in range(n)]
+    asked = []
+
+    def key(t):
+        asked.append(t)
+        return keys[t]
+
+    assert _first_true(key, n, guess) == bisect.bisect_left(keys, True) == switch
+    assert all(0 <= t < n - 1 for t in asked)  # key(n - 1) is known to hold and never asked
+    distance = abs(switch - min(max(guess, 0), n - 2))
+    assert len(asked) <= 2 * math.log2(distance + 1) + 2, (asked, distance)
 
 
 def test_log_factorial_table_grows_only_to_the_largest_n(monkeypatch):
