@@ -41,14 +41,7 @@ from .harness import (
     run_experiment,
 )
 from .measurement import Backend, ClockMode, Measurement, MeasurementSet, Strategy
-from .simenv import (
-    InstanceState,
-    VariabilityModel,
-    advance_time,
-    drift_factor,
-    sample_instance,
-    simulate_invocations,
-)
+from .simenv import VariabilityModel, drift_factor, sample_instance, simulate_invocations
 from .strategies import (
     LiveInstance,
     SimulatedInstance,

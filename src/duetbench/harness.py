@@ -42,7 +42,7 @@ from .analysis import (
 from .config import ALL_STRATEGIES, ExperimentConfig
 from .errors import BenchmarkError
 from .executor import CorePlan, DuetExecutor
-from .measurement import CLOCKS, Backend, MeasurementSet, Strategy, codes, version_codes
+from .measurement import CLOCKS, COLUMNS, Backend, MeasurementSet, Strategy, codes, version_codes
 from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
 
 # Fixed per-strategy codes for analysis stream derivation; independent of the
@@ -126,8 +126,9 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor
         else:
             backend = LiveInstance(executor, instance_id=instance_id, seed=cfg.seed)
         parts.append(run_strategy(cfg, strategy, specs, backend, reps))
-    merged = MeasurementSet.concat(parts)
-    return merged[np.lexsort((merged.repetition, merged.instance_id))]  # stable: in-repetition order kept
+    columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in COLUMNS}
+    order = np.lexsort((columns["repetition"], columns["instance_id"]))  # stable: in-repetition order kept
+    return MeasurementSet(strategy, parts[0].version_labels, **{name: column[order] for name, column in columns.items()})
 
 
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:

@@ -155,12 +155,6 @@ class MeasurementSet(Sequence):
             result=np.fromiter((m.result for m in rows), object, len(rows)),
         )
 
-    @classmethod
-    def concat(cls, sets: Sequence[MeasurementSet]) -> MeasurementSet:
-        """One set of `sets` in order; they share the first one's strategy and labels."""
-        return cls(sets[0].strategy, sets[0].version_labels,
-                   **{name: np.concatenate([getattr(s, name) for s in sets]) for name in COLUMNS})
-
     def pair_order(self) -> np.ndarray:
         """Row positions by (instance, repetition, version): each pair's baseline, then its candidate.
 

@@ -22,14 +22,7 @@ from .analysis import relative_change
 from .config import ExperimentConfig, VariabilityModel
 from .executor import DuetExecutor
 from .measurement import CLOCKS, ClockMode, MeasurementSet, Strategy, default_clock
-from .simenv import (
-    InstanceState,
-    advance_time,
-    draw_noise,
-    draw_pair_noise,
-    sample_instance,
-    simulate_invocations,
-)
+from .simenv import draw_noise, draw_pair_noise, sample_instance, simulate_invocations
 from .workloads import WorkloadSpec
 
 Specs = tuple[WorkloadSpec, WorkloadSpec]
@@ -42,11 +35,12 @@ def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator,
 
 
 class SimulatedInstance:
-    """One simulated platform instance with its own streams and clock.
+    """One simulated platform instance: its lottery draw, streams, clock and cold state.
 
     The virtual clock starts at 0 and advances one time step per sequential
     execution slot; a duet pair occupies a single slot since the two runs are
-    concurrent. Each run draws all its noise in one batch.
+    concurrent. Each run draws all its noise in one batch. Only the instance's
+    first invocation is cold.
     """
 
     def __init__(self, model: VariabilityModel, seed: int, instance_id: int = 0) -> None:
@@ -55,20 +49,24 @@ class SimulatedInstance:
         lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
         self.instance_id = instance_id
-        self.instance: InstanceState = sample_instance(model, lottery, instance_id=instance_id)
+        self.quality, self.drift_phase = sample_instance(model, lottery)
         self._t = 0.0
+        self._warm = False
 
     def run(self, strategy, specs, version, clock) -> tuple[np.ndarray, np.ndarray, None]:
         """The simulated durations and cold flags of the invocations laid out in `version`; no results."""
         n = len(version)
         paired = strategy is Strategy.DUET  # rows 2k and 2k + 1 are one pair, in one slot
-        slots = advance_time(self._t, self.model.time_step_s, n // 2 if paired else n)
+        slots = np.cumsum(np.r_[self._t, np.full(n // 2 if paired else n, self.model.time_step_s)])
         self._t = float(slots[-1])
         if paired:
             noise, t = draw_pair_noise(self.model, self._noise_rng, n // 2).ravel(), np.repeat(slots[:-1], 2)
         else:
             noise, t = draw_noise(self.model, self._noise_rng, n), slots[:-1]
-        return (*simulate_invocations(self.model, self.instance, specs, version, t, noise), None)
+        cold = np.zeros(n, bool)
+        cold[:1] = not self._warm
+        self._warm |= n > 0
+        return simulate_invocations(self.model, self.quality, self.drift_phase, specs, version, t, noise, cold), cold, None
 
 
 class LiveInstance:

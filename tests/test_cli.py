@@ -313,20 +313,38 @@ def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, fla
     assert not (tmp_path / "out" / "raw.csv").exists()
 
 
-@pytest.mark.parametrize("archive", ["pairing-unknown", "negative-seed"])
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+# The summary.json text of each malformed archive, made from the one its run wrote.
+_SUMMARY_EDITS = {
+    "pairing-unknown": lambda summary: json.dumps({**summary, "config": {**summary["config"], "pairing": "nope"}}),
+    "summary-not-json": lambda summary: "{not json",
+    "summary-a-list": lambda summary: json.dumps([summary]),
+    "summary-without-config": lambda summary: json.dumps(_without(summary, "config")),
+    "config-without-pairing": lambda summary: json.dumps({**summary, "config": _without(summary["config"], "pairing")}),
+}
+
+
+@pytest.mark.parametrize("archive", [*_SUMMARY_EDITS, "negative-seed", "raw-without-order-position"])
 def test_analyze_refuses_malformed_settings(tmp_path, capsys, archive):
     assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    if archive == "pairing-unknown":
-        summary["config"]["pairing"] = "nope"
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
-        flags = []
+    summary, raw = tmp_path / "summary.json", tmp_path / "raw.csv"
+    flags, error = [], "ConfigError"
+    if archive in _SUMMARY_EDITS:
+        summary.write_text(_SUMMARY_EDITS[archive](json.loads(summary.read_text())))
     else:  # without a summary.json only the flags set the analysis
-        (tmp_path / "summary.json").unlink()
-        flags = ["--seed", "-1"]
+        summary.unlink()
+        if archive == "negative-seed":
+            flags = ["--seed", "-1"]
+        else:
+            header, rows = raw.read_text().split("\n", 1)
+            raw.write_text(header.replace("order_position", "position") + "\n" + rows)
+            error = "BenchmarkError"
     capsys.readouterr()
-    assert main(["analyze", str(tmp_path / "raw.csv"), *flags]) == EXIT_ERROR
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert main(["analyze", str(raw), *flags]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 @pytest.mark.parametrize(("exc", "expected"), [

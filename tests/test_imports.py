@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports, and none imports a test-only dependency."""
+"""Every module of the package uses each name it imports, imports only the modules below it, and none imports a
+test-only dependency."""
 
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ import duetbench
 PACKAGE = sorted(Path(duetbench.__file__).parent.glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 TEST_ONLY = {"scipy", "hypothesis", "pytest"}  # the `test` extra of pyproject.toml, not needed to run
+# The package's layers, lowest first: a module imports only modules before it, so no import cycle can form.
+LAYERS = ["errors", "workloads", "measurement", "executor", "analysis", "config", "simenv", "strategies", "harness",
+          "cli", "__main__"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -52,3 +56,23 @@ def test_no_module_imports_a_test_only_dependency(path):
                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                for alias in node.names}
     assert not modules & TEST_ONLY, f"{path.name} imports {sorted(modules & TEST_ONLY)}"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The modules of the package a module imports, by relative import."""
+    return {(node.module or "").partition(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_each_module_imports_only_lower_layers(path):
+    assert path.stem in LAYERS, f"{path.name} has no place in LAYERS"
+    below = set(LAYERS[: LAYERS.index(path.stem)])
+    above = _package_imports(ast.parse(path.read_text(encoding="utf-8"))) - below
+    assert not above, f"{path.name} imports {sorted(above)}, which are not below it in LAYERS"
+
+
+def test_simenv_defines_no_class():
+    """The model module holds no state: a simulated instance lives in `strategies.SimulatedInstance`."""
+    tree = ast.parse(Path(duetbench.simenv.__file__).read_text(encoding="utf-8"))
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]

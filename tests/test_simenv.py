@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 from duetbench.errors import ConfigError
-from duetbench.measurement import ClockMode
-from duetbench.simenv import (
-    InstanceState,
-    VariabilityModel,
-    advance_time,
-    draw_noise,
-    drift_factor,
-    sample_instance,
-    simulate_invocations,
-)
+from duetbench.measurement import ClockMode, Strategy
+from duetbench.simenv import VariabilityModel, draw_noise, drift_factor, sample_instance, simulate_invocations
 from duetbench.strategies import SimulatedInstance, run_duet, run_rmit
 from duetbench.workloads import WorkloadKind, make_workload
 
@@ -31,67 +23,64 @@ NOISE_FREE = VariabilityModel(
 )
 
 
-def simulate(model, inst, specs, t, noise):
-    """Durations and cold flags of specs[i] run at time t with noise factors `noise`, in order."""
+def simulate(model, quality, specs, t, noise, drift_phase=0.0):
+    """Warm durations of specs[i % len(specs)] run at time t with noise factors `noise`, in order."""
     n = len(noise)
-    return simulate_invocations(model, inst, specs, np.arange(n) % len(specs), np.full(n, t), np.asarray(noise))
+    version, cold = np.arange(n) % len(specs), np.zeros(n, bool)
+    return simulate_invocations(model, quality, drift_phase, specs, version, np.full(n, t), np.asarray(noise), cold)
 
 
 def test_zero_cv_quality_is_exactly_one():
-    inst = sample_instance(VariabilityModel(instance_quality_cv=0.0), np.random.default_rng(5))
-    assert inst.quality == 1.0
+    quality, _ = sample_instance(VariabilityModel(instance_quality_cv=0.0), np.random.default_rng(5))
+    assert quality == 1.0
 
 
 def test_sampling_is_seed_deterministic():
     model = VariabilityModel()
-    first = sample_instance(model, np.random.default_rng(123), instance_id=7)
-    second = sample_instance(model, np.random.default_rng(123), instance_id=7)
+    first = sample_instance(model, np.random.default_rng(123))
+    second = sample_instance(model, np.random.default_rng(123))
     assert first == second
 
 
 def test_quality_cv_matches_configuration():
     model = VariabilityModel(instance_quality_cv=0.15)
     rng = np.random.default_rng(99)
-    qualities = np.array([sample_instance(model, rng).quality for _ in range(10_000)])
+    qualities = np.array([sample_instance(model, rng)[0] for _ in range(10_000)])
     empirical_cv = qualities.std() / qualities.mean()
     assert 0.12 <= empirical_cv <= 0.18
     assert qualities.min() >= 0.5 and qualities.max() <= 2.0
 
 
 def test_noise_free_aa_pair_is_identical():
-    inst = InstanceState(instance_id=0, quality=1.0)
-    inst.invocations_served = 1  # warm
     rng = np.random.default_rng(0)
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    (d_a, d_b), _ = simulate(NOISE_FREE, inst, (SPEC_A, spec_b0), 0.0, draw_noise(NOISE_FREE, rng, 2))
+    d_a, d_b = simulate(NOISE_FREE, 1.0, (SPEC_A, spec_b0), 0.0, draw_noise(NOISE_FREE, rng, 2))
     assert d_a == d_b
 
 
 def test_noise_free_regression_is_exactly_five_percent():
-    inst = InstanceState(instance_id=0, quality=1.0)
-    inst.invocations_served = 1
     rng = np.random.default_rng(0)
-    (d_a, d_b), _ = simulate(NOISE_FREE, inst, (SPEC_A, SPEC_B5), 0.0, draw_noise(NOISE_FREE, rng, 2))
+    d_a, d_b = simulate(NOISE_FREE, 1.0, (SPEC_A, SPEC_B5), 0.0, draw_noise(NOISE_FREE, rng, 2))
     assert (d_b - d_a) / d_a * 100.0 == 5.0
 
 
 def test_shared_draw_cancels_exactly_under_full_noise():
     model = VariabilityModel()  # full default noise
-    inst = InstanceState(instance_id=0, quality=1.37, drift_phase=2.1)
-    inst.invocations_served = 1
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    (d_a, d_b), _ = simulate(model, inst, (SPEC_A, spec_b0), 42.0, [1.234, 1.234])
+    d_a, d_b = simulate(model, 1.37, (SPEC_A, spec_b0), 42.0, [1.234, 1.234], drift_phase=2.1)
     assert d_a == d_b
 
 
 def test_first_invocation_is_cold_and_pays_penalty():
     model = VariabilityModel(temporal_sigma=0.0, instance_quality_cv=0.0, drift_amplitude=0.0, cold_penalty_ms=150.0)
-    inst = sample_instance(model, np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    (first, second), cold = simulate(model, inst, (SPEC_A,), 0.0, draw_noise(model, rng, 2))
-    assert cold.tolist() == [True, False]
-    assert first - second == 150 * 10**6
-    assert inst.invocations_served == 2
+    instance = SimulatedInstance(model, seed=0)
+    version = np.zeros(3, np.int8)
+    first, first_cold, _ = instance.run(Strategy.INDEPENDENT, (SPEC_A,), version, None)
+    again, again_cold, _ = instance.run(Strategy.INDEPENDENT, (SPEC_A,), version, None)
+    assert first_cold.tolist() == [True, False, False]
+    assert not again_cold.any()
+    assert first[0] - first[1] == 150 * 10**6
+    assert first[1:].tolist() + again.tolist() == [first[1]] * 5  # warm, the penalty paid once
 
 
 def test_clock_mode_defaults_follow_strategy():
@@ -102,24 +91,11 @@ def test_clock_mode_defaults_follow_strategy():
     assert rmit.clock_mode is ClockMode.WALL_CLOCK
 
 
-def test_advance_time():
-    assert advance_time(0.0, 1.0, 1).tolist() == [0.0, 1.0]
-    # each time is the one before plus dt, as repeated `t + dt` gives
-    times, t = advance_time(0.0, 0.1, 50), 0.0
-    for expected in times:
-        assert expected == t
-        t = t + 0.1
-    with pytest.raises(ValueError):
-        advance_time(1.0, -0.5, 1)
-
-
 def test_drift_periodicity():
     model = VariabilityModel()
-    inst = InstanceState(instance_id=0, quality=1.0, drift_phase=0.7)
     for t in (0.0, 13.37, 250.0):
-        assert drift_factor(model, inst, t) == pytest.approx(
-            drift_factor(model, inst, t + model.drift_period_s), abs=1e-9
-        )
+        later = drift_factor(model, 0.7, t + model.drift_period_s)
+        assert drift_factor(model, 0.7, t) == pytest.approx(later, abs=1e-9)
 
 
 def test_model_validation():
@@ -130,18 +106,16 @@ def test_model_validation():
     with pytest.raises(ConfigError):
         VariabilityModel(drift_amplitude=1.5)
     with pytest.raises(ConfigError):
-        InstanceState(instance_id=0, quality=3.0)
+        VariabilityModel(time_step_s=-0.5)
 
 
 def test_independent_draws_are_unbiased_for_aa():
     # Symmetric-in-log noise: the median pairwise change over many same-time
     # A/A pairs with fresh draws per side must sit near zero.
     model = VariabilityModel()
-    inst = InstanceState(instance_id=0, quality=1.0)
-    inst.invocations_served = 1
     rng = np.random.default_rng(2024)
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    durations, _ = simulate(model, inst, (SPEC_A, spec_b0), 5.0, draw_noise(model, rng, 20_000))
+    durations = simulate(model, 1.0, (SPEC_A, spec_b0), 5.0, draw_noise(model, rng, 20_000))
     d_a, d_b = durations[0::2], durations[1::2]
     changes = (d_b - d_a) / d_a * 100.0
     assert abs(float(np.median(changes))) < 0.5
@@ -150,18 +124,15 @@ def test_independent_draws_are_unbiased_for_aa():
 def test_quality_lottery_varies_across_instances():
     model = VariabilityModel()
     rng = np.random.default_rng(3)
-    qualities = {round(sample_instance(model, rng, instance_id=i).quality, 6) for i in range(8)}
+    qualities = {round(sample_instance(model, rng)[0], 6) for _ in range(8)}
     assert len(qualities) > 1
 
 
 def test_duration_scales_with_quality():
     model = VariabilityModel(temporal_sigma=0.0, instance_quality_cv=0.0, drift_amplitude=0.0, cold_penalty_ms=0.0)
     rng = np.random.default_rng(0)
-    slow = InstanceState(instance_id=0, quality=2.0)
-    fast = InstanceState(instance_id=1, quality=0.5)
-    slow.invocations_served = fast.invocations_served = 1
-    (d_slow,), _ = simulate(model, slow, (SPEC_A,), 0.0, draw_noise(model, rng, 1))
-    (d_fast,), _ = simulate(model, fast, (SPEC_A,), 0.0, draw_noise(model, rng, 1))
+    (d_slow,) = simulate(model, 2.0, (SPEC_A,), 0.0, draw_noise(model, rng, 1))
+    (d_fast,) = simulate(model, 0.5, (SPEC_A,), 0.0, draw_noise(model, rng, 1))
     assert d_slow == 4 * d_fast
 
 
