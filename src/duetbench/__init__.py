@@ -35,7 +35,6 @@ from .harness import (
     ExperimentConfig,
     Report,
     StrategyResult,
-    compare_strategies,
     emit_report,
     reanalyze_raw,
     run_experiment,

@@ -34,10 +34,10 @@ from .errors import (
     ExecutionError,
     InsufficientCoresError,
 )
-from .measurement import ClockMode, Strategy, default_clock
+from .measurement import ClockMode
 from .workloads import WorkloadSpec, WorkResult, run_workload
 
-DEFAULT_BARRIER_TIMEOUT_S = 5.0
+BARRIER_TIMEOUT_S = 5.0  # how long the coordinator and each worker wait for the other two at the barrier
 
 
 def _context():
@@ -115,12 +115,12 @@ def timed_run(spec: WorkloadSpec) -> tuple[WorkResult, int, int]:
     return result, max(cpu_ns, 1), max(wall_ns, 1)
 
 
-def _worker_main(conn, barrier, barrier_timeout_s: float) -> None:
+def _worker_main(conn, barrier) -> None:
     """Worker loop: receive a workload spec (None stops), rendezvous at the barrier, run, report."""
     while (spec := conn.recv()) is not None:
         affinity = tuple(sorted(os.sched_getaffinity(0))) if pinning_supported() else None
         try:
-            barrier.wait(barrier_timeout_s)
+            barrier.wait(BARRIER_TIMEOUT_S)
         except threading.BrokenBarrierError:
             conn.send((BarrierTimeoutError, "broken or timed out"))
             continue
@@ -152,18 +152,11 @@ class DuetExecutor:
     duet invocation and torn down by `close()` (or the context manager).
     """
 
-    def __init__(
-        self,
-        plan: CorePlan | None = None,
-        *,
-        pinning: bool = True,
-        barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
-    ) -> None:
+    def __init__(self, plan: CorePlan | None = None, *, pinning: bool = True) -> None:
         self.plan = plan if plan is not None else CorePlan(0, 1)
         self.pinning = pinning
         if pinning and not pinning_supported():
             raise AffinityUnsupportedError("platform cannot set CPU affinity; construct with pinning=False to run unpinned")
-        self.barrier_timeout_s = barrier_timeout_s
         self.last_barrier: BarrierTrace | None = None
         self._procs: list = []  # multiprocessing processes
         self._conns: list = []
@@ -193,7 +186,7 @@ class DuetExecutor:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._barrier, self.barrier_timeout_s),
+                args=(child_conn, self._barrier),
                 daemon=True,
             )
             proc.start()
@@ -212,22 +205,21 @@ class DuetExecutor:
         spec_a: WorkloadSpec,
         spec_b: WorkloadSpec,
         *,
-        clock: ClockMode | None = None,
+        clock: ClockMode = ClockMode.CPU_TIME,
     ) -> tuple[Timing, Timing]:
         """Run both versions in parallel behind a shared start barrier.
 
-        Returns the timings of (spec_a, spec_b) in argument order, on
-        per-worker CPU time unless `clock` overrides it.
+        Returns the timings of (spec_a, spec_b) in argument order, on `clock`.
         """
         self._ensure_workers()
         for conn, spec in zip(self._conns, (spec_a, spec_b)):
             conn.send(spec)
         release_ns = time.monotonic_ns()
         try:
-            self._barrier.wait(self.barrier_timeout_s)
+            self._barrier.wait(BARRIER_TIMEOUT_S)
         except threading.BrokenBarrierError:
             self.close()
-            raise BarrierTimeoutError(f"workers did not rendezvous within {self.barrier_timeout_s}s") from None
+            raise BarrierTimeoutError(f"workers did not rendezvous within {BARRIER_TIMEOUT_S}s") from None
         payloads = []
         for status, payload in [self._recv(i) for i in range(2)]:
             if status != "ok":  # an error class and its message
@@ -242,7 +234,6 @@ class DuetExecutor:
             affinity_a=pa["affinity"],
             affinity_b=pb["affinity"],
         )
-        clock = clock if clock is not None else default_clock(Strategy.DUET)
         key = "cpu_ns" if clock is ClockMode.CPU_TIME else "wall_ns"
         return Timing(pa[key], clock, pa["result"]), Timing(pb[key], clock, pb["result"])
 

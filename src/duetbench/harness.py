@@ -24,7 +24,7 @@ import math
 import re
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
@@ -39,10 +39,10 @@ from .analysis import (
     sweep_sample_size,
     verdict,
 )
-from .config import ALL_STRATEGIES, ExperimentConfig
-from .errors import BenchmarkError
+from .config import ExperimentConfig
+from .errors import BenchmarkError, PairingError
 from .executor import CorePlan, DuetExecutor
-from .measurement import CLOCKS, COLUMNS, Backend, MeasurementSet, Strategy, codes, version_codes
+from .measurement import CLOCKS, COLUMNS, Backend, MeasurementSet, Strategy
 from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
 
 # Fixed per-strategy codes for analysis stream derivation; independent of the
@@ -110,10 +110,6 @@ class Report:
             return Verdict.INCONCLUSIVE
         return Verdict.PASS
 
-    def strategy_table(self) -> list[tuple[str, float, float]]:
-        """(strategy, ci_width_pp, median_change_pct) rows in run order."""
-        return [(r.strategy.value, r.ci.width_pp, r.median_change_pct) for r in self.results]
-
 
 def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor: DuetExecutor | None) -> MeasurementSet:
     """Run `strategy` on every instance: simulated ones, or live ones sharing `executor`."""
@@ -124,7 +120,7 @@ def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor
         if executor is None:
             backend = SimulatedInstance(cfg.model, cfg.seed, instance_id=instance_id)
         else:
-            backend = LiveInstance(executor, instance_id=instance_id, seed=cfg.seed)
+            backend = LiveInstance(executor, cfg.seed, instance_id=instance_id)
         parts.append(run_strategy(cfg, strategy, specs, backend, reps))
     columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in COLUMNS}
     order = np.lexsort((columns["repetition"], columns["instance_id"]))  # stable: in-repetition order kept
@@ -172,11 +168,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     results = [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
-
-
-def compare_strategies(cfg: ExperimentConfig) -> Report:
-    """Run all three strategies on identical workload seeds for comparison."""
-    return run_experiment(replace(cfg, strategies=ALL_STRATEGIES))
 
 
 def summary_dict(report: Report) -> dict[str, Any]:
@@ -390,16 +381,36 @@ def _raw_columns(chunk: np.ndarray, labels: tuple[str, str]) -> Iterator[tuple[i
     ints = {name: chunk[name].copy() for name in _INT_COLUMNS}  # a view would keep the whole chunk alive
     columns = dict(
         **ints,
-        version=version_codes(labels, chunk["version"], ints["instance_id"], ints["repetition"]),
-        cold=codes(chunk["cold"], _COLD_CELLS, "raw csv cold"),
-        order_position=codes(chunk["order_position"], _ORDER_CELLS, "raw csv order_position") - 1,
-        clock_mode=codes(chunk["clock_mode"], _CLOCK_CELLS, "raw csv clock_mode"),
+        version=_version_codes(labels, chunk["version"], ints["instance_id"], ints["repetition"]),
+        cold=_codes(chunk["cold"], _COLD_CELLS, "raw csv cold"),
+        order_position=_codes(chunk["order_position"], _ORDER_CELLS, "raw csv order_position") - 1,
+        clock_mode=_codes(chunk["clock_mode"], _CLOCK_CELLS, "raw csv clock_mode"),
     )
-    strategy = codes(chunk["strategy"], _TEXT_CELLS["strategy"], "raw csv strategy")
+    strategy = _codes(chunk["strategy"], _TEXT_CELLS["strategy"], "raw csv strategy")
     first = np.unique(strategy, return_index=True)[1]
     for code in strategy[np.sort(first)].tolist():  # in order of first appearance
         rows_of = strategy == code
         yield code, columns if rows_of.all() else {name: c[rows_of] for name, c in columns.items()}
+
+
+def _codes(cells: np.ndarray, values: Sequence[str], what: str) -> np.ndarray:
+    """The index of each cell in `values`; ValueError names the first cell that is none of them."""
+    out = np.full(len(cells), -1, np.int8)
+    for i, value in enumerate(values):
+        out[cells == value] = i
+    if (unknown := np.flatnonzero(out < 0)).size:
+        raise ValueError(f"{what} {str(cells[unknown[0]])!r} is none of {list(values)}")
+    return out
+
+
+def _version_codes(labels: tuple[str, str], names: np.ndarray, instance_id: np.ndarray,
+                   repetition: np.ndarray) -> np.ndarray:
+    """Each name's index in `labels`; PairingError names the rows of any other label."""
+    try:
+        return _codes(names, labels, "version label")
+    except ValueError as exc:
+        where = [(int(i), int(r)) for i, r, n in zip(instance_id, repetition, names) if n not in labels]
+        raise PairingError(f"{exc} at (instance, repetition) {where[:5]}") from None
 
 
 _COLD_CELLS = ("false", "true")

@@ -9,7 +9,7 @@ workload version, built when the set is read as a sequence.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
@@ -82,27 +82,6 @@ class Measurement:
 CLOCKS = tuple(ClockMode)
 
 
-def codes(cells: Sequence[str], values: Sequence[str], what: str) -> np.ndarray:
-    """The index of each cell in `values`; ValueError names the first cell that is none of them."""
-    cells = np.asarray(cells, str)
-    out = np.full(len(cells), -1, np.int8)
-    for i, value in enumerate(values):
-        out[cells == value] = i
-    if (unknown := np.flatnonzero(out < 0)).size:
-        raise ValueError(f"{what} {str(cells[unknown[0]])!r} is none of {list(values)}")
-    return out
-
-
-def version_codes(labels: tuple[str, str], names: Sequence[str], instance_id: Sequence[int],
-                  repetition: Sequence[int]) -> np.ndarray:
-    """Each name's index in `labels`; PairingError names the rows of any other label."""
-    try:
-        return codes(names, labels, "version label")
-    except ValueError as exc:
-        where = [(int(i), int(r)) for i, r, n in zip(instance_id, repetition, names) if n not in labels]
-        raise PairingError(f"{exc} at (instance, repetition) {where[:5]}") from None
-
-
 def _column(dtype: Any, default: Any = ()) -> Any:
     return field(default=default, metadata={"dtype": dtype})
 
@@ -131,29 +110,19 @@ class MeasurementSet(Sequence):
             raise ValueError(f"the two versions need distinct labels, both are {self.version_labels[0]!r}")
         if self.result is None:
             self.result = np.full(len(self.duration_ns), None, object)
-        for name, dtype in COLUMNS.items():  # order_position narrows after its range check, so 257 cannot wrap to 1
-            setattr(self, name, np.asarray(getattr(self, name), None if name == "order_position" else dtype))
+        for name, dtype in COLUMNS.items():  # the codes narrow after their range checks, so 257 cannot wrap to 1
+            setattr(self, name, np.asarray(getattr(self, name), None if name in _CODES else dtype))
         if len({len(getattr(self, name)) for name in COLUMNS}) > 1:
             raise ValueError("measurement columns differ in length")
-        position = self.order_position
+        version, position, clock = self.version, self.order_position, self.clock_mode
         for name, bad, rule in (("duration_ns", self.duration_ns < 1, "> 0"), ("repetition", self.repetition < 0, ">= 0"),
-                                ("order_position", (position < -1) | (position > 1), "-1 (none), 0 or 1")):
+                                ("version", (version < 0) | (version > 1), "0 (baseline) or 1 (candidate)"),
+                                ("order_position", (position < -1) | (position > 1), "-1 (none), 0 or 1"),
+                                ("clock_mode", (clock < 0) | (clock >= len(CLOCKS)), "an index into CLOCKS")):
             if bad.any():
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)[bad][0]}")
-        self.order_position = position.astype(np.int8, copy=False)
-
-    @classmethod
-    def from_rows(cls, strategy: Strategy, version_labels: tuple[str, str], rows: Iterable[Measurement]) -> MeasurementSet:
-        """The set of `rows`, in their order."""
-        rows = list(rows)
-        same = {name: [getattr(m, name) for m in rows] for name in ("duration_ns", "instance_id", "repetition", "cold")}
-        return cls(
-            strategy, version_labels, **same,
-            version=version_codes(version_labels, [m.version_label for m in rows], same["instance_id"], same["repetition"]),
-            order_position=[-1 if m.order_position is None else m.order_position for m in rows],
-            clock_mode=[CLOCKS.index(m.clock_mode) for m in rows],
-            result=np.fromiter((m.result for m in rows), object, len(rows)),
-        )
+        for name in _CODES:
+            setattr(self, name, getattr(self, name).astype(np.int8, copy=False))
 
     def pair_order(self) -> np.ndarray:
         """Row positions by (instance, repetition, version): each pair's baseline, then its candidate.
@@ -220,3 +189,4 @@ class MeasurementSet(Sequence):
 
 
 COLUMNS = {f.name: f.metadata["dtype"] for f in fields(MeasurementSet) if f.metadata}
+_CODES = tuple(name for name, dtype in COLUMNS.items() if dtype is np.int8)  # version, order_position, clock_mode

@@ -30,6 +30,8 @@ Specs = tuple[WorkloadSpec, WorkloadSpec]
 
 def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
     """(lottery, noise, order) generators for one instance, strategy-agnostic."""
+    if seed is None:  # SeedSequence(None) would draw fresh entropy
+        raise ValueError("an instance needs a seed")
     children = np.random.SeedSequence(seed, spawn_key=(0, instance_id)).spawn(3)
     return tuple(np.random.default_rng(c) for c in children)
 
@@ -44,8 +46,6 @@ class SimulatedInstance:
     """
 
     def __init__(self, model: VariabilityModel, seed: int, instance_id: int = 0) -> None:
-        if seed is None:  # SeedSequence(None) would draw fresh entropy
-            raise ValueError("the simulated backend requires a seed")
         lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
         self.instance_id = instance_id
@@ -70,12 +70,12 @@ class SimulatedInstance:
 
 
 class LiveInstance:
-    """One live 'instance': a duet executor plus this process for solo runs."""
+    """One live 'instance': a duet executor plus this process for solo runs, and the seeded order stream of rmit."""
 
-    def __init__(self, executor: DuetExecutor, instance_id: int = 0, seed: int | None = None) -> None:
+    def __init__(self, executor: DuetExecutor, seed: int, instance_id: int = 0) -> None:
         self.executor = executor
         self.instance_id = instance_id
-        self.order_rng = _instance_streams(seed, instance_id)[2] if seed is not None else None
+        self.order_rng = _instance_streams(seed, instance_id)[2]
 
     def run(self, strategy, specs, version, clock) -> tuple[list[int], np.ndarray, list]:
         """Run the invocations one by one, or as duet pairs of rows 2k and 2k + 1; live runs are never cold.
@@ -121,8 +121,6 @@ def run_independent(specs: Specs, backend: InstanceBackend, repetitions: int, cl
 
 def run_rmit(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
     """Randomized interleaved trials: a fair coin from the instance's order stream orders each trial."""
-    if backend.order_rng is None:
-        raise ValueError("live rmit needs a seeded instance (pass seed=...)")
     baseline_first = backend.order_rng.integers(0, 2, size=repetitions) == 0
     version = np.stack([~baseline_first, baseline_first], axis=1).ravel()
     reps = np.repeat(np.arange(repetitions), 2)
@@ -153,19 +151,21 @@ def run_strategy(
 def pair_measurements(
     mset: MeasurementSet,
     scheme: str = "index",
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Match baseline and candidate measurements into per-repetition changes.
 
     Pairs are formed per (instance, repetition); for the independent strategy
     that equals pairing the i-th baseline invocation with the i-th candidate
     invocation. scheme="random" instead permutes the candidate assignment
-    within each instance (requires an rng; a seed seeds each instance alike).
+    within each instance, drawing from `rng`, which must be a Generator.
     Returns the relative changes in percent, `(t_b - t_a) / t_a * 100`, as a
     float64 array in (instance, repetition) order.
     """
     if scheme not in ("index", "random"):
         raise ValueError(f"unknown pairing scheme {scheme!r}")
+    if scheme == "random" and not isinstance(rng, np.random.Generator):
+        raise ValueError(f"random pairing needs a numpy.random.Generator, got {rng!r}")
     order = mset.pair_order()
     duration = mset.duration_ns[order]
     base, cand = duration[0::2], duration[1::2]
@@ -173,6 +173,5 @@ def pair_measurements(
         inst = mset.instance_id[order[0::2]]
         starts = np.flatnonzero(np.r_[True, inst[1:] != inst[:-1]])
         for start, stop in zip(starts, [*starts[1:], len(cand)]):
-            gen = np.random.default_rng(rng)
-            cand[start:stop] = cand[start:stop][gen.permutation(stop - start)]
+            cand[start:stop] = cand[start:stop][rng.permutation(stop - start)]
     return relative_change(base, cand)

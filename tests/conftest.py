@@ -3,30 +3,7 @@ from __future__ import annotations
 import pytest
 
 from duetbench.executor import available_cores
-from duetbench.measurement import ClockMode, Measurement, Strategy
 
 requires_two_cores = pytest.mark.skipif(
     available_cores() < 2, reason="duet execution needs at least two usable cores"
 )
-
-
-def make_measurement(
-    duration_ns: int = 1000,
-    version: str = "A",
-    strategy: Strategy = Strategy.DUET,
-    instance_id: int = 0,
-    repetition: int = 0,
-    cold: bool = False,
-    order_position: int | None = None,
-    clock: ClockMode = ClockMode.CPU_TIME,
-) -> Measurement:
-    return Measurement(
-        duration_ns=duration_ns,
-        clock_mode=clock,
-        version_label=version,
-        strategy=strategy,
-        instance_id=instance_id,
-        repetition=repetition,
-        cold=cold,
-        order_position=order_position,
-    )

@@ -105,8 +105,8 @@ def test_simulated_ci_width_ordering_across_seeds():
     ordered = 0
     for seed in seeds:
         cfg = ExperimentConfig(repetitions=1500, instances=1, seed=seed, backend=SIM)
-        widths = {row[0]: row[1] for row in run_experiment(cfg).strategy_table()}
-        ordered += widths["duet"] < widths["rmit"] < widths["independent"]
+        widths = {r.strategy: r.ci.width_pp for r in run_experiment(cfg).results}
+        ordered += widths[Strategy.DUET] < widths[Strategy.RMIT] < widths[Strategy.INDEPENDENT]
     elapsed = time.perf_counter() - t0
     _report(
         "CI width ordering duet < rmit < independent at 1500 repetitions",
@@ -190,7 +190,7 @@ def test_small_sample_width_live_duet():
     spec_b = make_workload(WorkloadKind.CPU_MUTATION, 480_000, "B")
     t0 = time.perf_counter()
     with DuetExecutor() as executor:
-        live = LiveInstance(executor, seed=1)
+        live = LiveInstance(executor, 1)
         mset = run_duet((spec_a, spec_b), live, 100)
     samples = pair_measurements(filter_cold_starts(mset))
     ci = bootstrap_ci(samples, 0.99, 10_000)

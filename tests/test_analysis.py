@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ci_reference
-from conftest import make_measurement
 from duetbench import analysis
 from duetbench.analysis import (
     ConfidenceInterval,
@@ -369,50 +368,47 @@ def test_verdict_rules():
     assert verdict(ConfidenceInterval(0.5, 1.5, 0.99), 1.0) is Verdict.INCONCLUSIVE
 
 
-def _mset(measurements):
-    return MeasurementSet.from_rows(Strategy.DUET, ("A", "B"), measurements)
+def _pairs(reps, cold_reps=(), cold_versions=(0, 1)):
+    """`reps` whole duet pairs on one instance, baseline 100 ns and candidate 105 ns; the named versions of the
+    named repetitions are cold."""
+    repetition, version = np.repeat(np.arange(reps), 2), np.tile([0, 1], reps)
+    return MeasurementSet(Strategy.DUET, ("A", "B"), duration_ns=100 + 5 * version, instance_id=np.zeros(2 * reps, int),
+                          repetition=repetition, version=version,
+                          cold=np.isin(repetition, cold_reps) & np.isin(version, cold_versions),
+                          order_position=np.full(2 * reps, -1), clock_mode=np.zeros(2 * reps, int))
 
 
 def test_filter_cold_starts_drops_pairs_whole():
-    ms = []
-    for rep in range(100):
-        ms.append(make_measurement(100, "A", repetition=rep, cold=rep in (0, 5)))
-        ms.append(make_measurement(105, "B", repetition=rep))
-    filtered = filter_cold_starts(_mset(ms))
-    reps = {m.repetition for m in filtered.measurements}
+    filtered = filter_cold_starts(_pairs(100, cold_reps=(0, 5), cold_versions=(0,)))
+    reps = set(filtered.repetition.tolist())
     assert len(filtered.measurements) == 196
     assert len(reps) == 98 and 0 not in reps and 5 not in reps
 
 
 def test_filter_cold_starts_identity_without_cold():
-    ms = [make_measurement(100, v, repetition=r) for r in range(10) for v in "AB"]
-    filtered = filter_cold_starts(_mset(ms))
-    assert list(filtered.measurements) == ms
+    mset = _pairs(10)
+    assert list(filter_cold_starts(mset).measurements) == list(mset)
 
 
 def test_filter_cold_starts_all_cold_gives_empty():
-    ms = [make_measurement(100, v, repetition=r, cold=True) for r in range(4) for v in "AB"]
-    assert list(filter_cold_starts(_mset(ms)).measurements) == []
+    assert list(filter_cold_starts(_pairs(4, cold_reps=range(4))).measurements) == []
 
 
 @pytest.mark.parametrize("broken", [
-    pytest.param(lambda ms: ms[:-1], id="unpaired"),
-    pytest.param(lambda ms: ms + ms[-2:-1], id="duplicate"),
-    pytest.param(lambda ms: ms[:-1] + [make_measurement(100, "C", repetition=3)], id="foreign-label"),
+    pytest.param(lambda mset: mset[:-1], id="unpaired"),
+    pytest.param(lambda mset: mset[np.r_[: len(mset), len(mset) - 2]], id="duplicate"),
 ])
 def test_filter_cold_starts_refuses_broken_cold_pairs(broken):
     # repetition 3 is cold; pairing never sees its rows, so the filter checks them
-    ms = [make_measurement(100, v, repetition=r, cold=r == 3) for r in range(4) for v in "AB"]
     with pytest.raises(PairingError, match=r"\(0, 3\)|duplicate"):
-        filter_cold_starts(_mset(broken(ms)))
+        filter_cold_starts(broken(_pairs(4, cold_reps=(3,))))
 
 
 @pytest.mark.parametrize("cold_reps", [pytest.param((), id="no-cold"), pytest.param((0,), id="rep-0-cold")])
 def test_filter_cold_starts_refuses_any_broken_pair(cold_reps):
     # repetition 3 is warm and lacks its candidate; the filter checks every pair, not only cold ones
-    ms = [make_measurement(100, v, repetition=r, cold=r in cold_reps) for r in range(4) for v in "AB"]
     with pytest.raises(PairingError, match=r"\(0, 3\)"):
-        filter_cold_starts(_mset(ms[:-1]))
+        filter_cold_starts(_pairs(4, cold_reps=cold_reps)[:-1])
 
 
 def test_confidence_interval_invariants():

@@ -80,6 +80,14 @@ def test_insufficient_samples_error_exit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InsufficientSamplesError"
 
 
+def test_simulated_duration_beyond_int64_exits_two_and_writes_nothing(tmp_path, capsys):
+    code = main(["run", "--strategy", "duet", *FAST_FLAGS, "--base-cost-ns", "1e20", "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "OverflowError", "message": "a simulated duration exceeds the int64 range of duration_ns"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_writes_table_and_exits_zero(tmp_path, capsys):
     code = main(["compare", *FAST_FLAGS, "--out", str(tmp_path)])
     assert code == EXIT_PASS

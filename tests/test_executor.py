@@ -155,9 +155,12 @@ def test_duet_returns_only_timings_on_the_clock_asked_for(monkeypatch):
     monkeypatch.setattr(DuetExecutor, "_recv", recording)
     spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(0, 1)) as ex:
-        for clock, key in ((None, "cpu_ns"), (ClockMode.CPU_TIME, "cpu_ns"), (ClockMode.WALL_CLOCK, "wall_ns")):
-            timings = ex.duet_invoke(SPEC_SMALL, spec_b, clock=clock)
-            mode = clock or ClockMode.CPU_TIME  # dataclass equality also asks for exactly a Timing
+        cases = [({}, ClockMode.CPU_TIME, "cpu_ns"),  # no clock: the default, CPU time
+                 ({"clock": ClockMode.CPU_TIME}, ClockMode.CPU_TIME, "cpu_ns"),
+                 ({"clock": ClockMode.WALL_CLOCK}, ClockMode.WALL_CLOCK, "wall_ns")]
+        for clock, mode, key in cases:
+            timings = ex.duet_invoke(SPEC_SMALL, spec_b, **clock)
+            # dataclass equality also asks for exactly a Timing
             assert timings == tuple(Timing(r[key], mode, r["result"]) for r in replies[-2:])
 
 
@@ -199,11 +202,12 @@ def test_pin_failure_raises_and_stops_workers(monkeypatch):
 
 
 @requires_two_cores
-def test_duet_barrier_timeout_maps_to_error():
-    with DuetExecutor(barrier_timeout_s=1.0) as ex:
+def test_duet_barrier_timeout_maps_to_error(monkeypatch):
+    monkeypatch.setattr(executor_mod, "BARRIER_TIMEOUT_S", 1.0)
+    with DuetExecutor() as ex:
         ex._ensure_workers()
         ex._barrier.abort()
-        with pytest.raises(BarrierTimeoutError):
+        with pytest.raises(BarrierTimeoutError, match=r"within 1\.0s$"):
             ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
         # executor recovers with fresh workers afterwards
         m_a, m_b = ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))

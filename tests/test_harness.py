@@ -26,7 +26,6 @@ from duetbench.harness import (
     ExperimentConfig,
     Report,
     StrategyResult,
-    compare_strategies,
     emit_report,
     instance_repetitions,
     load_raw_csv,
@@ -209,18 +208,17 @@ def test_merge_is_sorted_by_instance_then_repetition():
     assert keys == sorted(keys)
 
 
-def test_compare_strategies_orders_and_tabulates():
-    cfg = ExperimentConfig(strategies=(Strategy.DUET,), seed=11, **FAST)
-    report = compare_strategies(cfg)
-    table = report.strategy_table()
-    assert [row[0] for row in table] == ["independent", "rmit", "duet"]
-    widths = {row[0]: row[1] for row in table}
-    assert widths["duet"] < widths["rmit"] < widths["independent"]
+def test_all_strategies_run_in_order_and_duet_is_narrowest():
+    cfg = ExperimentConfig(strategies=ALL_STRATEGIES, seed=11, **FAST)
+    results = run_experiment(cfg).results
+    assert [r.strategy for r in results] == [Strategy.INDEPENDENT, Strategy.RMIT, Strategy.DUET]
+    widths = {r.strategy: r.ci.width_pp for r in results}
+    assert widths[Strategy.DUET] < widths[Strategy.RMIT] < widths[Strategy.INDEPENDENT]
 
 
-def test_single_strategy_single_row_table():
+def test_single_strategy_single_result():
     cfg = ExperimentConfig(strategies=(Strategy.RMIT,), seed=2, **FAST)
-    assert len(run_experiment(cfg).strategy_table()) == 1
+    assert len(run_experiment(cfg).results) == 1
 
 
 def test_noise_free_model_gives_zero_widths():

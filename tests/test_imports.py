@@ -1,9 +1,10 @@
-"""Every module of the package uses each name it imports, imports only the modules below it, and none imports a
-test-only dependency."""
+"""Every module of the package uses each name it imports, imports only the modules below it, none imports a
+test-only dependency, and each public definition has a caller besides the tests."""
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,41 @@ def test_simenv_defines_no_class():
     """The model module holds no state: a simulated instance lives in `strategies.SimulatedInstance`."""
     tree = ast.parse(Path(duetbench.simenv.__file__).read_text(encoding="utf-8"))
     assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+
+
+PERFBENCH = [p for p in sorted((Path(duetbench.__file__).parents[2] / "perfbench").glob("*.py"))
+             if not p.name.startswith("test_")]
+# Public, but with no caller besides the tests: the reference that the exact CI is checked against.
+TEST_REFERENCES = {"percentile_interval"}
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree: ast.Module) -> Iterator[tuple[str, int]]:
+    """Each public function, class and method a module defines, with its line."""
+    for node in tree.body:
+        for definition in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+            if isinstance(definition, _DEFINITIONS) and not definition.name.startswith("_"):
+                yield definition.name, definition.lineno
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every name the code reads, as a name or an attribute, or imports."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+    return named
+
+
+def test_every_public_definition_has_a_caller_besides_the_tests():
+    """An option or a second path that only a test takes is kept out of the package: each public function, class
+    and method is named in a package module other than `__init__.py` (its own included) or in the benchmark."""
+    named = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8"))) for p in [*SOURCES, *PERFBENCH]))
+    uncalled = [f"{p.name}:{line} {name}" for p in PACKAGE
+                for name, line in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
+                if name not in named | TEST_REFERENCES]
+    assert not uncalled, f"public definitions that only the tests name: {uncalled}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_measurement, requires_two_cores
+from conftest import requires_two_cores
 from duetbench.analysis import filter_cold_starts
 from duetbench.errors import PairingError
 from duetbench.executor import DuetExecutor, Timing
@@ -57,13 +57,11 @@ class _NoExecutor:
         raise AssertionError(f"executor.{name} used")
 
 
-def test_rmit_requires_seed():
-    with pytest.raises(ValueError, match="seeded"):
-        run_rmit(SPECS, LiveInstance(_NoExecutor(), seed=None), 10)
-
-
-def test_simulated_backend_requires_seed():
-    with pytest.raises(ValueError, match="seed"):
+def test_instances_require_a_seed():
+    # SeedSequence(None) would draw fresh entropy: rmit's order, and the simulated lottery and noise, would not repeat
+    with pytest.raises(ValueError, match="needs a seed"):
+        LiveInstance(_NoExecutor(), None)
+    with pytest.raises(ValueError, match="needs a seed"):
         SimulatedInstance(MODEL, None)
 
 
@@ -114,17 +112,13 @@ def test_duplicate_version_labels_rejected():
     same = (SPECS[0], make_workload(WorkloadKind.CPU_MUTATION, 50_000, "A"))
     for runner in (run_independent, run_rmit, run_duet):
         with pytest.raises(ValueError, match="distinct labels"):
-            runner(same, LiveInstance(_NoExecutor(), seed=1), 5)
+            runner(same, LiveInstance(_NoExecutor(), 1), 5)
     with pytest.raises(ValueError, match="distinct labels"):
         MeasurementSet(Strategy.DUET, ("A", "A"))
 
 
 def test_pairing_arithmetic():
-    mset = MeasurementSet.from_rows(Strategy.DUET, ("A", "B"), [
-        make_measurement(100, "A", repetition=1), make_measurement(110, "B", repetition=1),
-        make_measurement(100, "A", instance_id=1), make_measurement(90, "B", instance_id=1),
-        make_measurement(100, "A"), make_measurement(105, "B"),
-    ])
+    mset = _set([0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1], duration_ns=[100, 110, 100, 90, 100, 105])
     samples = pair_measurements(mset)
     assert samples.dtype == np.float64
     # (instance, repetition) order, whatever the row order
@@ -137,13 +131,8 @@ def test_pairing_empty_set():
 
 
 def test_pairing_missing_partner_raises():
-    ms = [
-        make_measurement(100, "A", repetition=0),
-        make_measurement(105, "B", repetition=0),
-        make_measurement(100, "A", repetition=1),
-    ]
     with pytest.raises(PairingError):
-        pair_measurements(MeasurementSet.from_rows(Strategy.DUET, ("A", "B"), ms))
+        pair_measurements(_set([0, 0, 0], [0, 0, 1], [0, 1, 0]))
 
 
 def test_pairing_count_invariant():
@@ -159,12 +148,15 @@ def test_pairing_count_invariant():
 
 def test_random_pairing_scheme_is_seeded_and_complete():
     mset = run_independent(SPECS, sim_backend(seed=2), 30)
-    a = pair_measurements(mset, scheme="random", rng=5)
-    b = pair_measurements(mset, scheme="random", rng=5)
+    a = pair_measurements(mset, scheme="random", rng=np.random.default_rng(5))
+    b = pair_measurements(mset, scheme="random", rng=np.random.default_rng(5))
     assert a.tobytes() == b.tobytes()
     assert len(a) == 30
     with pytest.raises(ValueError):
         pair_measurements(mset, scheme="nope")
+    for rng in (None, 5):  # OS entropy, or one seed for every instance alike
+        with pytest.raises(ValueError, match="needs a numpy.random.Generator"):
+            pair_measurements(mset, scheme="random", rng=rng)
 
 
 def test_simulated_cold_flags_first_instance_invocation():
@@ -202,7 +194,7 @@ class _RecordingExecutor:
 
 def test_live_duet_alternates_the_baseline_worker():
     executor = _RecordingExecutor()
-    mset = run_duet(SPECS, LiveInstance(executor, instance_id=3), 4)
+    mset = run_duet(SPECS, LiveInstance(executor, 0, instance_id=3), 4)
     assert executor.sent == [("A", "B"), ("B", "A"), ("A", "B"), ("B", "A")]
     pairs = list(zip(mset.measurements[::2], mset.measurements[1::2]))
     assert [(a.version_label, b.version_label) for a, b in pairs] == [("A", "B")] * 4
@@ -219,7 +211,7 @@ def test_work_results_identical_across_strategies_live():
     )
     checksums = {}
     with DuetExecutor() as executor:
-        live = LiveInstance(executor, seed=50)
+        live = LiveInstance(executor, 50)
         for strategy in Strategy:
             mset = run_strategy(ExperimentConfig(backend=Backend.LIVE, seed=50), strategy, specs, live, 3)
             checksums[strategy] = {m.version_label: m.result.checksum for m in mset.measurements}
@@ -245,7 +237,7 @@ class _SoloRecorder:
 @pytest.mark.parametrize("runner", [run_independent, run_rmit])
 def test_live_solo_set_takes_its_layout_from_the_strategy(runner):
     executor = _SoloRecorder()
-    mset = runner(SPECS, LiveInstance(executor, instance_id=2, seed=11), 6)
+    mset = runner(SPECS, LiveInstance(executor, 11, instance_id=2), 6)
     layout = runner(SPECS, sim_backend(seed=11, instance_id=2), 6)  # the same instance's order stream
     assert executor.calls == [((SPECS[v], ClockMode.WALL_CLOCK), {}) for v in layout.version.tolist()]
     for name in ("version", "repetition", "order_position", "instance_id", "clock_mode"):
@@ -257,18 +249,28 @@ def test_live_solo_set_takes_its_layout_from_the_strategy(runner):
     assert not mset.cold.any()
 
 
-def _set(instance_id, repetition, version, order_position=-1):
+def _set(instance_id, repetition, version, order_position=-1, clock_mode=0, duration_ns=None):
     n = len(version)
-    return MeasurementSet(Strategy.RMIT, ("A", "B"), duration_ns=np.arange(1, n + 1), instance_id=instance_id,
-                          repetition=repetition, version=version, cold=np.zeros(n, bool),
-                          order_position=np.broadcast_to(order_position, n), clock_mode=np.zeros(n))
+    return MeasurementSet(Strategy.RMIT, ("A", "B"), duration_ns=np.arange(1, n + 1) if duration_ns is None else duration_ns,
+                          instance_id=instance_id, repetition=repetition, version=version, cold=np.zeros(n, bool),
+                          order_position=np.broadcast_to(order_position, n), clock_mode=np.broadcast_to(clock_mode, n))
 
 
-@pytest.mark.parametrize("position", [257, -255, 2, -2])
-def test_order_position_is_checked_before_it_narrows(position):
-    # 257 and -255 would wrap to 1 as int8
-    with pytest.raises(ValueError, match=rf"order_position must be -1 \(none\), 0 or 1, got {position}$"):
-        _set([0, 0], [0, 0], [0, 1], [position, 0])
+@pytest.mark.parametrize(("name", "rule", "value"), [
+    *[("order_position", r"-1 \(none\), 0 or 1", v) for v in (257, -255, 2, -2)],
+    *[("version", r"0 \(baseline\) or 1 \(candidate\)", v) for v in (257, -255, 2, -1)],
+    *[("clock_mode", "an index into CLOCKS", v) for v in (257, -255, 2, -1)],
+])
+def test_codes_are_checked_before_they_narrow(name, rule, value):
+    # int64 257 and -255 would wrap to 1 as int8; a version or clock out of range would break reading the row
+    columns = {"version": [0, 1], "order_position": [-1, -1], "clock_mode": [0, 0], name: np.array([value, 0])}
+    with pytest.raises(ValueError, match=rf"{name} must be {rule}, got {value}$"):
+        _set([0, 0], [0, 0], **columns)
+
+
+def test_columns_of_different_lengths_are_refused():
+    with pytest.raises(ValueError, match="columns differ in length"):
+        MeasurementSet(Strategy.DUET, ("A", "B"), duration_ns=[1])
 
 
 def test_order_position_is_int8():
