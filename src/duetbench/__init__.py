@@ -45,9 +45,6 @@ from .strategies import (
     LiveInstance,
     SimulatedInstance,
     pair_measurements,
-    run_duet,
-    run_independent,
-    run_rmit,
     run_strategy,
 )
 from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, WorkResult, make_workload, run_workload

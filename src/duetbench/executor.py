@@ -97,7 +97,7 @@ class BarrierTrace:
 class Timing:
     """What one live invocation measured: its duration on `clock_mode` and the workload's result.
 
-    The strategy runner lays out the set (labels, instance, repetition, order) and keeps only these.
+    `strategies.run_strategy` lays out the set (labels, instance, repetition, order) and keeps only these.
     """
 
     duration_ns: int

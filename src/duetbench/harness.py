@@ -1,12 +1,10 @@
-"""Experiment orchestration: instance fan-out, reports, file output.
+"""Experiment orchestration: reports, file output.
 
 An experiment runs one workload comparison (baseline vs candidate) under one
-or more strategies. Each strategy runs on `instances` "instances" one after
-another (fresh simulated instances, or in live mode one shared executor;
-the strategy runner tags each row with its instance id), then its
-measurements are merged, cold starts filtered, pairs formed and the exact
-bootstrap confidence interval of the median change computed, one strategy
-after another.
+or more strategies. Each strategy's one set of measurements, from all its
+instances (`strategies.run_strategy`), has its cold starts filtered, its
+pairs formed and the exact bootstrap confidence interval of its median
+change computed, one strategy after another.
 
 Everything that ends up in the summary is regenerable from the raw
 measurement CSV plus the seed: the one analysis RNG stream, the random
@@ -20,7 +18,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import re
 import warnings
 from contextlib import nullcontext
@@ -42,12 +39,8 @@ from .analysis import (
 from .config import ExperimentConfig
 from .errors import BenchmarkError, PairingError
 from .executor import CorePlan, DuetExecutor
-from .measurement import CLOCKS, COLUMNS, Backend, MeasurementSet, Strategy
-from .strategies import LiveInstance, SimulatedInstance, pair_measurements, run_strategy
-
-# Fixed per-strategy codes for analysis stream derivation; independent of the
-# order strategies appear in a config, so re-analysis pairs the same way.
-_STRATEGY_CODE = {Strategy.INDEPENDENT: 0, Strategy.RMIT: 1, Strategy.DUET: 2}
+from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Strategy
+from .strategies import pair_measurements, run_strategy
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
 SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
@@ -57,23 +50,13 @@ SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_uppe
 def _pairing_rng(seed: int, strategy: Strategy) -> np.random.Generator:
     """The random pairing's generator for `strategy`, keyed by (seed, purpose 3, strategy code) alone.
 
+    The code is the strategy's index in `STRATEGIES`, not its place in a config, so re-analysis pairs the same way.
+
     Purpose 0 keys the per-instance lottery, noise and order streams (`strategies._instance_streams`, by
     instance id instead of strategy). Purposes 1 and 2 keyed the Monte Carlo bootstrap and sweep, which the
     exact CI replaced; they are retired, not reused, so `raw.csv` pairs as it always did.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, _STRATEGY_CODE[strategy])))
-
-
-def instance_repetitions(total: int, instances: int) -> list[int]:
-    """ceil(total/instances) per instance, truncated so the sum equals total."""
-    per = math.ceil(total / instances)
-    out: list[int] = []
-    remaining = total
-    for _ in range(instances):
-        take = min(per, remaining)
-        out.append(take)
-        remaining -= take
-    return out
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, STRATEGIES.index(strategy))))
 
 
 @dataclass
@@ -111,22 +94,6 @@ class Report:
         return Verdict.PASS
 
 
-def _run_one_strategy(cfg: ExperimentConfig, strategy: Strategy, specs, executor: DuetExecutor | None) -> MeasurementSet:
-    """Run `strategy` on every instance: simulated ones, or live ones sharing `executor`."""
-    parts = []
-    for instance_id, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)):
-        if reps == 0:
-            continue
-        if executor is None:
-            backend = SimulatedInstance(cfg.model, cfg.seed, instance_id=instance_id)
-        else:
-            backend = LiveInstance(executor, cfg.seed, instance_id=instance_id)
-        parts.append(run_strategy(cfg, strategy, specs, backend, reps))
-    columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in COLUMNS}
-    order = np.lexsort((columns["repetition"], columns["instance_id"]))  # stable: in-repetition order kept
-    return MeasurementSet(strategy, parts[0].version_labels, **{name: column[order] for name, column in columns.items()})
-
-
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
     strategy = mset.strategy
@@ -161,10 +128,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     analysing, so no analysis runs beside the pinned workers.
     """
     started = datetime.now(timezone.utc).isoformat()
-    specs = cfg.specs()
     live = cfg.backend is Backend.LIVE
     with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
-        sets = [_run_one_strategy(cfg, strategy, specs, executor) for strategy in cfg.strategies]
+        sets = [run_strategy(cfg, strategy, executor) for strategy in cfg.strategies]
     results = [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
@@ -325,7 +291,7 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
         raise BenchmarkError(f"no measurements found in {path}")
     grouped = {}
     for code in list(parts):  # pieces are dropped as they are joined, so they never all sit beside the sets
-        chunks, strategy = parts.pop(code), list(Strategy)[code]
+        chunks, strategy = parts.pop(code), STRATEGIES[code]
         columns = {name: np.concatenate([c.pop(name) for c in chunks]) for name in list(chunks[0])}
         grouped[strategy] = MeasurementSet(strategy, labels, **columns)
     return grouped
@@ -416,7 +382,7 @@ def _version_codes(labels: tuple[str, str], names: np.ndarray, instance_id: np.n
 _COLD_CELLS = ("false", "true")
 _ORDER_CELLS = ("", "0", "1")  # no position, first, second
 _CLOCK_CELLS = tuple(c.value for c in CLOCKS)
-_TEXT_CELLS = {"strategy": tuple(s.value for s in Strategy), "clock_mode": _CLOCK_CELLS, "cold": _COLD_CELLS,
+_TEXT_CELLS = {"strategy": tuple(s.value for s in STRATEGIES), "clock_mode": _CLOCK_CELLS, "cold": _COLD_CELLS,
                "order_position": _ORDER_CELLS}  # the cells each text column but `version` may hold
 # `,clock_mode,cold,order_position` and the line end, at (clock_mode * 2 + cold) * 3 + order_position + 1
 _TAIL_CELLS = _byte_table([f",{clock},{cold},{order}\r\n" for clock in _CLOCK_CELLS for cold in _COLD_CELLS
@@ -431,7 +397,7 @@ def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
     cfg = ExperimentConfig(seed=seed, **settings)
     started = datetime.now(timezone.utc).isoformat()
     grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
-    results = [analyze_measurement_set(grouped[s], cfg=cfg) for s in sorted(grouped, key=_STRATEGY_CODE.get)]
+    results = [analyze_measurement_set(mset, cfg=cfg) for mset in grouped.values()]
     finished = datetime.now(timezone.utc).isoformat()
     config = {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}
     return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)

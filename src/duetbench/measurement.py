@@ -80,6 +80,7 @@ class Measurement:
 
 
 CLOCKS = tuple(ClockMode)
+STRATEGIES = tuple(Strategy)  # a strategy's index here is its code: in the raw.csv reader and the pairing stream's key
 
 
 def _column(dtype: Any, default: Any = ()) -> Any:

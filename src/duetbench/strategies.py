@@ -1,4 +1,9 @@
-"""The three invocation strategies over a live or simulated backend.
+"""The three invocation strategies, run over a gate's live or simulated instances.
+
+A strategy runs on each of a gate's `instances` in turn: fresh simulated
+instances, or in live mode live instances that share one executor. The
+gate's repetitions are split over them (`instance_repetitions`), and each
+instance runs its share in the order the strategy lays out:
 
 - independent: all baseline invocations back-to-back, then all candidate
   invocations, each run alone but within the same instance context.
@@ -8,24 +13,23 @@
   synchronized on the live backend (which worker runs the baseline
   alternates), or given correlated noise draws on the simulated one.
 
-A backend represents one "instance": either a live executor on this host or
-one simulated platform instance. Seed derivation is keyed by instance id
-only, never by strategy, so all strategies compared under one seed see the
-same instance lottery.
+The rows of all instances form the strategy's one set, tagged with their
+instance id and ordered by (instance, repetition). Seed derivation is keyed
+by instance id only, never by strategy, so all strategies compared under one
+seed see the same instance lottery.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .analysis import relative_change
 from .config import ExperimentConfig, VariabilityModel
 from .executor import DuetExecutor
-from .measurement import CLOCKS, ClockMode, MeasurementSet, Strategy, default_clock
+from .measurement import CLOCKS, MeasurementSet, Strategy, default_clock
 from .simenv import draw_noise, draw_pair_noise, sample_instance, simulate_invocations
-from .workloads import WorkloadSpec
-
-Specs = tuple[WorkloadSpec, WorkloadSpec]
 
 
 def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -48,7 +52,6 @@ class SimulatedInstance:
     def __init__(self, model: VariabilityModel, seed: int, instance_id: int = 0) -> None:
         lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
-        self.instance_id = instance_id
         self.quality, self.drift_phase = sample_instance(model, lottery)
         self._t = 0.0
         self._warm = False
@@ -74,7 +77,6 @@ class LiveInstance:
 
     def __init__(self, executor: DuetExecutor, seed: int, instance_id: int = 0) -> None:
         self.executor = executor
-        self.instance_id = instance_id
         self.order_rng = _instance_streams(seed, instance_id)[2]
 
     def run(self, strategy, specs, version, clock) -> tuple[list[int], np.ndarray, list]:
@@ -93,59 +95,46 @@ class LiveInstance:
         return [t.duration_ns for t in timings], np.zeros(len(timings), bool), [t.result for t in timings]
 
 
-InstanceBackend = SimulatedInstance | LiveInstance
+def instance_repetitions(total: int, instances: int) -> list[int]:
+    """ceil(total/instances) per instance, truncated so the sum equals total."""
+    per = math.ceil(total / instances)
+    return [min(per, max(total - i * per, 0)) for i in range(instances)]
 
 
-def _run(strategy: Strategy, specs: Specs, backend: InstanceBackend, version, repetition, order_position,
-         clock: ClockMode | None) -> MeasurementSet:
-    """Check the labels, run the invocations laid out row by row (an order_position of -1 is none) and build their set."""
-    labels = (specs[0].version_label, specs[1].version_label)
-    if labels[0] == labels[1]:
-        raise ValueError(f"the two versions need distinct labels, both are {labels[0]!r}")
-    clock = clock or default_clock(strategy)
-    version = np.asarray(version, np.int8)
-    duration, cold, result = backend.run(strategy, specs, version, clock)
-    n = len(version)
+def run_strategy(cfg: ExperimentConfig, strategy: Strategy, executor: DuetExecutor | None = None) -> MeasurementSet:
+    """Run `strategy` on each of `cfg`'s instances: simulated ones, or live ones sharing `executor`."""
+    specs, clock = cfg.specs(), cfg.clock or default_clock(strategy)
+    parts = []
+    for instance_id, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)):
+        if reps == 0:
+            continue
+        if executor is None:
+            instance = SimulatedInstance(cfg.model, cfg.seed, instance_id)
+        else:
+            instance = LiveInstance(executor, cfg.seed, instance_id)
+        repetition, position = np.repeat(np.arange(reps), 2), np.int8(-1)  # an order_position of -1 is none
+        if strategy is Strategy.INDEPENDENT:  # all baseline invocations first, then all candidate invocations
+            version, repetition = np.repeat([0, 1], reps), np.tile(np.arange(reps), 2)
+        elif strategy is Strategy.RMIT:  # a fair coin from the instance's order stream orders each trial
+            baseline_first = instance.order_rng.integers(0, 2, size=reps) == 0
+            version = np.stack([~baseline_first, baseline_first], axis=1).ravel()
+            position = np.tile(np.int8([0, 1]), reps)
+        else:  # duet: one (baseline, candidate) pair per repetition
+            version = np.tile([0, 1], reps)
+        version = version.astype(np.int8)
+        duration, cold, result = instance.run(strategy, specs, version, clock)
+        n = len(version)
+        parts.append((duration, np.full(n, instance_id), repetition, version, cold, np.broadcast_to(position, n), result))
+    *columns, results = zip(*parts)
+    columns = dict(zip(("duration_ns", "instance_id", "repetition", "version", "cold", "order_position"),
+                       map(np.concatenate, columns)))
+    order = np.lexsort((columns["repetition"], columns["instance_id"]))  # stable: in-repetition order kept
+    n = len(order)
     return MeasurementSet(
-        strategy, labels, duration_ns=duration, instance_id=np.full(n, backend.instance_id), repetition=repetition,
-        version=version, cold=cold, order_position=np.broadcast_to(order_position, n),
-        clock_mode=np.full(n, CLOCKS.index(clock)), result=result,
+        strategy, (specs[0].version_label, specs[1].version_label), **{name: c[order] for name, c in columns.items()},
+        clock_mode=np.full(n, CLOCKS.index(clock), np.int8),
+        result=None if executor is None else np.array([r for part in results for r in part], object)[order],
     )
-
-
-def run_independent(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
-    """All baseline invocations first, then all candidate invocations."""
-    reps = np.tile(np.arange(repetitions), 2)
-    return _run(Strategy.INDEPENDENT, specs, backend, np.repeat([0, 1], repetitions), reps, -1, clock)
-
-
-def run_rmit(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
-    """Randomized interleaved trials: a fair coin from the instance's order stream orders each trial."""
-    baseline_first = backend.order_rng.integers(0, 2, size=repetitions) == 0
-    version = np.stack([~baseline_first, baseline_first], axis=1).ravel()
-    reps = np.repeat(np.arange(repetitions), 2)
-    return _run(Strategy.RMIT, specs, backend, version, reps, np.tile([0, 1], repetitions), clock)
-
-
-def run_duet(specs: Specs, backend: InstanceBackend, repetitions: int, clock: ClockMode | None = None) -> MeasurementSet:
-    """Parallel synchronized pairs; one (baseline, candidate) pair per repetition."""
-    reps = np.repeat(np.arange(repetitions), 2)
-    return _run(Strategy.DUET, specs, backend, np.tile([0, 1], repetitions), reps, -1, clock)
-
-
-_RUNNERS = {
-    Strategy.INDEPENDENT: run_independent,
-    Strategy.RMIT: run_rmit,
-    Strategy.DUET: run_duet,
-}
-
-
-def run_strategy(
-    cfg: ExperimentConfig, strategy: Strategy, specs: Specs, backend: InstanceBackend,
-    repetitions: int,
-) -> MeasurementSet:
-    """Run `strategy` on one instance; of the gate's config only `cfg.clock` is read."""
-    return _RUNNERS[strategy](specs, backend, repetitions, cfg.clock)
 
 
 def pair_measurements(

@@ -31,14 +31,7 @@ from duetbench.executor import DuetExecutor
 from duetbench.harness import ExperimentConfig, run_experiment, summary_dict
 from duetbench.measurement import Backend, Strategy
 from duetbench.simenv import VariabilityModel
-from duetbench.strategies import (
-    LiveInstance,
-    SimulatedInstance,
-    pair_measurements,
-    run_duet,
-    run_rmit,
-)
-from duetbench.workloads import WorkloadKind, make_workload
+from duetbench.strategies import pair_measurements, run_strategy
 
 SIM = Backend.SIMULATED
 
@@ -48,16 +41,14 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _specs(regression_pct: float = 0.0, scale: int = 100_000):
-    return (
-        make_workload(WorkloadKind.CPU_MUTATION, scale, "A"),
-        make_workload(WorkloadKind.CPU_MUTATION, scale, "B", regression_pct),
-    )
+def _one_instance(repetitions: int, seed: int, **settings) -> ExperimentConfig:
+    """A gate of one instance of CPU_MUTATION at scale 100 000, labelled A and B."""
+    return ExperimentConfig(repetitions=repetitions, instances=1, seed=seed, scale=100_000, **settings)
 
 
 def _duet_pairs(seed: int, repetitions: int, regression_pct: float = 0.0, model: VariabilityModel | None = None):
     model = model if model is not None else VariabilityModel()
-    mset = run_duet(_specs(regression_pct), SimulatedInstance(model, seed, 0), repetitions)
+    mset = run_strategy(_one_instance(repetitions, seed, regression_pct=regression_pct, model=model), Strategy.DUET)
     return pair_measurements(filter_cold_starts(mset))
 
 
@@ -186,12 +177,10 @@ def test_small_sample_width_simulated():
 def test_small_sample_width_live_duet():
     # Environment-sensitive: needs a quiet >= 2-core machine with fine-grained
     # per-thread CPU accounting. Soft-fails with a diagnostic otherwise.
-    spec_a = make_workload(WorkloadKind.CPU_MUTATION, 480_000, "A")
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 480_000, "B")
+    cfg = ExperimentConfig(backend=Backend.LIVE, repetitions=100, instances=1, seed=1, scale=480_000)
     t0 = time.perf_counter()
     with DuetExecutor() as executor:
-        live = LiveInstance(executor, 1)
-        mset = run_duet((spec_a, spec_b), live, 100)
+        mset = run_strategy(cfg, Strategy.DUET, executor)
     samples = pair_measurements(filter_cold_starts(mset))
     ci = bootstrap_ci(samples, 0.99, 10_000)
     elapsed = time.perf_counter() - t0
@@ -252,7 +241,7 @@ def test_sweep_shape_and_small_sample_advantage():
 
 def test_rmit_order_uniformity_chi_square():
     trials = 10_000
-    mset = run_rmit(_specs(), SimulatedInstance(VariabilityModel(), 20260810, 0), trials)
+    mset = run_strategy(_one_instance(trials, 20260810), Strategy.RMIT)
     ab = sum(1 for m in mset.measurements if m.version_label == "A" and m.order_position == 0)
     ba = trials - ab
     result = stats.chisquare([ab, ba])

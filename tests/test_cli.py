@@ -147,6 +147,19 @@ def test_analyze_matches_run_verdict(tmp_path):
     assert summary_a["strategies"]["duet"]["ci"] == summary_b["strategies"]["duet"]["ci"]
 
 
+def test_analyze_keeps_the_strategy_order_of_its_archive(tmp_path, capsys):
+    # run's --strategy order, not the enum's, is raw.csv's; a re-analysis writes its files and table alike
+    assert main(["run", "--strategy", "duet", "--strategy", "rmit", *FAST_FLAGS, "--out", str(tmp_path / "r1")]) \
+        == EXIT_PASS
+    ran = capsys.readouterr().out
+    assert main(["analyze", str(tmp_path / "r1" / "raw.csv"), "--out", str(tmp_path / "r2")]) == EXIT_PASS
+    again = capsys.readouterr().out
+    for name in ("raw.csv", "summary.csv"):
+        assert (tmp_path / "r2" / name).read_bytes() == (tmp_path / "r1" / name).read_bytes(), name
+    table = again.splitlines()[:3]
+    assert [line.split()[0] for line in table] == ["strategy", "duet", "rmit"] and table == ran.splitlines()[:3]
+
+
 def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
     raw = tmp_path / "raw.csv"

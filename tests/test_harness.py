@@ -27,13 +27,13 @@ from duetbench.harness import (
     Report,
     StrategyResult,
     emit_report,
-    instance_repetitions,
     load_raw_csv,
     reanalyze_raw,
     run_experiment,
 )
 from duetbench.measurement import CLOCKS, Backend, ClockMode, MeasurementSet, Pairing, Strategy
 from duetbench.simenv import VariabilityModel
+from duetbench.strategies import instance_repetitions
 from duetbench.workloads import WorkloadKind, WorkResult
 
 FAST = dict(repetitions=200, instances=2, resamples=1000, backend=Backend.SIMULATED)
@@ -560,18 +560,23 @@ def test_harness_calls_its_layers_through_its_module_names(tmp_path, monkeypatch
                                    "load_raw_csv")}
     for name, seen in calls.items():
         def counting(*args, _fn=getattr(duetbench.harness, name), _seen=seen, **kwargs):
-            _seen.append(args)
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            _seen.append((args, out))
+            return out
 
         monkeypatch.setattr(duetbench.harness, name, counting)
-    cfg = ExperimentConfig(strategies=(Strategy.DUET,), seed=12, **FAST)
+    cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), seed=12, **FAST)
     report = run_experiment(cfg)
     again = reanalyze_raw(emit_report(report, tmp_path, ())["raw_csv"], seed=12, resamples=cfg.resamples)
     assert all(calls.values()), {name: len(seen) for name, seen in calls.items()}
-    sent = [args[0] for args in calls["bootstrap_ci"]]
-    assert len(sent) == 2 and sent[0] is report.results[0].samples and sent[1] is again.results[0].samples
-    assert all(args[2] == cfg.resamples for args in calls["bootstrap_ci"])
-    assert all(args[0].backend is Backend.SIMULATED for args in calls["run_strategy"])
+    sent = [args[0] for args, _ in calls["bootstrap_ci"]]
+    assert len(sent) == 4 and all(a is b for a, b in zip(sent, [r.samples for r in report.results + again.results]))
+    assert all(args[2] == cfg.resamples for args, _ in calls["bootstrap_ci"])
+    # one call per strategy of the gate, each returning the strategy's whole set, as perfbench counts invocations
+    runs = calls["run_strategy"]
+    assert [(args[0], args[1]) for args, _ in runs] == [(cfg, strategy) for strategy in cfg.strategies]
+    assert all(args[0].backend is Backend.SIMULATED for args, _ in runs)
+    assert [len(out.measurements) for _, out in runs] == [2 * cfg.repetitions] * 2
 
 
 @requires_two_cores

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from duetbench.config import ExperimentConfig
 from duetbench.errors import ConfigError
 from duetbench.measurement import ClockMode, Strategy
 from duetbench.simenv import VariabilityModel, draw_noise, drift_factor, sample_instance, simulate_invocations
-from duetbench.strategies import SimulatedInstance, run_duet, run_rmit
+from duetbench.strategies import SimulatedInstance, run_strategy
 from duetbench.workloads import WorkloadKind, make_workload
 
 SPEC_A = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "A")
@@ -84,9 +85,9 @@ def test_first_invocation_is_cold_and_pays_penalty():
 
 
 def test_clock_mode_defaults_follow_strategy():
-    specs = (SPEC_A, SPEC_B5)
-    duet = run_duet(specs, SimulatedInstance(NOISE_FREE, 0), 1)[0]
-    rmit = run_rmit(specs, SimulatedInstance(NOISE_FREE, 0), 1)[0]
+    cfg = ExperimentConfig(repetitions=1, instances=1, seed=0, scale=20_000, regression_pct=5.0, model=NOISE_FREE)
+    duet = run_strategy(cfg, Strategy.DUET)[0]
+    rmit = run_strategy(cfg, Strategy.RMIT)[0]
     assert duet.clock_mode is ClockMode.CPU_TIME
     assert rmit.clock_mode is ClockMode.WALL_CLOCK
 

@@ -19,9 +19,6 @@ from duetbench.strategies import (
     MeasurementSet,
     SimulatedInstance,
     pair_measurements,
-    run_duet,
-    run_independent,
-    run_rmit,
     run_strategy,
 )
 from duetbench.workloads import WorkloadKind, WorkResult, make_workload
@@ -33,20 +30,25 @@ SPECS = (
 MODEL = VariabilityModel()
 
 
-def sim_backend(seed=1, instance_id=0, model=MODEL):
-    return SimulatedInstance(model, seed, instance_id=instance_id)
+def run(strategy, repetitions, seed=1, executor=None, **settings):
+    """`strategy` over one instance (unless `settings` say otherwise) of the workload of SPECS."""
+    cfg = ExperimentConfig(repetitions=repetitions, seed=seed, **{"instances": 1, "scale": 50_000, **settings})
+    return run_strategy(cfg, strategy, executor)
 
 
 def test_independent_runs_all_a_then_all_b():
-    mset = run_independent(SPECS, sim_backend(), 3)
-    assert [m.version_label for m in mset.measurements] == ["A", "A", "A", "B", "B", "B"]
-    assert len(mset.measurements) == 6
-    assert [m.repetition for m in mset.measurements] == [0, 1, 2, 0, 1, 2]
+    executor = _SoloRecorder()
+    mset = run(Strategy.INDEPENDENT, 3, executor=executor)
+    assert [args[0].version_label for args, _ in executor.calls] == ["A", "A", "A", "B", "B", "B"]
+    # the set holds the rows by repetition
+    assert [m.version_label for m in mset.measurements] == ["A", "B"] * 3
+    assert [m.repetition for m in mset.measurements] == [0, 0, 1, 1, 2, 2]
+    assert mset.duration_ns.tolist() == [1000, 1003, 1001, 1004, 1002, 1005]
 
 
 def test_simulated_run_is_byte_identical_on_rerun():
-    first = run_independent(SPECS, sim_backend(seed=7), 20)
-    second = run_independent(SPECS, sim_backend(seed=7), 20)
+    first = run(Strategy.INDEPENDENT, 20, seed=7, instances=3)
+    second = run(Strategy.INDEPENDENT, 20, seed=7, instances=3)
     assert list(first) == list(second)
 
 
@@ -66,7 +68,7 @@ def test_instances_require_a_seed():
 
 
 def test_rmit_single_trial_has_complementary_positions():
-    mset = run_rmit(SPECS, sim_backend(seed=5), 1)
+    mset = run(Strategy.RMIT, 1, seed=5)
     assert len(mset.measurements) == 2
     assert {m.order_position for m in mset.measurements} == {0, 1}
     assert {m.version_label for m in mset.measurements} == {"A", "B"}
@@ -76,7 +78,7 @@ def test_rmit_single_trial_has_complementary_positions():
 def test_rmit_order_counts_within_binomial_bound():
     # 99.9% two-sided binomial bound for n=1000, p=0.5 is ~[448, 552];
     # the asserted window is deliberately looser.
-    mset = run_rmit(SPECS, sim_backend(seed=11), 1000)
+    mset = run(Strategy.RMIT, 1000, seed=11)
     ab = sum(
         1 for m in mset.measurements if m.version_label == "A" and m.order_position == 0
     )
@@ -85,7 +87,7 @@ def test_rmit_order_counts_within_binomial_bound():
 
 def test_rmit_identical_seed_gives_identical_order():
     def order_sequence(seed):
-        mset = run_rmit(SPECS, sim_backend(seed=seed), 200)
+        mset = run(Strategy.RMIT, 200, seed=seed)
         firsts = [m.version_label for m in mset.measurements if m.order_position == 0]
         return firsts
 
@@ -94,7 +96,7 @@ def test_rmit_identical_seed_gives_identical_order():
 
 
 def test_duet_pairs_share_repetition_indices():
-    mset = run_duet(SPECS, sim_backend(seed=3), 100)
+    mset = run(Strategy.DUET, 100, seed=3)
     assert len(mset.measurements) == 200
     for rep in range(100):
         labels = {m.version_label for m in mset.measurements if m.repetition == rep}
@@ -102,17 +104,13 @@ def test_duet_pairs_share_repetition_indices():
 
 
 def test_duet_fully_shared_draws_cancel_exactly():
-    model = VariabilityModel(duet_jitter_cv=0.0)
-    mset = run_duet(SPECS, sim_backend(seed=9, model=model), 50)
+    mset = run(Strategy.DUET, 50, seed=9, model=VariabilityModel(duet_jitter_cv=0.0))
     samples = pair_measurements(filter_cold_starts(mset))
     assert samples.size and (samples == 0.0).all()
 
 
 def test_duplicate_version_labels_rejected():
-    same = (SPECS[0], make_workload(WorkloadKind.CPU_MUTATION, 50_000, "A"))
-    for runner in (run_independent, run_rmit, run_duet):
-        with pytest.raises(ValueError, match="distinct labels"):
-            runner(same, LiveInstance(_NoExecutor(), 1), 5)
+    # a runner never sees them: its config refuses them (tests/test_harness.py::test_config_validation)
     with pytest.raises(ValueError, match="distinct labels"):
         MeasurementSet(Strategy.DUET, ("A", "A"))
 
@@ -136,18 +134,14 @@ def test_pairing_missing_partner_raises():
 
 
 def test_pairing_count_invariant():
-    for strategy, runner in (
-        (Strategy.INDEPENDENT, run_independent),
-        (Strategy.RMIT, run_rmit),
-        (Strategy.DUET, run_duet),
-    ):
-        mset = runner(SPECS, sim_backend(seed=21), 40)
+    for strategy in Strategy:
+        mset = run(strategy, 40, seed=21, instances=3)
         assert mset.strategy is strategy
         assert len(pair_measurements(mset)) == 40
 
 
 def test_random_pairing_scheme_is_seeded_and_complete():
-    mset = run_independent(SPECS, sim_backend(seed=2), 30)
+    mset = run(Strategy.INDEPENDENT, 30, seed=2)
     a = pair_measurements(mset, scheme="random", rng=np.random.default_rng(5))
     b = pair_measurements(mset, scheme="random", rng=np.random.default_rng(5))
     assert a.tobytes() == b.tobytes()
@@ -160,23 +154,16 @@ def test_random_pairing_scheme_is_seeded_and_complete():
 
 
 def test_simulated_cold_flags_first_instance_invocation():
-    for strategy, runner in (
-        (Strategy.INDEPENDENT, run_independent),
-        (Strategy.RMIT, run_rmit),
-        (Strategy.DUET, run_duet),
-    ):
-        mset = runner(SPECS, sim_backend(seed=17), 5)
+    for strategy in Strategy:
+        mset = run(strategy, 5, seed=17)
         cold = [m for m in mset.measurements if m.cold]
         assert len(cold) == 1
         assert mset.measurements[0].cold
 
 
 def test_clock_override_applies_to_all_measurements():
-    mset = run_duet(SPECS, sim_backend(seed=1), 3, ClockMode.WALL_CLOCK)
-    assert all(m.clock_mode is ClockMode.WALL_CLOCK for m in mset.measurements)
-    cfg = ExperimentConfig(clock=ClockMode.WALL_CLOCK)
     for strategy in Strategy:
-        mset = run_strategy(cfg, strategy, SPECS, sim_backend(seed=1), 3)
+        mset = run(strategy, 3, clock=ClockMode.WALL_CLOCK)
         assert all(m.clock_mode is ClockMode.WALL_CLOCK for m in mset.measurements)
 
 
@@ -194,26 +181,22 @@ class _RecordingExecutor:
 
 def test_live_duet_alternates_the_baseline_worker():
     executor = _RecordingExecutor()
-    mset = run_duet(SPECS, LiveInstance(executor, 0, instance_id=3), 4)
+    mset = run(Strategy.DUET, 4, seed=0, executor=executor)
     assert executor.sent == [("A", "B"), ("B", "A"), ("A", "B"), ("B", "A")]
     pairs = list(zip(mset.measurements[::2], mset.measurements[1::2]))
     assert [(a.version_label, b.version_label) for a, b in pairs] == [("A", "B")] * 4
     assert [(a.repetition, b.repetition) for a, b in pairs] == [(r, r) for r in range(4)]
     assert [(a.duration_ns, b.duration_ns) for a, b in pairs] == [(1000, 2000), (2000, 1000)] * 2
-    assert all(m.result.checksum == ord(m.version_label) and m.instance_id == 3 for m in mset.measurements)
+    assert all(m.result.checksum == ord(m.version_label) and m.instance_id == 0 for m in mset.measurements)
 
 
 @requires_two_cores
 def test_work_results_identical_across_strategies_live():
-    specs = (
-        make_workload(WorkloadKind.MEM_SIEVE, 5000, "A"),
-        make_workload(WorkloadKind.MEM_SIEVE, 5000, "B"),
-    )
     checksums = {}
     with DuetExecutor() as executor:
-        live = LiveInstance(executor, 50)
         for strategy in Strategy:
-            mset = run_strategy(ExperimentConfig(backend=Backend.LIVE, seed=50), strategy, specs, live, 3)
+            mset = run(strategy, 3, seed=50, executor=executor, backend=Backend.LIVE, workload=WorkloadKind.MEM_SIEVE,
+                       scale=5000)
             checksums[strategy] = {m.version_label: m.result.checksum for m in mset.measurements}
             assert all(not m.cold for m in mset.measurements)
     assert checksums[Strategy.INDEPENDENT] == checksums[Strategy.RMIT] == checksums[Strategy.DUET]
@@ -234,18 +217,19 @@ class _SoloRecorder:
         return Timing(1000 + i, ClockMode.CPU_TIME, WorkResult(i, 0))
 
 
-@pytest.mark.parametrize("runner", [run_independent, run_rmit])
-def test_live_solo_set_takes_its_layout_from_the_strategy(runner):
+@pytest.mark.parametrize("strategy", [Strategy.INDEPENDENT, Strategy.RMIT])
+def test_live_solo_set_takes_its_layout_from_the_strategy(strategy):
     executor = _SoloRecorder()
-    mset = runner(SPECS, LiveInstance(executor, 11, instance_id=2), 6)
-    layout = runner(SPECS, sim_backend(seed=11, instance_id=2), 6)  # the same instance's order stream
-    assert executor.calls == [((SPECS[v], ClockMode.WALL_CLOCK), {}) for v in layout.version.tolist()]
+    mset = run(strategy, 6, seed=11, executor=executor, instances=3)
+    layout = run(strategy, 6, seed=11, instances=3)  # the same instances' order streams
+    ran = np.argsort(mset.duration_ns)  # the rows in the order they ran: call i reports 1000 + i ns
+    assert executor.calls == [((SPECS[v], ClockMode.WALL_CLOCK), {}) for v in mset.version[ran].tolist()]
     for name in ("version", "repetition", "order_position", "instance_id", "clock_mode"):
         assert getattr(mset, name).tolist() == getattr(layout, name).tolist(), name
-    assert set(mset.instance_id.tolist()) == {2}
+    assert mset.instance_id.tolist() == [0] * 4 + [1] * 4 + [2] * 4
     assert set(mset.clock_mode.tolist()) == {CLOCKS.index(ClockMode.WALL_CLOCK)}
-    assert mset.duration_ns.tolist() == list(range(1000, 1012))
-    assert [m.result.checksum for m in mset] == list(range(12))
+    assert sorted(mset.duration_ns.tolist()) == list(range(1000, 1012))
+    assert [m.result.checksum for m in mset] == (mset.duration_ns - 1000).tolist()  # each result stays with its row
     assert not mset.cold.any()
 
 
@@ -274,7 +258,7 @@ def test_columns_of_different_lengths_are_refused():
 
 
 def test_order_position_is_int8():
-    mset = run_rmit(SPECS, sim_backend(seed=3), 10)
+    mset = run(Strategy.RMIT, 10, seed=3)
     assert mset.order_position.dtype == np.int8
     assert mset.order_position.tolist() == [0, 1] * 10
 
