@@ -6,6 +6,8 @@ the relative change with bootstrap percentile confidence intervals. A seeded
 platform-variability simulator allows deterministic desk-scale experiments.
 """
 
+import importlib
+
 from .analysis import (
     ConfidenceInterval,
     Verdict,
@@ -30,7 +32,7 @@ from .errors import (
     PairingError,
     SweepRangeError,
 )
-from .executor import BarrierTrace, CorePlan, DuetExecutor, Timing, available_cores, timed_run
+from .config import CorePlan
 from .harness import (
     ExperimentConfig,
     Report,
@@ -50,3 +52,9 @@ from .strategies import (
 from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, WorkResult, make_workload, run_workload
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:  # the executor's names load it on first use: a simulated gate never imports it
+    if name in ("BarrierTrace", "DuetExecutor", "Timing", "available_cores", "timed_run"):
+        return getattr(importlib.import_module(".executor", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

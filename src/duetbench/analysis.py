@@ -127,19 +127,24 @@ def _log_factorials(n: int) -> np.ndarray:
         return _LOG_FACT[: n + 1]
 
 
-def _first_true(key: Callable[[int], bool], n: int, guess: int) -> int:
-    """bisect.bisect_left(range(n), True, key=key) for a key False, then True, over 0..n-1, without asking key(n - 1).
-    Steps 1, 2, 4, ... out from `guess`, clamped into 0..n-2, until the switch is bracketed, then bisects the bracket:
-    at most 2 * log2(d + 1) + 2 calls of key, d the distance from the clamped guess to the result."""
-    lo, hi, step = -1, n - 1, 1  # key is False at lo (-1 stands before index 0) and True at hi
-    probe = min(max(guess, 0), n - 2)
-    while lo < probe < hi:  # the first step back across the switch lands beyond lo or hi
-        if key(probe):
-            hi, probe = probe, probe - step
+def _first_true(key: Callable[[float], bool], x: np.ndarray, guess: int) -> int:
+    """bisect.bisect_left(x, True, key=key) for an ascending x and a key False, then True, without asking key(x[-1]).
+    Steps 1, 2, 4, ... out from `guess`, clamped into 0..n-2, until the switch is bracketed, then bisects the bracket;
+    as key holds alike over a run of equal values, each answer moves the bracket's end to the far end of the value's
+    run. At most 2 * log2(d + 1) + 2 calls of key, d the distance from the clamped guess to the result."""
+    lo, hi, step, bisecting = -1, len(x) - 1, 1, False  # key is False at lo (-1 stands before index 0), True at hi
+    t = min(max(guess, 0), len(x) - 2)
+    while hi - lo > 1:
+        if bisecting or not lo < t < hi:  # the first step back across the switch lands beyond lo or hi
+            bisecting, t = True, (lo + hi) // 2
+        if key(x[t]):
+            hi = int(x.searchsorted(x[t], "left"))
+            t = hi - step
         else:
-            lo, probe = probe, probe + step
+            lo = int(x.searchsorted(x[t], "right")) - 1
+            t = lo + step
         step *= 2
-    return bisect.bisect_left(range(n), True, lo + 1, hi, key=key)
+    return hi
 
 
 def bootstrap_ci(
@@ -227,7 +232,7 @@ def bootstrap_ci(
         def key(v: float) -> bool:
             return holds(cdf(v, int(np.searchsorted(x, v, "right"))))
 
-        t = _first_true(lambda t: key(x[t]), n, math.floor(half + z * math.sqrt(n) / 2))
+        t = _first_true(key, x, math.floor(half + z * math.sqrt(n) / 2))
         if n % 2 or t == 0:
             return float(x[t])
         between = np.append(np.sort(means[(means > x[t - 1]) & (means < x[t])]), x[t])

@@ -16,9 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import Verdict
-from .config import ALL_STRATEGIES, ExperimentConfig, add_flags, archived_settings, flag_values
+from .config import ExperimentConfig, add_flags, archived_settings, flag_values
 from .errors import ConfigError
 from .harness import Report, emit_report, reanalyze_raw, run_experiment
+from .measurement import STRATEGIES
 
 EXIT_PASS = 0
 EXIT_REGRESSION = 1
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run all three strategies and tabulate CI widths")
     add_flags(p_cmp, skip=("strategies",))
-    p_cmp.set_defaults(fn=_cmd_report, strategies=ALL_STRATEGIES)
+    p_cmp.set_defaults(fn=_cmd_report, strategies=STRATEGIES)
 
     p_sweep = sub.add_parser("sweep", help="run with the sample-size sweep enabled")
     add_flags(p_sweep)

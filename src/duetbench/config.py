@@ -15,14 +15,11 @@ from typing import TYPE_CHECKING, Any, Literal, get_args, get_origin, get_type_h
 
 from .analysis import DEFAULT_LEVEL, DEFAULT_RESAMPLES, MIN_RESAMPLES, MIN_SAMPLE_SIZE
 from .errors import ConfigError
-from .executor import CorePlan
-from .measurement import Backend, ClockMode, Pairing, Strategy
+from .measurement import STRATEGIES, Backend, ClockMode, Pairing, Strategy
 from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, make_workload
 
 if TYPE_CHECKING:
     import argparse  # only the CLI builds parsers; a gate that imports duetbench does not load argparse
-
-ALL_STRATEGIES = (Strategy.INDEPENDENT, Strategy.RMIT, Strategy.DUET)
 
 
 @functools.cache
@@ -77,6 +74,20 @@ def _about(default: Any, **metadata: Any) -> Any:  # a field and its description
 
 
 @dataclass(frozen=True)
+class CorePlan:
+    """Distinct core assignment for the two duet workers."""
+
+    core_a: int
+    core_b: int
+
+    def __post_init__(self) -> None:
+        if self.core_a < 0 or self.core_b < 0:
+            raise ValueError(f"core indices must be >= 0, got ({self.core_a}, {self.core_b})")
+        if self.core_a == self.core_b:
+            raise ValueError(f"duet workers need distinct cores, got {self.core_a} twice")
+
+
+@dataclass(frozen=True)
 class VariabilityModel:
     """Parameters of the simulated platform.
 
@@ -119,7 +130,7 @@ class ExperimentConfig:
     - `analyze`: True for a field that `analyze` takes; `help`: its flag's help.
     """
 
-    strategies: tuple[Strategy, ...] = _about(ALL_STRATEGIES, flag="--strategy",
+    strategies: tuple[Strategy, ...] = _about(STRATEGIES, flag="--strategy",
                                               help="strategy to run (repeatable; default: all three)")
     backend: Backend = Backend.SIMULATED
     repetitions: int = 1500

@@ -28,6 +28,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from .config import CorePlan
 from .errors import (
     AffinityUnsupportedError,
     BarrierTimeoutError,
@@ -60,20 +61,6 @@ def available_cores() -> int:
 
 def pinning_supported() -> bool:
     return hasattr(os, "sched_setaffinity")
-
-
-@dataclass(frozen=True)
-class CorePlan:
-    """Distinct core assignment for the two duet workers."""
-
-    core_a: int
-    core_b: int
-
-    def __post_init__(self) -> None:
-        if self.core_a < 0 or self.core_b < 0:
-            raise ValueError(f"core indices must be >= 0, got ({self.core_a}, {self.core_b})")
-        if self.core_a == self.core_b:
-            raise ValueError(f"duet workers need distinct cores, got {self.core_a} twice")
 
 
 @dataclass(frozen=True)

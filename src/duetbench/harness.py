@@ -36,11 +36,10 @@ from .analysis import (
     sweep_sample_size,
     verdict,
 )
-from .config import ExperimentConfig
+from .config import CorePlan, ExperimentConfig
 from .errors import BenchmarkError, PairingError
-from .executor import CorePlan, DuetExecutor
 from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Strategy
-from .strategies import pair_measurements, run_strategy
+from .strategies import open_instances, pair_measurements, run_strategy
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
 SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
@@ -123,14 +122,18 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run every configured strategy and assemble the report.
 
-    A live gate opens one executor, and so forks its duet workers at most
-    once, for all strategies and instances. It closes the executor before
-    analysing, so no analysis runs beside the pinned workers.
+    The gate opens its instances once for all strategies. A live gate opens
+    one executor, and so forks its duet workers at most once, for all
+    strategies and instances. It closes the executor before analysing, so no
+    analysis runs beside the pinned workers.
     """
     started = datetime.now(timezone.utc).isoformat()
     live = cfg.backend is Backend.LIVE
+    if live:
+        from .executor import DuetExecutor  # a simulated gate never loads the executor, nor multiprocessing
     with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
-        sets = [run_strategy(cfg, strategy, executor) for strategy in cfg.strategies]
+        instances = open_instances(cfg, executor)
+        sets = [run_strategy(cfg, strategy, instances) for strategy in cfg.strategies]
     results = [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
     finished = datetime.now(timezone.utc).isoformat()
     return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)

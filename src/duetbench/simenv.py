@@ -17,6 +17,9 @@ A duet-style caller gives both versions of a pair the *same* noise factor
 callers give each invocation a fresh draw. The lognormal shapes are a
 modeling assumption, not a calibrated fit to any real platform.
 
+Durations have the bits of libm's `exp` and `sin` called one value at a
+time, though numpy computes them a batch at a time (`simulate_invocations`).
+
 This module holds no state: its functions take an instance's quality and drift
 phase as arguments. `strategies.SimulatedInstance` is the one object that holds
 a simulated instance, with its lottery, streams, virtual clock and cold state.
@@ -24,6 +27,7 @@ a simulated instance, with its lottery, streams, virtual clock and cold state.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -55,42 +59,62 @@ def sample_instance(model: VariabilityModel, rng: np.random.Generator) -> tuple[
 
 
 def _each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """`fn` of every element of a float array, one Python float call each: `np.exp` and `np.sin`
-    differ from `math.exp` and `math.sin` in the last ulp on some inputs, and durations keep their bits."""
+    """`fn` of every element of a float array, one Python float call each: `math.exp` or `math.sin`, libm's, whose
+    bits the simulator's durations have. `simulate_invocations` asks it only for the costs numpy may not keep."""
     return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
 
 
-def drift_factor(model: VariabilityModel, drift_phase: float, t: np.ndarray | float) -> np.ndarray:
-    """Slow sinusoidal multiplier at each virtual time in `t` (seconds) of an instance with `drift_phase`."""
+def drift_factor(model: VariabilityModel, drift_phase: float, t: np.ndarray | float,
+                 sin: Callable[[np.ndarray], np.ndarray] = np.sin) -> np.ndarray:
+    """Slow sinusoidal multiplier at each virtual time in `t` (seconds) of an instance with `drift_phase`.
+
+    `sin` maps the array of phases: numpy's, or libm's one value at a time (`_each`) where the bits matter."""
     phase = 2.0 * math.pi * np.asarray(t, np.float64) / model.drift_period_s + drift_phase
-    return 1.0 + model.drift_amplitude * _each(math.sin, phase)
+    return 1.0 + model.drift_amplitude * sin(phase)
 
 
 def draw_noise(model: VariabilityModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """`n` fresh per-draw temporal noise multipliers."""
-    return _each(math.exp, rng.standard_normal(n) * model.temporal_sigma)
+    """The (n, 1) exponents of `n` fresh per-draw temporal noise factors, each factor exp of its row."""
+    return (rng.standard_normal(n) * model.temporal_sigma)[:, None]
 
 
 def draw_pair_noise(model: VariabilityModel, rng: np.random.Generator, pairs: int) -> np.ndarray:
-    """(pairs, 2) duet noise multipliers: one shared draw times each side's residual jitter.
+    """The (2 * pairs, 2) exponents of duet noise factors: rows 2k and 2k + 1 are pair k's two sides, each the
+    shared draw's exponent and then the side's residual jitter's, for a factor exp(shared) * exp(jitter).
 
     Each pair draws (shared, jitter a, jitter b) in that order; a jitter cv of 0 still draws."""
     jitter = _lognormal_sigma_from_cv(model.duet_jitter_cv)
-    shared, a, b = _each(math.exp, rng.standard_normal((pairs, 3)) * [model.temporal_sigma, jitter, jitter]).T
-    return np.stack([shared * a, shared * b], axis=1)
+    return (rng.standard_normal((pairs, 3)) * [model.temporal_sigma, jitter, jitter])[:, [0, 1, 0, 2]].reshape(-1, 2)
 
 
 def simulate_invocations(model: VariabilityModel, quality: float, drift_phase: float, specs: Sequence[WorkloadSpec],
                          version: np.ndarray, t: np.ndarray, noise: np.ndarray, cold: np.ndarray) -> np.ndarray:
     """Durations (ns) of invocations on an instance of `quality` and `drift_phase`.
 
-    The i-th runs `specs[version[i]]` at virtual time `t[i]` with noise factor `noise[i]`, and pays the
-    cold-start penalty where `cold[i]` is true. Products keep the order ((((scale * base) * quality) * drift)
-    * noise) before the penalty and the truncation: each duration has the bits of one at a time.
+    The i-th runs `specs[version[i]]` at virtual time `t[i]` with the noise factor of the exponents `noise[i]`, and
+    pays the cold-start penalty where `cold[i]` is true. Products keep the order ((((scale * base) * quality) * drift)
+    * noise) before the penalty and the truncation. numpy's `exp` and `sin` compute every cost; libm's, one value at a
+    time, recompute those so near an integer that the last ulps, where the two may differ, could move their truncation.
     """
-    cost = np.array([spec.effective_scale * model.base_cost_ns_per_unit * quality for spec in specs])[version]
-    cost = cost * drift_factor(model, drift_phase, t) * noise
-    cost[cold] += model.cold_penalty_ms * 1e6
+    base = np.array([spec.effective_scale * model.base_cost_ns_per_unit * quality for spec in specs])[version]
+
+    def costs(rows: np.ndarray | slice, exp: Callable, sin: Callable) -> np.ndarray:
+        factor = functools.reduce(np.multiply, map(exp, noise[rows].T))  # a duet side's shared factor, times its jitter
+        cost = base[rows] * drift_factor(model, drift_phase, t[rows], sin) * factor
+        cost[cold[rows]] += model.cold_penalty_ms * 1e6
+        return cost
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a cost that is not finite is recomputed, and fails, below
+        cost = costs(slice(None), np.exp, np.sin)
+        # glibc's exp and sin, and numpy's SIMD ones, lie within 4 ulps of the true value (numpy 2.4, AVX-512: exp
+        # differs from math.exp by 1 ulp on 4.7 % of normal exponents, sin on none of 2 M phases): under 2**-49 of an
+        # exp factor apart, and of 1 in sin, which 1 + amplitude * sin makes 2**-49 / (1 - amplitude) of the drift
+        # factor. After the six correctly rounded products and sums that follow, two costs lie under
+        # 2**-44 / (1 - amplitude) of a cost apart: one farther than 2**-32 / (1 - amplitude) of itself from every
+        # integer truncates alike with both.
+        near = ~(np.abs(cost - np.rint(cost)) > cost * (2.0**-32 / (1.0 - model.drift_amplitude)))
+    if near.any():
+        cost[near] = costs(near, functools.partial(_each, math.exp), functools.partial(_each, math.sin))
     if not (cost < 2.0**63).all():
         raise OverflowError("a simulated duration exceeds the int64 range of duration_ns")
     return np.maximum(cost.astype(np.int64), 1)

@@ -1,6 +1,6 @@
 """The three invocation strategies, run over a gate's live or simulated instances.
 
-A strategy runs on each of a gate's `instances` in turn: fresh simulated
+A strategy runs on each of a gate's `instances` in turn: simulated
 instances, or in live mode live instances that share one executor. The
 gate's repetitions are split over them (`instance_repetitions`), and each
 instance runs its share in the order the strategy lays out:
@@ -16,20 +16,25 @@ instance runs its share in the order the strategy lays out:
 The rows of all instances form the strategy's one set, tagged with their
 instance id and ordered by (instance, repetition). Seed derivation is keyed
 by instance id only, never by strategy, so all strategies compared under one
-seed see the same instance lottery.
+seed see the same instance lottery: a gate opens its instances once
+(`open_instances`), and each strategy starts them from the state they opened
+in.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analysis import relative_change
 from .config import ExperimentConfig, VariabilityModel
-from .executor import DuetExecutor
 from .measurement import CLOCKS, MeasurementSet, Strategy, default_clock
 from .simenv import draw_noise, draw_pair_noise, sample_instance, simulate_invocations
+
+if TYPE_CHECKING:
+    from .executor import DuetExecutor  # only a live gate loads the executor
 
 
 def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -53,8 +58,13 @@ class SimulatedInstance:
         lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
         self.quality, self.drift_phase = sample_instance(model, lottery)
-        self._t = 0.0
-        self._warm = False
+        self._opening = self._noise_rng.bit_generator.state, self.order_rng.bit_generator.state
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the state the instance opened in: its streams at their first draws, its clock at 0, cold."""
+        self._noise_rng.bit_generator.state, self.order_rng.bit_generator.state = self._opening
+        self._t, self._warm = 0.0, False
 
     def run(self, strategy, specs, version, clock) -> tuple[np.ndarray, np.ndarray, None]:
         """The simulated durations and cold flags of the invocations laid out in `version`; no results."""
@@ -63,7 +73,7 @@ class SimulatedInstance:
         slots = np.cumsum(np.r_[self._t, np.full(n // 2 if paired else n, self.model.time_step_s)])
         self._t = float(slots[-1])
         if paired:
-            noise, t = draw_pair_noise(self.model, self._noise_rng, n // 2).ravel(), np.repeat(slots[:-1], 2)
+            noise, t = draw_pair_noise(self.model, self._noise_rng, n // 2), np.repeat(slots[:-1], 2)
         else:
             noise, t = draw_noise(self.model, self._noise_rng, n), slots[:-1]
         cold = np.zeros(n, bool)
@@ -78,6 +88,11 @@ class LiveInstance:
     def __init__(self, executor: DuetExecutor, seed: int, instance_id: int = 0) -> None:
         self.executor = executor
         self.order_rng = _instance_streams(seed, instance_id)[2]
+        self._opening = self.order_rng.bit_generator.state
+
+    def reset(self) -> None:
+        """Back to the order stream's first draw."""
+        self.order_rng.bit_generator.state = self._opening
 
     def run(self, strategy, specs, version, clock) -> tuple[list[int], np.ndarray, list]:
         """Run the invocations one by one, or as duet pairs of rows 2k and 2k + 1; live runs are never cold.
@@ -101,17 +116,21 @@ def instance_repetitions(total: int, instances: int) -> list[int]:
     return [min(per, max(total - i * per, 0)) for i in range(instances)]
 
 
-def run_strategy(cfg: ExperimentConfig, strategy: Strategy, executor: DuetExecutor | None = None) -> MeasurementSet:
-    """Run `strategy` on each of `cfg`'s instances: simulated ones, or live ones sharing `executor`."""
+def open_instances(cfg: ExperimentConfig,
+                   executor: DuetExecutor | None = None) -> dict[int, SimulatedInstance | LiveInstance]:
+    """The instances of `cfg` that run a repetition, by id: simulated ones, or live ones sharing `executor`."""
+    return {i: SimulatedInstance(cfg.model, cfg.seed, i) if executor is None else LiveInstance(executor, cfg.seed, i)
+            for i, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)) if reps}
+
+
+def run_strategy(cfg: ExperimentConfig, strategy: Strategy,
+                 instances: dict[int, SimulatedInstance | LiveInstance] | None = None) -> MeasurementSet:
+    """Run `strategy` on each of `cfg`'s `instances`, by default fresh simulated ones, each reset to its opening."""
     specs, clock = cfg.specs(), cfg.clock or default_clock(strategy)
-    parts = []
-    for instance_id, reps in enumerate(instance_repetitions(cfg.repetitions, cfg.instances)):
-        if reps == 0:
-            continue
-        if executor is None:
-            instance = SimulatedInstance(cfg.model, cfg.seed, instance_id)
-        else:
-            instance = LiveInstance(executor, cfg.seed, instance_id)
+    shares, parts = instance_repetitions(cfg.repetitions, cfg.instances), []
+    for instance_id, instance in (open_instances(cfg) if instances is None else instances).items():
+        instance.reset()
+        reps = shares[instance_id]
         repetition, position = np.repeat(np.arange(reps), 2), np.int8(-1)  # an order_position of -1 is none
         if strategy is Strategy.INDEPENDENT:  # all baseline invocations first, then all candidate invocations
             version, repetition = np.repeat([0, 1], reps), np.tile(np.arange(reps), 2)
@@ -133,7 +152,7 @@ def run_strategy(cfg: ExperimentConfig, strategy: Strategy, executor: DuetExecut
     return MeasurementSet(
         strategy, (specs[0].version_label, specs[1].version_label), **{name: c[order] for name, c in columns.items()},
         clock_mode=np.full(n, CLOCKS.index(clock), np.int8),
-        result=None if executor is None else np.array([r for part in results for r in part], object)[order],
+        result=None if results[0] is None else np.array([r for part in results for r in part], object)[order],
     )
 
 

@@ -31,7 +31,7 @@ from duetbench.executor import DuetExecutor
 from duetbench.harness import ExperimentConfig, run_experiment, summary_dict
 from duetbench.measurement import Backend, Strategy
 from duetbench.simenv import VariabilityModel
-from duetbench.strategies import pair_measurements, run_strategy
+from duetbench.strategies import open_instances, pair_measurements, run_strategy
 
 SIM = Backend.SIMULATED
 
@@ -180,7 +180,7 @@ def test_small_sample_width_live_duet():
     cfg = ExperimentConfig(backend=Backend.LIVE, repetitions=100, instances=1, seed=1, scale=480_000)
     t0 = time.perf_counter()
     with DuetExecutor() as executor:
-        mset = run_strategy(cfg, Strategy.DUET, executor)
+        mset = run_strategy(cfg, Strategy.DUET, open_instances(cfg, executor))
     samples = pair_measurements(filter_cold_starts(mset))
     ci = bootstrap_ci(samples, 0.99, 10_000)
     elapsed = time.perf_counter() - t0

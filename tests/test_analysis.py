@@ -222,24 +222,39 @@ def test_bootstrap_equals_the_reference_at_the_benchmark_sizes_in_a_few_probes(n
         values = np.round(values)
     elif data == "zeros":  # mostly -0.0 and +0.0, the rest ties at -1 and 1
         values = np.round(values / 6) * gen.choice([-1.0, 1.0], n)
-    x, probes, values_probed = np.sort(values), [], []
-
-    def counted(key, n, guess):
-        asked = []
-        found = _first_true(lambda t: asked.append(t) or key(t), n, guess)
-        probes.append(len(asked))
-        values_probed.append(len({float(x[t]) for t in asked}))  # F is computed once per value
-        return found
-
-    monkeypatch.setattr(analysis, "_first_true", counted)
+    probes = _count_probes(monkeypatch)
     for level in _LEVELS:
         got = bootstrap_ci(values, level, 1000)
         assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist(), level
     # Each bound's search over the order statistics starts at its normal guess and computes F at 2 or 3
-    # values, where bisecting all of x took about log2(n), 11 to 13. Ties make it step over runs of one value.
-    assert len(probes) == 2 * len(_LEVELS) and max(values_probed) <= 3, values_probed
-    if data == "normal":
-        assert max(probes) <= 4, probes
+    # values, where bisecting all of x took about log2(n), 11 to 13; it asks no value twice, ties or not.
+    assert len(probes) == 2 * len(_LEVELS) and max(map(len, probes)) <= 3, probes
+    assert all(len(set(asked)) == len(asked) for asked in probes), probes
+
+
+def _count_probes(monkeypatch):
+    """The values each `_first_true` search asks its key, one list per search, from now on."""
+    probes = []
+
+    def counted(key, x, guess):
+        probes.append([])
+        return _first_true(lambda v: probes[-1].append(float(v)) or key(v), x, guess)
+
+    monkeypatch.setattr(analysis, "_first_true", counted)
+    return probes
+
+
+@pytest.mark.parametrize("n", [1496, 1497, 7992, 7993])
+@pytest.mark.parametrize("distinct", [2, 3, 21])
+def test_heavily_tied_samples_give_the_reference_bounds_in_two_probes_a_bound(n, distinct, monkeypatch):
+    # Runs of one value hundreds long: a probe inside one moves the search past the whole run. Stepping one index at
+    # a time from the normal guess asked 14 to 22 values per bound at n = 7 993 (np.round of N(0.5, 3), 21 values).
+    values = np.random.default_rng(n).integers(0, distinct, n) * 0.5 - 1.0
+    probes = _count_probes(monkeypatch)
+    for level in _LEVELS:
+        got = bootstrap_ci(values, level, 1000)
+        assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist(), level
+    assert len(probes) == 2 * len(_LEVELS) and max(map(len, probes)) <= 2, probes
 
 
 @pytest.mark.parametrize("n", range(1, 50))
@@ -253,18 +268,21 @@ def test_bootstrap_equals_the_reference_below_the_minimum_sample_size(n):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 400))
 def test_first_true_is_bisect_left_in_few_calls_from_any_guess(data, n):
-    switch = data.draw(st.integers(0, n - 1), "switch")  # n - 1: all False but the last
+    run = data.draw(st.integers(1, n), "run")  # x holds runs of `run` equal values; 1: all distinct
+    x = (np.arange(n) // run).astype(float)
+    switch = data.draw(st.integers(0, n - 1), "switch")  # n - 1: all False but the last run
     guess = data.draw(st.integers(-2 * n - 5, 2 * n + 5), "guess")  # out of range on either side too
-    keys = [t >= switch for t in range(n)]
     asked = []
 
-    def key(t):
-        asked.append(t)
-        return keys[t]
+    def key(v):
+        asked.append(float(v))
+        return v >= x[switch]
 
-    assert _first_true(key, n, guess) == bisect.bisect_left(keys, True) == switch
-    assert all(0 <= t < n - 1 for t in asked)  # key(n - 1) is known to hold and never asked
-    distance = abs(switch - min(max(guess, 0), n - 2))
+    first = int(np.searchsorted(x, x[switch]))
+    assert _first_true(key, x, guess) == bisect.bisect_left(x, True, key=lambda v: v >= x[switch]) == first
+    assert x[-1] not in asked or x[-2] == x[-1]  # key(x[n - 1]) is known to hold and asked only at n - 2
+    assert len(set(asked)) == len(asked)  # an answer holds over the value's whole run
+    distance = abs(first - min(max(guess, 0), n - 2))
     assert len(asked) <= 2 * math.log2(distance + 1) + 2, (asked, distance)
 
 

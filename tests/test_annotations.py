@@ -11,6 +11,7 @@ import typing
 import pytest
 
 import duetbench
+from duetbench.executor import DuetExecutor
 
 # __main__ runs the CLI when imported
 MODULES = [m.name for m in pkgutil.iter_modules(duetbench.__path__, "duetbench.") if m.name != "duetbench.__main__"]
@@ -34,6 +35,7 @@ def test_every_annotation_resolves(name):
     module = importlib.import_module(name)
     checked = 0
     for obj in _defined(module):
-        typing.get_type_hints(obj, localns={"argparse": argparse})  # config imports argparse for type checkers only
+        # config imports argparse, and strategies DuetExecutor, for type checkers only
+        typing.get_type_hints(obj, localns={"argparse": argparse, "DuetExecutor": DuetExecutor})
         checked += 1
     assert checked

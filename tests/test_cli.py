@@ -274,22 +274,23 @@ def test_console_entrypoint_smoke(tmp_path):
 
 
 def test_simulated_gate_and_analyze_never_import_multiprocessing(tmp_path):
-    # only a live gate spawns worker processes, so only a live gate needs multiprocessing; and no gate needs
-    # numpy.ma, which np.median and np.unique import on their first call (≈6 ms of a one-shot run)
+    # only a live gate spawns worker processes, so only a live gate needs the executor and multiprocessing; and no
+    # gate needs numpy.ma, which np.median and np.unique import on their first call (≈6 ms of a one-shot run)
     script = "\n".join([
         "import sys",
         "from duetbench.cli import main",
         f"run = main(['run', *{FAST_FLAGS!r}, '--out', {str(tmp_path)!r}])",
         f"analyze = main(['analyze', {str(tmp_path / 'raw.csv')!r}])",
-        "print(run, analyze, 'multiprocessing' in sys.modules, 'numpy.ma' in sys.modules)",
+        "print(run, analyze, *(name in sys.modules for name in ('multiprocessing', 'numpy.ma', 'duetbench.executor')))",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    run_code, analyze_code, imported, imported_ma = proc.stdout.splitlines()[-1].split()
+    run_code, analyze_code, imported, imported_ma, imported_executor = proc.stdout.splitlines()[-1].split()
     assert run_code == analyze_code != str(EXIT_ERROR)
     assert imported == "False"
     assert imported_ma == "False"
+    assert imported_executor == "False"
 
 
 @pytest.mark.parametrize(("config", "flags"), [

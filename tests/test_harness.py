@@ -18,7 +18,6 @@ import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.analysis import ConfidenceInterval, Verdict
-from duetbench.config import ALL_STRATEGIES
 from duetbench.errors import BenchmarkError, ConfigError, PairingError
 from duetbench.executor import DuetExecutor
 from duetbench.harness import (
@@ -31,7 +30,7 @@ from duetbench.harness import (
     reanalyze_raw,
     run_experiment,
 )
-from duetbench.measurement import CLOCKS, Backend, ClockMode, MeasurementSet, Pairing, Strategy
+from duetbench.measurement import CLOCKS, STRATEGIES, Backend, ClockMode, MeasurementSet, Pairing, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.strategies import instance_repetitions
 from duetbench.workloads import WorkloadKind, WorkResult
@@ -187,7 +186,7 @@ def test_live_gate_builds_one_executor_and_forks_once(monkeypatch):
         bootstraps.append(args)
         return bootstrap_ci(*args, **kwargs)
 
-    monkeypatch.setattr(duetbench.harness, "DuetExecutor", CountingExecutor)
+    monkeypatch.setattr(executor_mod, "DuetExecutor", CountingExecutor)  # a live gate imports it from there
     monkeypatch.setattr(ctx, "Process", counting_process)
     monkeypatch.setattr(duetbench.harness, "bootstrap_ci", bootstrap_without_workers)
     cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), backend=Backend.LIVE, repetitions=100,
@@ -209,7 +208,7 @@ def test_merge_is_sorted_by_instance_then_repetition():
 
 
 def test_all_strategies_run_in_order_and_duet_is_narrowest():
-    cfg = ExperimentConfig(strategies=ALL_STRATEGIES, seed=11, **FAST)
+    cfg = ExperimentConfig(strategies=STRATEGIES, seed=11, **FAST)
     results = run_experiment(cfg).results
     assert [r.strategy for r in results] == [Strategy.INDEPENDENT, Strategy.RMIT, Strategy.DUET]
     widths = {r.strategy: r.ci.width_pp for r in results}
@@ -311,9 +310,9 @@ def _fingerprint(result):
 @pytest.mark.parametrize("pairing", list(Pairing))
 def test_reanalysis_reproduces_every_result_bit_for_bit(tmp_path, pairing):
     sweep = dict(run_sweep=True, sweep_start=50, sweep_stop=200, sweep_step=50)
-    cfg = ExperimentConfig(strategies=ALL_STRATEGIES, seed=23, pairing=pairing, **FAST, **sweep)
+    cfg = ExperimentConfig(strategies=STRATEGIES, seed=23, pairing=pairing, **FAST, **sweep)
     report = run_experiment(cfg)
-    assert [r.strategy for r in report.results] == list(ALL_STRATEGIES) and all(r.sweep for r in report.results)
+    assert [r.strategy for r in report.results] == list(STRATEGIES) and all(r.sweep for r in report.results)
     again = reanalyze_raw(emit_report(report, tmp_path, ())["raw_csv"], seed=cfg.seed, resamples=cfg.resamples,
                           pairing=pairing, **sweep)
     assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))

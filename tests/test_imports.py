@@ -15,7 +15,7 @@ PACKAGE = sorted(Path(duetbench.__file__).parent.glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 TEST_ONLY = {"scipy", "hypothesis", "pytest"}  # the `test` extra of pyproject.toml, not needed to run
 # The package's layers, lowest first: a module imports only modules before it, so no import cycle can form.
-LAYERS = ["errors", "workloads", "measurement", "executor", "analysis", "config", "simenv", "strategies", "harness",
+LAYERS = ["errors", "workloads", "measurement", "analysis", "config", "executor", "simenv", "strategies", "harness",
           "cli", "__main__"]
 
 

@@ -4,11 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duetbench.config import ExperimentConfig
 from duetbench.errors import ConfigError
 from duetbench.measurement import ClockMode, Strategy
-from duetbench.simenv import VariabilityModel, draw_noise, drift_factor, sample_instance, simulate_invocations
+from duetbench.simenv import (
+    VariabilityModel,
+    draw_noise,
+    draw_pair_noise,
+    drift_factor,
+    sample_instance,
+    simulate_invocations,
+)
 from duetbench.strategies import SimulatedInstance, run_strategy
 from duetbench.workloads import WorkloadKind, make_workload
 
@@ -25,10 +34,25 @@ NOISE_FREE = VariabilityModel(
 
 
 def simulate(model, quality, specs, t, noise, drift_phase=0.0):
-    """Warm durations of specs[i % len(specs)] run at time t with noise factors `noise`, in order."""
+    """Warm durations of specs[i % len(specs)] run at time t with the noise exponents of the rows of `noise`."""
     n = len(noise)
     version, cold = np.arange(n) % len(specs), np.zeros(n, bool)
     return simulate_invocations(model, quality, drift_phase, specs, version, np.full(n, t), np.asarray(noise), cold)
+
+
+def one_at_a_time(model, quality, drift_phase, specs, version, t, noise, cold):
+    """`simulate_invocations` as the simulator first computed it: libm's exp and sin, one value at a time, and one
+    Python float operation after another in the same order."""
+    out = []
+    for v, at, exponents, is_cold in zip(version.tolist(), t.tolist(), noise.tolist(), cold.tolist()):
+        base = specs[v].effective_scale * model.base_cost_ns_per_unit * quality
+        drift = 1.0 + model.drift_amplitude * math.sin(2.0 * math.pi * at / model.drift_period_s + drift_phase)
+        factor = math.exp(exponents[0])
+        for exponent in exponents[1:]:
+            factor = factor * math.exp(exponent)
+        cost = base * drift * factor + (model.cold_penalty_ms * 1e6 if is_cold else 0.0)
+        out.append(max(int(cost), 1))
+    return np.array(out, np.int64)
 
 
 def test_zero_cv_quality_is_exactly_one():
@@ -68,7 +92,7 @@ def test_noise_free_regression_is_exactly_five_percent():
 def test_shared_draw_cancels_exactly_under_full_noise():
     model = VariabilityModel()  # full default noise
     spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
-    d_a, d_b = simulate(model, 1.37, (SPEC_A, spec_b0), 42.0, [1.234, 1.234], drift_phase=2.1)
+    d_a, d_b = simulate(model, 1.37, (SPEC_A, spec_b0), 42.0, [[0.21, -0.003], [0.21, -0.003]], drift_phase=2.1)
     assert d_a == d_b
 
 
@@ -145,3 +169,57 @@ def test_lognormal_sigma_derivation():
     cv = 0.15
     sigma = _lognormal_sigma_from_cv(cv)
     assert math.sqrt(math.exp(sigma**2) - 1) == pytest.approx(cv, rel=1e-12)
+
+
+def test_costs_at_an_integer_truncate_as_libm_gives_them():
+    # Costs on an integer and a few ulps either side, with an exponent whose np.exp and math.exp may differ in
+    # the last ulp: numpy's factor alone would truncate some of them to the integer below or above libm's.
+    model = VariabilityModel(drift_amplitude=0.0, cold_penalty_ms=0.0)  # the drift factor is exactly 1
+    exponents = np.random.default_rng(5).standard_normal(10_000) * model.temporal_sigma
+    differs = np.exp(exponents) != [math.exp(e) for e in exponents]
+    exponent = exponents[np.argmax(differs)]  # one that differs, if any does on this host
+    base = SPEC_A.effective_scale * model.base_cost_ns_per_unit
+    target = 2_000_003
+    quality = target / (base * math.exp(exponent))
+    while base * quality * 1.0 * math.exp(exponent) < target:  # the smallest quality that reaches the integer
+        quality = math.nextafter(quality, math.inf)
+    while base * math.nextafter(quality, 0.0) * 1.0 * math.exp(exponent) >= target:
+        quality = math.nextafter(quality, 0.0)
+    qualities = [quality]
+    for _ in range(6):
+        qualities = [math.nextafter(qualities[0], 0.0), *qualities, math.nextafter(qualities[-1], math.inf)]
+    version, t, noise, cold = np.zeros(1, np.int8), np.zeros(1), np.array([[exponent]]), np.zeros(1, bool)
+    got = [simulate_invocations(model, q, 0.0, (SPEC_A,), version, t, noise, cold)[0] for q in qualities]
+    want = [one_at_a_time(model, q, 0.0, (SPEC_A,), version, t, noise, cold)[0] for q in qualities]
+    assert got == want and {target - 1, target} == set(want)
+    numpy_only = [int(base * q * 1.0 * np.exp(exponent)) for q in qualities]
+    assert numpy_only != want or not differs.any()  # the guard had something to mend
+
+
+@settings(max_examples=200, deadline=None)
+@given(quality=st.floats(0.5, 2.0), drift_phase=st.floats(0.0, 2 * math.pi), amplitude=st.floats(0.0, 0.99),
+       base_cost=st.floats(1e-3, 1e3), penalty_ms=st.floats(0.0, 200.0), paired=st.booleans(), data=st.data())
+def test_simulated_durations_equal_libm_one_at_a_time(quality, drift_phase, amplitude, base_cost, penalty_ms, paired,
+                                                      data):
+    model = VariabilityModel(drift_amplitude=amplitude, base_cost_ns_per_unit=base_cost, cold_penalty_ms=penalty_ms,
+                             temporal_sigma=data.draw(st.floats(0.0, 0.5), "sigma"),
+                             duet_jitter_cv=data.draw(st.floats(0.0, 0.1), "jitter"))
+    n = data.draw(st.integers(1, 64), "n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    noise = draw_pair_noise(model, rng, n) if paired else draw_noise(model, rng, 2 * n)
+    version, cold = rng.integers(0, 2, 2 * n).astype(np.int8), rng.random(2 * n) < 0.2
+    t = np.sort(rng.uniform(0.0, 1e4, 2 * n))
+    got = simulate_invocations(model, quality, drift_phase, (SPEC_A, SPEC_B5), version, t, noise, cold)
+    assert got.tolist() == one_at_a_time(model, quality, drift_phase, (SPEC_A, SPEC_B5), version, t, noise, cold).tolist()
+
+
+def test_noise_exponents_keep_the_draw_order():
+    model = VariabilityModel(duet_jitter_cv=0.01)
+    pairs = draw_pair_noise(model, np.random.default_rng(8), 3)
+    draws = np.random.default_rng(8).standard_normal((3, 3))
+    jitter = math.sqrt(math.log1p(0.01**2))
+    assert pairs.shape == (6, 2)
+    assert pairs[0::2, 0].tolist() == pairs[1::2, 0].tolist() == (draws[:, 0] * model.temporal_sigma).tolist()
+    assert pairs[0::2, 1].tolist() == (draws[:, 1] * jitter).tolist() and pairs[1::2, 1].tolist() == (draws[:, 2] * jitter).tolist()
+    solo = draw_noise(model, np.random.default_rng(8), 4)
+    assert solo.shape == (4, 1) and solo[:, 0].tolist() == (np.random.default_rng(8).standard_normal(4) * 0.05).tolist()

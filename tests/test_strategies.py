@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import requires_two_cores
+from duetbench import strategies
 from duetbench.analysis import filter_cold_starts
 from duetbench.errors import PairingError
 from duetbench.executor import DuetExecutor, Timing
-from duetbench.harness import ExperimentConfig
+from duetbench.harness import ExperimentConfig, run_experiment
 from duetbench.measurement import CLOCKS, Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
 from duetbench.strategies import (
     LiveInstance,
     MeasurementSet,
     SimulatedInstance,
+    open_instances,
     pair_measurements,
     run_strategy,
 )
@@ -33,7 +35,7 @@ MODEL = VariabilityModel()
 def run(strategy, repetitions, seed=1, executor=None, **settings):
     """`strategy` over one instance (unless `settings` say otherwise) of the workload of SPECS."""
     cfg = ExperimentConfig(repetitions=repetitions, seed=seed, **{"instances": 1, "scale": 50_000, **settings})
-    return run_strategy(cfg, strategy, executor)
+    return run_strategy(cfg, strategy, open_instances(cfg, executor))
 
 
 def test_independent_runs_all_a_then_all_b():
@@ -50,6 +52,21 @@ def test_simulated_run_is_byte_identical_on_rerun():
     first = run(Strategy.INDEPENDENT, 20, seed=7, instances=3)
     second = run(Strategy.INDEPENDENT, 20, seed=7, instances=3)
     assert list(first) == list(second)
+
+
+def test_a_gate_opens_each_instance_once_and_each_strategy_starts_it_afresh(monkeypatch):
+    # Streams are keyed by instance alone: a gate derives them once, not once per strategy as well, and each
+    # strategy runs from the state they opened in, so it gets the set it gets on instances of its own.
+    opened = []
+    streams = strategies._instance_streams
+    monkeypatch.setattr(strategies, "_instance_streams", lambda *key: opened.append(key) or streams(*key))
+    cfg = ExperimentConfig(seed=7, repetitions=301, instances=4, scale=50_000, resamples=1000)
+    report = run_experiment(cfg)
+    assert opened == [(7, i) for i in range(4)]
+    for result in report.results:
+        assert list(result.measurements) == list(run_strategy(cfg, result.strategy))
+    instances = open_instances(cfg)  # rmit's order stream starts afresh too
+    assert list(run_strategy(cfg, Strategy.RMIT, instances)) == list(run_strategy(cfg, Strategy.RMIT, instances))
 
 
 class _NoExecutor:
