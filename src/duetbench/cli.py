@@ -14,9 +14,10 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from .analysis import Verdict
-from .config import ExperimentConfig, add_flags, archived_settings, flag_values
+from .config import ExperimentConfig, add_flags, flag_values
 from .errors import ConfigError
 from .harness import Report, emit_report, reanalyze_raw, run_experiment
 from .measurement import STRATEGIES
@@ -66,24 +67,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    given = flag_values(args)
-    archived = archived_settings(args.raw_csv)
-    clash = sorted(k for k in given.keys() & archived.keys() if given[k] != archived[k])
-    if clash:
-        raise ConfigError("flags contradict the archive's summary.json: " + ", ".join(
-            f"{k} {given[k]!r} (archived {archived[k]!r})" for k in clash))
-    settings = {**archived, **given}
-    cfg = ExperimentConfig(**settings)  # `run`'s defaults only for what no summary.json holds
-    report = reanalyze_raw(args.raw_csv, **{**settings, "seed": cfg.seed})
+    report = reanalyze_raw(args.raw_csv, **flag_values(args))
     if args.output_dir is not None:
-        emit_report(report, cfg.output_dir, cfg.formats)
+        emit_report(report, args.output_dir, args.formats or ExperimentConfig.formats)
     _print_table(report)
     print(f"overall verdict: {report.overall_verdict.value}")
     return _VERDICT_EXIT[report.overall_verdict]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # a malformed command line exits 2 with the JSON error
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="duetbench", description=__doc__)
+    parser = _Parser(prog="duetbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the configured strategies and gate on the verdict")
@@ -107,9 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED

@@ -14,7 +14,7 @@ from types import UnionType
 from typing import TYPE_CHECKING, Any, Literal, get_args, get_origin, get_type_hints
 
 from .analysis import DEFAULT_LEVEL, DEFAULT_RESAMPLES, MIN_RESAMPLES, MIN_SAMPLE_SIZE
-from .errors import ConfigError
+from .errors import BenchmarkError, ConfigError
 from .measurement import STRATEGIES, Backend, ClockMode, Pairing, Strategy
 from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, make_workload
 
@@ -178,7 +178,8 @@ class ExperimentConfig:
             )
         try:
             CorePlan(self.core_a, self.core_b)
-        except ValueError as exc:
+            self.specs()
+        except (ValueError, BenchmarkError) as exc:
             raise ConfigError(str(exc)) from None
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
@@ -232,22 +233,9 @@ _SUMMARY_KEYS = _layout(lambda f: f.metadata.get("written", True))
 _ARCHIVED_KEYS = _layout(lambda f: f.metadata.get("written", True) and f.metadata.get("analyze", False))
 
 
-def archived_settings(raw_csv: Path | str) -> dict[str, Any]:
-    """The settings `analyze` takes, by field name and as JSON values, from the summary.json beside `raw_csv`.
-
-    Returns {} when there is no summary.json; raises ConfigError when there
-    is one that does not hold the settings.
-    """
-    path = Path(raw_csv).with_name("summary.json")
-    if not path.exists():
-        return {}
-    try:
-        config = json.loads(path.read_text(encoding="utf-8"))["config"]
-        values = _read({key: config[key] for key in _ARCHIVED_KEYS}, _FILE_KEYS)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{path} does not hold the archive's analysis settings: {exc!r}") from None
-    ExperimentConfig(**values)  # refuses a malformed setting
-    return values
+def archived_settings(block: Any) -> dict[str, Any]:
+    """The settings `analyze` takes, by field name and as JSON values, from summary.json's `config` block."""
+    return _read({key: block[key] for key in _ARCHIVED_KEYS}, _FILE_KEYS)
 
 
 def _write(cfg: ExperimentConfig, tree: dict[str, Any]) -> Any:

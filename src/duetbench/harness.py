@@ -36,12 +36,13 @@ from .analysis import (
     sweep_sample_size,
     verdict,
 )
-from .config import CorePlan, ExperimentConfig
-from .errors import BenchmarkError, PairingError
+from .config import CorePlan, ExperimentConfig, archived_settings
+from .errors import BenchmarkError, ConfigError, PairingError
 from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Strategy
 from .strategies import open_instances, pair_measurements, run_strategy
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
+SUMMARY_JSON = "summary.json"  # beside raw.csv; its `config` block holds the settings a re-analysis takes
 SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
                        "measurements", "pairs_before_filter", "pairs_after_filter")
 
@@ -134,9 +135,14 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
         instances = open_instances(cfg, executor)
         sets = [run_strategy(cfg, strategy, instances) for strategy in cfg.strategies]
+    return _report(cfg, sets, cfg.to_dict(), started)
+
+
+def _report(cfg: ExperimentConfig, sets: Iterable[MeasurementSet], config: dict[str, Any], started: str) -> Report:
+    """Analyse each set under `cfg` and stamp the report finished."""
     results = [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
     finished = datetime.now(timezone.utc).isoformat()
-    return Report(results=results, config=cfg.to_dict(), seed=cfg.seed, started_at=started, finished_at=finished)
+    return Report(results=results, config=config, seed=cfg.seed, started_at=started, finished_at=finished)
 
 
 def summary_dict(report: Report) -> dict[str, Any]:
@@ -187,7 +193,7 @@ def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = 
     written["raw_csv"] = out / "raw.csv"
     summary = summary_dict(report)
     if "json" in formats:
-        path = out / "summary.json"
+        path = out / SUMMARY_JSON
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         written["summary_json"] = path
     if "csv" in formats:
@@ -392,15 +398,23 @@ _TAIL_CELLS = _byte_table([f",{clock},{cold},{order}\r\n" for clock in _CLOCK_CE
                            for order in _ORDER_CELLS])
 
 
-def reanalyze_raw(path: Path | str, *, seed: int, **settings: Any) -> Report:
+def reanalyze_raw(path: Path | str, **settings: Any) -> Report:
     """Recompute every strategy's CI and verdict from archived measurements.
 
-    `settings` are ExperimentConfig fields; the rest keep `run`'s defaults.
+    The analysis settings come from the summary.json beside `path`, when there is one. `settings` are
+    ExperimentConfig fields: one the archive holds must equal its archived value (else ConfigError), and the
+    others set the rest. `run`'s defaults apply only to what neither sets.
     """
-    cfg = ExperimentConfig(seed=seed, **settings)
+    summary = Path(path).with_name(SUMMARY_JSON)
+    try:
+        archived = archived_settings(json.loads(summary.read_text("utf-8"))["config"]) if summary.exists() else {}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{summary} does not hold the archive's analysis settings: {exc!r}") from None
+    clash = sorted(k for k in settings.keys() & archived.keys() if settings[k] != archived[k])
+    if clash:
+        raise ConfigError(f"flags contradict the archive's {SUMMARY_JSON}: " + ", ".join(
+            f"{k} {settings[k]!r} (archived {archived[k]!r})" for k in clash))
+    cfg = ExperimentConfig(**{**archived, **settings})
     started = datetime.now(timezone.utc).isoformat()
     grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
-    results = [analyze_measurement_set(mset, cfg=cfg) for mset in grouped.values()]
-    finished = datetime.now(timezone.utc).isoformat()
-    config = {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}
-    return Report(results=results, config=config, seed=seed, started_at=started, finished_at=finished)
+    return _report(cfg, grouped.values(), {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}, started)

@@ -71,6 +71,20 @@ def test_error_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--repetitions", "x"], id="not-an-int"),
+    pytest.param(["run", "--nope"], id="unknown-flag"),
+    pytest.param(["run", "--format", "xml"], id="unknown-choice"),
+    pytest.param(["analyze"], id="analyze-without-path"),
+    pytest.param([], id="no-command"),
+])
+def test_malformed_command_line_exits_two_with_the_json_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)] if argv[:1] == ["run"] else argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "raw.csv").exists()
+
+
 def test_insufficient_samples_error_exit(tmp_path, capsys):
     code = main([
         "run", "--strategy", "duet", "--backend", "simulated", "--repetitions", "20",
@@ -316,6 +330,8 @@ def test_simulated_gate_and_analyze_never_import_multiprocessing(tmp_path):
     pytest.param(None, ["--backend", "live", "--cores", "1", "1"], id="live-equal-cores"),
     pytest.param({"pairing": "nope", "repetitions": 100, "resamples": 1000}, [], id="pairing-unknown"),
     pytest.param(None, ["--seed", "-1"], id="negative-seed"),
+    pytest.param(None, ["--regression-pct", "-1"], id="negative-regression"),
+    pytest.param(None, ["--scale", "1"], id="scale-below-two"),
     pytest.param(None, ["--strategy", "duet", "--strategy", "duet", "--repetitions", "100", "--instances", "1",
                         "--resamples", "1000"], id="repeated-strategy-flag"),
     pytest.param({"strategies": ["rmit", "duet", "rmit"], "repetitions": 100, "resamples": 1000}, [],

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import duetbench.cli
 import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
@@ -316,6 +318,47 @@ def test_reanalysis_reproduces_every_result_bit_for_bit(tmp_path, pairing):
     again = reanalyze_raw(emit_report(report, tmp_path, ())["raw_csv"], seed=cfg.seed, resamples=cfg.resamples,
                           pairing=pairing, **sweep)
     assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))
+
+
+def _archive(tmp_path, **settings):
+    """A gate's report and the raw.csv emit_report wrote for it, beside its summary.json."""
+    report = run_experiment(ExperimentConfig(**settings))
+    return report, emit_report(report, tmp_path)["raw_csv"]
+
+
+# a non-default level and the random pairing, which draws from the seed: each of the three moves the bounds
+ARCHIVED = dict(seed=7, ci_level=0.95, pairing=Pairing.RANDOM, regression_pct=1.0, repetitions=300, resamples=1000)
+
+
+def test_reanalysis_takes_the_archived_settings_as_analyze_does(tmp_path):
+    report, raw = _archive(tmp_path / "run", **ARCHIVED)
+    again = reanalyze_raw(raw)
+    assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))
+    # the benchmark's form: every analysis setting given, each the archive's own
+    cfg = ExperimentConfig(**ARCHIVED)
+    given = reanalyze_raw(raw, seed=cfg.seed, ci_level=cfg.ci_level, resamples=cfg.resamples,
+                          threshold_pct=cfg.threshold_pct, min_samples=cfg.min_samples,
+                          baseline_label=cfg.baseline_label, candidate_label=cfg.candidate_label, pairing=cfg.pairing)
+    assert list(map(_fingerprint, given.results)) == list(map(_fingerprint, report.results))
+    assert duetbench.cli.main(["analyze", str(raw), "--out", str(tmp_path / "cli")]) == duetbench.cli.EXIT_INCONCLUSIVE
+    analyzed = json.loads((tmp_path / "cli" / "summary.json").read_text())
+    assert analyzed["strategies"] == json.loads(json.dumps(duetbench.harness.summary_dict(again)["strategies"]))
+
+
+@pytest.mark.parametrize(("setting", "value"), [("seed", 8), ("pairing", Pairing.INDEX), ("ci_level", 0.99),
+                                                ("candidate_label", "C")])
+def test_reanalysis_refuses_a_setting_that_contradicts_the_archive(tmp_path, setting, value):
+    _, raw = _archive(tmp_path, strategies=(Strategy.DUET,), **ARCHIVED)
+    with pytest.raises(ConfigError, match=re.escape(f"contradict the archive's summary.json: {setting} {value!r} (")):
+        reanalyze_raw(raw, **{setting: value})
+
+
+def test_reanalysis_without_a_summary_takes_runs_defaults(tmp_path):
+    report = run_experiment(ExperimentConfig(strategies=(Strategy.DUET,), repetitions=200, instances=2))
+    again = reanalyze_raw(emit_report(report, tmp_path, ("csv",))["raw_csv"])
+    assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))
+    assert again.seed == 42 and again.config == {"reanalyzed_from": str(tmp_path / "raw.csv"),
+                                                 **ExperimentConfig().to_dict(analysis=True)}
 
 
 @pytest.mark.parametrize("verdicts, overall", [

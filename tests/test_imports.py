@@ -115,3 +115,18 @@ def test_every_public_definition_has_a_caller_besides_the_tests():
                 for name, line in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
                 if name not in named | TEST_REFERENCES]
     assert not uncalled, f"public definitions that only the tests name: {uncalled}"
+
+
+def _strings(tree: ast.Module) -> Iterator[str]:
+    """Every string constant of the code but its docstrings."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, *_DEFINITIONS)) and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            yield node.value
+
+
+def test_only_the_harness_names_summary_json():
+    """The module that writes summary.json is the one that reads it back, so its name and layout sit in one place."""
+    naming = {p.name for p in PACKAGE if any("summary.json" in s for s in _strings(ast.parse(p.read_text("utf-8"))))}
+    assert naming == {"harness.py"}
