@@ -13,7 +13,6 @@ from .analysis import (
     Verdict,
     bootstrap_ci,
     filter_cold_starts,
-    percentile_interval,
     relative_change,
     sweep_sample_size,
     verdict,
@@ -49,7 +48,7 @@ from .strategies import (
     pair_measurements,
     run_strategy,
 )
-from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, WorkResult, make_workload, run_workload
+from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, WorkResult, run_workload
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,7 @@ No resample is drawn: the distribution of a resample's median is a closed
 form in the sorted samples (Maritz & Jarrett, JASA 1978; Efron 1982), so
 `bootstrap_ci` returns the limit of that trimming rule as the number of
 resamples grows without bound. Over all n**n equally likely resamples of a
-small set it gives the bits `percentile_interval` gives over their medians.
+small set it gives the bits that trimming rule gives over their medians.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ MIN_SAMPLE_SIZE = 50
 # Bootstrapping below ~50 samples is known to underestimate interval size,
 # so bootstrap_ci refuses rather than silently returning a too-narrow CI.
 
-# A share of the median's distribution within this of a tail share counts as equal to it, as in
-# `_trim_count`: the log-factorial arithmetic is good to about 1e-11.
+# A share of the median's distribution within this of a tail share counts as equal to it, as the trimming rule
+# takes its count floor(n*(1-level)/2) with 1e-9 of slack: the log-factorial arithmetic is good to about 1e-11.
 _SLACK = 1e-9
 # Even n: ranks whose q_i is below e**_LOG_CUT are left out; together they move F by far less than _SLACK.
 _LOG_CUT = -46.0
@@ -95,28 +95,6 @@ def filter_cold_starts(mset: MeasurementSet) -> MeasurementSet:
     return mset[~drop]
 
 
-def _trim_count(n: int, level: float) -> int:
-    # Tiny epsilon corrects binary float drift for decimal levels such as
-    # 0.90, where n*(1-level)/2 lands a hair below the intended integer.
-    return int(math.floor(n * (1.0 - level) / 2.0 + 1e-9))
-
-
-def percentile_interval(samples: Sequence[float], level: float) -> ConfidenceInterval:
-    """Equal-tail trimming interval over raw samples.
-
-    Sort ascending (stable), remove floor(n*(1-level)/2) values from each
-    end, and return the remaining minimum and maximum as the bounds.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    values = np.asarray(samples, dtype=float)
-    if values.size == 0:
-        raise EmptySamplesError("cannot build an interval from zero samples")
-    ordered = np.sort(values, kind="stable")
-    k = _trim_count(ordered.size, level)
-    return ConfidenceInterval(lower_pct=float(ordered[k]), upper_pct=float(ordered[ordered.size - 1 - k]), level=level)
-
-
 def _log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0..n: a read-only prefix of the shared table."""
     global _LOG_FACT
@@ -156,8 +134,8 @@ def bootstrap_ci(
 ) -> ConfidenceInterval:
     """Percentile bootstrap CI of the median relative change, computed exactly.
 
-    The bounds are those `percentile_interval` gives over the medians of
-    resamples drawn with replacement, in the limit of infinitely many
+    The bounds are those the trimming rule (module docstring) gives over the
+    medians of resamples drawn with replacement, in the limit of infinitely many
     resamples: with F the distribution function of a resample's median and
     a = (1 - level) / 2, the lower bound is the smallest value v with
     F(v) > a and the upper the smallest with F(v) >= 1 - a. `resamples` is

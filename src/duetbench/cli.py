@@ -69,7 +69,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     report = reanalyze_raw(args.raw_csv, **flag_values(args))
     if args.output_dir is not None:
-        emit_report(report, args.output_dir, args.formats or ExperimentConfig.formats)
+        emit_report(report, args.output_dir, report.cfg.formats)
     _print_table(report)
     print(f"overall verdict: {report.overall_verdict.value}")
     return _VERDICT_EXIT[report.overall_verdict]

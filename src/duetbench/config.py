@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Literal, get_args, get_origin, get_type_h
 from .analysis import DEFAULT_LEVEL, DEFAULT_RESAMPLES, MIN_RESAMPLES, MIN_SAMPLE_SIZE
 from .errors import BenchmarkError, ConfigError
 from .measurement import STRATEGIES, Backend, ClockMode, Pairing, Strategy
-from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec, make_workload
+from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec
 
 if TYPE_CHECKING:
     import argparse  # only the CLI builds parsers; a gate that imports duetbench does not load argparse
@@ -127,7 +127,7 @@ class ExperimentConfig:
       field name); a path ending in `.0` or `.1` is an item of a pair;
     - `written`: False for a field a config file sets but summary.json does not hold;
     - `flag`: its flag (default: `--name-with-dashes`); fields that share one take a value each;
-    - `analyze`: True for a field that `analyze` takes; `help`: its flag's help.
+    - `analyze`: True for a field `analyze` has a flag for; `help`: its flag's help.
     """
 
     strategies: tuple[Strategy, ...] = _about(STRATEGIES, flag="--strategy",
@@ -196,13 +196,13 @@ class ExperimentConfig:
 
     def specs(self) -> tuple[WorkloadSpec, WorkloadSpec]:
         return (
-            make_workload(self.workload, self.scale, self.baseline_label, 0.0),
-            make_workload(self.workload, self.scale, self.candidate_label, self.regression_pct),
+            WorkloadSpec(self.workload, self.scale, self.baseline_label, 0.0),
+            WorkloadSpec(self.workload, self.scale, self.candidate_label, self.regression_pct),
         )
 
-    def to_dict(self, *, analysis: bool = False) -> dict[str, Any]:
-        """summary.json's `config` block; with `analysis`, only the settings `analyze` takes."""
-        return _write(self, _ARCHIVED_KEYS if analysis else _SUMMARY_KEYS)
+    def to_dict(self) -> dict[str, Any]:
+        """summary.json's `config` block: every field but `output_dir` and `formats`."""
+        return _write(self, _SUMMARY_KEYS)
 
     @classmethod
     def from_dict(cls, raw: Any, **overrides: Any) -> ExperimentConfig:
@@ -230,12 +230,19 @@ def _layout(keep: Callable[[Field], bool]) -> dict[str, Any]:
 
 _FILE_KEYS = _layout(lambda f: True)
 _SUMMARY_KEYS = _layout(lambda f: f.metadata.get("written", True))
-_ARCHIVED_KEYS = _layout(lambda f: f.metadata.get("written", True) and f.metadata.get("analyze", False))
+_WRITTEN = frozenset(f.name for f in fields(ExperimentConfig) if f.metadata.get("written", True))
 
 
 def archived_settings(block: Any) -> dict[str, Any]:
-    """The settings `analyze` takes, by field name and as JSON values, from summary.json's `config` block."""
-    return _read({key: block[key] for key in _ARCHIVED_KEYS}, _FILE_KEYS)
+    """Every setting of summary.json's `config` block, by field name and as JSON values.
+
+    A key the block holds besides those `to_dict` writes, as a re-analysis's `reanalyzed_from`, is left out.
+    KeyError names a written key the block lacks.
+    """
+    values = _read({key: block[key] for key in _SUMMARY_KEYS}, _SUMMARY_KEYS)
+    if missing := sorted(_WRITTEN - values.keys()):
+        raise KeyError(f"the config block lacks {missing}")
+    return values
 
 
 def _write(cfg: ExperimentConfig, tree: dict[str, Any]) -> Any:

@@ -7,9 +7,12 @@ pairs formed and the exact bootstrap confidence interval of its median
 change computed, one strategy after another.
 
 Everything that ends up in the summary is regenerable from the raw
-measurement CSV plus the seed: the one analysis RNG stream, the random
-pairing's, is derived from the seed and the strategy alone, never from run
-order.
+measurement CSV plus the `config` block of the summary.json beside it, which
+holds the gate's whole config (`ExperimentConfig.to_dict`). A re-analysis
+(`reanalyze_raw`) reads that block back whole, the sweep settings included,
+and writes it again with only `reanalyzed_from` added. The one analysis RNG
+stream, the random pairing's, is derived from the seed and the strategy
+alone, never from run order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import re
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
@@ -42,7 +45,7 @@ from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Strategy
 from .strategies import open_instances, pair_measurements, run_strategy
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
-SUMMARY_JSON = "summary.json"  # beside raw.csv; its `config` block holds the settings a re-analysis takes
+SUMMARY_JSON = "summary.json"  # beside raw.csv; its `config` block holds the gate's config, which a re-analysis reads back
 SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
                        "measurements", "pairs_before_filter", "pairs_after_filter")
 
@@ -75,10 +78,10 @@ class StrategyResult:
 @dataclass
 class Report:
     results: list[StrategyResult]
-    config: dict[str, Any]
-    seed: int
+    cfg: ExperimentConfig
     started_at: str
     finished_at: str
+    reanalyzed_from: Path | None  # the raw.csv a re-analysis read
 
     @property
     def overall_verdict(self) -> Verdict:
@@ -135,17 +138,19 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     with DuetExecutor(CorePlan(cfg.core_a, cfg.core_b), pinning=cfg.pinning) if live else nullcontext() as executor:
         instances = open_instances(cfg, executor)
         sets = [run_strategy(cfg, strategy, instances) for strategy in cfg.strategies]
-    return _report(cfg, sets, cfg.to_dict(), started)
+    return _report(cfg, sets, started, None)
 
 
-def _report(cfg: ExperimentConfig, sets: Iterable[MeasurementSet], config: dict[str, Any], started: str) -> Report:
-    """Analyse each set under `cfg` and stamp the report finished."""
+def _report(cfg: ExperimentConfig, sets: Iterable[MeasurementSet], started: str, raw: Path | None) -> Report:
+    """Analyse each set under `cfg` and stamp the report finished; `raw` is the raw.csv a re-analysis read."""
     results = [analyze_measurement_set(mset, cfg=cfg) for mset in sets]
-    finished = datetime.now(timezone.utc).isoformat()
-    return Report(results=results, config=config, seed=cfg.seed, started_at=started, finished_at=finished)
+    return Report(results, cfg, started, datetime.now(timezone.utc).isoformat(), reanalyzed_from=raw)
 
 
 def summary_dict(report: Report) -> dict[str, Any]:
+    config = report.cfg.to_dict()
+    if report.reanalyzed_from is not None:
+        config["reanalyzed_from"] = str(report.reanalyzed_from)
     strategies = {}
     for r in report.results:
         strategies[r.strategy.value] = {
@@ -165,8 +170,8 @@ def summary_dict(report: Report) -> dict[str, Any]:
         }
     return {
         "schema": "duetbench-summary/1",
-        "config": report.config,
-        "seed": report.seed,
+        "config": config,
+        "seed": report.cfg.seed,
         "run": {"started_at": report.started_at, "finished_at": report.finished_at},
         "strategies": strategies,
         "overall_verdict": report.overall_verdict.value,
@@ -399,22 +404,23 @@ _TAIL_CELLS = _byte_table([f",{clock},{cold},{order}\r\n" for clock in _CLOCK_CE
 
 
 def reanalyze_raw(path: Path | str, **settings: Any) -> Report:
-    """Recompute every strategy's CI and verdict from archived measurements.
+    """Recompute every strategy's CI and verdict, and any sweep, from archived measurements.
 
-    The analysis settings come from the summary.json beside `path`, when there is one. `settings` are
-    ExperimentConfig fields: one the archive holds must equal its archived value (else ConfigError), and the
-    others set the rest. `run`'s defaults apply only to what neither sets.
+    The settings come from the `config` block of the summary.json beside `path`, when there is one: all of
+    them, or ConfigError. `settings` are ExperimentConfig fields: one the archive holds must equal its archived
+    value (else ConfigError), and the others set the rest. `run`'s defaults apply only to what neither sets.
     """
     summary = Path(path).with_name(SUMMARY_JSON)
     try:
         archived = archived_settings(json.loads(summary.read_text("utf-8"))["config"]) if summary.exists() else {}
     except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{summary} does not hold the archive's analysis settings: {exc!r}") from None
-    clash = sorted(k for k in settings.keys() & archived.keys() if settings[k] != archived[k])
+        raise ConfigError(f"{summary} does not hold the archive's settings: {exc!r}") from None
+    base = ExperimentConfig(**archived)
+    cfg = replace(base, **settings)
+    clash = sorted(k for k in settings.keys() & archived.keys() if getattr(cfg, k) != getattr(base, k))
     if clash:
         raise ConfigError(f"flags contradict the archive's {SUMMARY_JSON}: " + ", ".join(
             f"{k} {settings[k]!r} (archived {archived[k]!r})" for k in clash))
-    cfg = ExperimentConfig(**{**archived, **settings})
     started = datetime.now(timezone.utc).isoformat()
     grouped = load_raw_csv(path, (cfg.baseline_label, cfg.candidate_label))
-    return _report(cfg, grouped.values(), {"reanalyzed_from": str(path), **cfg.to_dict(analysis=True)}, started)
+    return _report(cfg, grouped.values(), started, Path(path))

@@ -124,11 +124,11 @@ def open_instances(cfg: ExperimentConfig,
 
 
 def run_strategy(cfg: ExperimentConfig, strategy: Strategy,
-                 instances: dict[int, SimulatedInstance | LiveInstance] | None = None) -> MeasurementSet:
-    """Run `strategy` on each of `cfg`'s `instances`, by default fresh simulated ones, each reset to its opening."""
+                 instances: dict[int, SimulatedInstance | LiveInstance]) -> MeasurementSet:
+    """Run `strategy` on each of `cfg`'s `instances` (`open_instances`), each reset to its opening."""
     specs, clock = cfg.specs(), cfg.clock or default_clock(strategy)
     shares, parts = instance_repetitions(cfg.repetitions, cfg.instances), []
-    for instance_id, instance in (open_instances(cfg) if instances is None else instances).items():
+    for instance_id, instance in instances.items():
         instance.reset()
         reps = shares[instance_id]
         repetition, position = np.repeat(np.arange(reps), 2), np.int8(-1)  # an order_position of -1 is none
@@ -156,17 +156,14 @@ def run_strategy(cfg: ExperimentConfig, strategy: Strategy,
     )
 
 
-def pair_measurements(
-    mset: MeasurementSet,
-    scheme: str = "index",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def pair_measurements(mset: MeasurementSet, scheme: str, rng: np.random.Generator | None) -> np.ndarray:
     """Match baseline and candidate measurements into per-repetition changes.
 
-    Pairs are formed per (instance, repetition); for the independent strategy
-    that equals pairing the i-th baseline invocation with the i-th candidate
-    invocation. scheme="random" instead permutes the candidate assignment
-    within each instance, drawing from `rng`, which must be a Generator.
+    With scheme="index", pairs are formed per (instance, repetition); for the
+    independent strategy that equals pairing the i-th baseline invocation with
+    the i-th candidate invocation, and `rng` is not drawn from. scheme="random"
+    instead permutes the candidate assignment within each instance, drawing
+    from `rng`, which must be a Generator.
     Returns the relative changes in percent, `(t_b - t_a) / t_a * 100`, as a
     float64 array in (instance, repetition) order.
     """

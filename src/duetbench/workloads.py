@@ -78,9 +78,6 @@ class WorkResult:
     units_done: int
 
 
-make_workload = WorkloadSpec
-
-
 def run_workload(spec: WorkloadSpec) -> WorkResult:
     """Execute the work described by `spec` and return its digest."""
     n = spec.effective_scale

@@ -1,7 +1,11 @@
-"""Reference: the exact median CI as it was before its probes were shortened.
+"""References the exact median CI is checked against.
 
-This is `duetbench.analysis.bootstrap_ci` as it computed the bounds before
-its log-factorial table was shared, its tail sums memoised, its probes
+`percentile_interval` is the equal-tail trimming rule of `duetbench.analysis`
+over given values: over the medians of all n**n resamples of a small set, it
+gives the bounds `bootstrap_ci` must give bit for bit.
+
+`bootstrap_ci` is `duetbench.analysis.bootstrap_ci` as it computed the bounds
+before its log-factorial table was shared, its tail sums memoised, its probes
 decided by Hoeffding's bound and its pair means counted by whole rows. It
 evaluates the distribution function F in full at every probe, so tests can
 hold the program's bounds to it bit for bit. `at_least` is lifted out of the
@@ -15,9 +19,34 @@ import math
 
 import numpy as np
 
+from duetbench.analysis import ConfidenceInterval
+from duetbench.errors import EmptySamplesError
+
 _SLACK = 1e-9
 _LOG_CUT = -46.0
 _GAP = 64
+
+
+def _trim_count(n, level):
+    # Tiny epsilon corrects binary float drift for decimal levels such as
+    # 0.90, where n*(1-level)/2 lands a hair below the intended integer.
+    return int(math.floor(n * (1.0 - level) / 2.0 + 1e-9))
+
+
+def percentile_interval(samples, level):
+    """Equal-tail trimming interval over raw samples.
+
+    Sort ascending (stable), remove floor(n*(1-level)/2) values from each
+    end, and return the remaining minimum and maximum as the bounds.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    values = np.asarray(samples, dtype=float)
+    if values.size == 0:
+        raise EmptySamplesError("cannot build an interval from zero samples")
+    ordered = np.sort(values, kind="stable")
+    k = _trim_count(ordered.size, level)
+    return ConfidenceInterval(lower_pct=float(ordered[k]), upper_pct=float(ordered[ordered.size - 1 - k]), level=level)
 
 
 def tables(n):

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ci_reference import percentile_interval
 from conftest import requires_two_cores
 from duetbench.cli import _VERDICT_EXIT, EXIT_PASS, EXIT_REGRESSION
 from duetbench.analysis import (
     Verdict,
     bootstrap_ci,
     filter_cold_starts,
-    percentile_interval,
     sweep_sample_size,
 )
 from duetbench.executor import DuetExecutor
@@ -48,8 +48,9 @@ def _one_instance(repetitions: int, seed: int, **settings) -> ExperimentConfig:
 
 def _duet_pairs(seed: int, repetitions: int, regression_pct: float = 0.0, model: VariabilityModel | None = None):
     model = model if model is not None else VariabilityModel()
-    mset = run_strategy(_one_instance(repetitions, seed, regression_pct=regression_pct, model=model), Strategy.DUET)
-    return pair_measurements(filter_cold_starts(mset))
+    cfg = _one_instance(repetitions, seed, regression_pct=regression_pct, model=model)
+    mset = run_strategy(cfg, Strategy.DUET, open_instances(cfg))
+    return pair_measurements(filter_cold_starts(mset), "index", None)
 
 
 def test_percentile_interval_matches_bruteforce_oracle():
@@ -181,7 +182,7 @@ def test_small_sample_width_live_duet():
     t0 = time.perf_counter()
     with DuetExecutor() as executor:
         mset = run_strategy(cfg, Strategy.DUET, open_instances(cfg, executor))
-    samples = pair_measurements(filter_cold_starts(mset))
+    samples = pair_measurements(filter_cold_starts(mset), "index", None)
     ci = bootstrap_ci(samples, 0.99, 10_000)
     elapsed = time.perf_counter() - t0
     ok = ci.width_pp <= 2.0
@@ -241,7 +242,8 @@ def test_sweep_shape_and_small_sample_advantage():
 
 def test_rmit_order_uniformity_chi_square():
     trials = 10_000
-    mset = run_strategy(_one_instance(trials, 20260810), Strategy.RMIT)
+    cfg = _one_instance(trials, 20260810)
+    mset = run_strategy(cfg, Strategy.RMIT, open_instances(cfg))
     ab = sum(1 for m in mset.measurements if m.version_label == "A" and m.order_position == 0)
     ba = trials - ab
     result = stats.chisquare([ab, ba])

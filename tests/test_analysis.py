@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ci_reference
+from ci_reference import percentile_interval
 from duetbench import analysis
 from duetbench.analysis import (
     ConfidenceInterval,
@@ -21,7 +22,6 @@ from duetbench.analysis import (
     _log_factorials,
     bootstrap_ci,
     filter_cold_starts,
-    percentile_interval,
     relative_change,
     sweep_sample_size,
     verdict,

@@ -262,6 +262,26 @@ def test_analyze_uses_the_archived_settings(tmp_path, capsys):
     assert _widths(tmp_path / "flags" / "summary.json") == archived
 
 
+def test_analyze_regenerates_a_sweep_archive_and_keeps_its_whole_config(tmp_path):
+    run = tmp_path / "run"
+    assert main(["sweep", "--seed", "5", "--repetitions", "600", "--resamples", "1000", "--out", str(run)]) == EXIT_PASS
+    archive = {name: (run / name).read_bytes() for name in ("raw.csv", "summary.csv", "sweep.csv")}
+    summary = json.loads((run / "summary.json").read_text())
+    reanalyzed = {**summary["config"], "reanalyzed_from": str(run / "raw.csv")}
+    assert main(["analyze", str(run / "raw.csv"), "--out", str(tmp_path / "again")]) == EXIT_PASS
+    for name in ("summary.csv", "sweep.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == archive[name], name
+    assert json.loads((tmp_path / "again" / "summary.json").read_text())["config"] == reanalyzed
+    # onto the archive's own directory, twice: the bounds and every key stay, and only the run's times change
+    for _ in range(2):
+        assert main(["analyze", str(run / "raw.csv"), "--out", str(run)]) == EXIT_PASS
+        assert {name: (run / name).read_bytes() for name in archive} == archive
+        again = json.loads((run / "summary.json").read_text())
+        assert again["config"] == reanalyzed
+        assert {**again, "config": None, "run": None} == {**summary, "config": None, "run": None}
+        assert again["run"].keys() == summary["run"].keys()
+
+
 def test_config_file_plus_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -362,6 +382,13 @@ _SUMMARY_EDITS = {
     "summary-a-list": lambda summary: json.dumps([summary]),
     "summary-without-config": lambda summary: json.dumps(_without(summary, "config")),
     "config-without-pairing": lambda summary: json.dumps({**summary, "config": _without(summary["config"], "pairing")}),
+    "config-without-backend": lambda summary: json.dumps({**summary, "config": _without(summary["config"], "backend")}),
+    "workload-without-scale": lambda summary: json.dumps(
+        {**summary, "config": {**summary["config"], "workload": _without(summary["config"]["workload"], "scale")}}),
+    # the analysis settings alone, as an older re-analysis archived them
+    "config-of-analysis-settings": lambda summary: json.dumps({**summary, "config": {
+        key: summary["config"][key]
+        for key in ("seed", "labels", "ci_level", "resamples", "threshold_pct", "min_samples", "pairing")}}),
 }
 
 

@@ -20,9 +20,9 @@ from duetbench.executor import (
     timed_run,
 )
 from duetbench.measurement import ClockMode
-from duetbench.workloads import WorkloadKind, make_workload
+from duetbench.workloads import WorkloadKind, WorkloadSpec
 
-SPEC_SMALL = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "A")
+SPEC_SMALL = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "A")
 
 
 def test_available_cores_positive():
@@ -44,13 +44,13 @@ def test_duet_refuses_single_core_host(monkeypatch):
     monkeypatch.setattr(executor_mod, "available_cores", lambda: 1)
     with DuetExecutor() as ex:
         with pytest.raises(InsufficientCoresError):
-            ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+            ex.duet_invoke(SPEC_SMALL, WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B"))
 
 
 def test_duet_refuses_core_beyond_host():
     with DuetExecutor(CorePlan(0, available_cores() + 7)) as ex:
         with pytest.raises(InsufficientCoresError):
-            ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+            ex.duet_invoke(SPEC_SMALL, WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B"))
         assert not ex._procs
 
 
@@ -63,7 +63,7 @@ def test_duet_cores_must_lie_in_the_affinity_mask(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 3})  # e.g. under `taskset -c 2,3`
     monkeypatch.setattr(executor_mod, "_context", spawn)
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(2, 3)) as ex:
         with pytest.raises(Spawned):
             ex.duet_invoke(SPEC_SMALL, spec_b)
@@ -100,7 +100,7 @@ def test_affinity_unsupported_platform(monkeypatch):
 
 
 def test_solo_smallest_workload():
-    spec = make_workload(WorkloadKind.MEM_SIEVE, 2, "A")
+    spec = WorkloadSpec(WorkloadKind.MEM_SIEVE, 2, "A")
     m = DuetExecutor(pinning=False).solo_invoke(spec, ClockMode.WALL_CLOCK)
     assert m.duration_ns > 0
     assert m.result.units_done == 1
@@ -121,14 +121,14 @@ def test_solo_repeated_same_order_of_magnitude():
 
 def test_cpu_time_within_wall_clock_bound():
     # needs a run much longer than the CPU clock tick (10ms on some kernels)
-    spec = make_workload(WorkloadKind.CPU_MUTATION, 640_000, "A")
+    spec = WorkloadSpec(WorkloadKind.CPU_MUTATION, 640_000, "A")
     _, cpu_ns, wall_ns = timed_run(spec)
     assert cpu_ns <= wall_ns * 1.05
 
 
 @requires_two_cores
 def test_duet_aa_identical_work_results():
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(0, 1)) as ex:
         m_a, m_b = ex.duet_invoke(SPEC_SMALL, spec_b)
     assert m_a.result == m_b.result
@@ -153,7 +153,7 @@ def test_duet_returns_only_timings_on_the_clock_asked_for(monkeypatch):
         return "ok", replies[-1]
 
     monkeypatch.setattr(DuetExecutor, "_recv", recording)
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(0, 1)) as ex:
         cases = [({}, ClockMode.CPU_TIME, "cpu_ns"),  # no clock: the default, CPU time
                  ({"clock": ClockMode.CPU_TIME}, ClockMode.CPU_TIME, "cpu_ns"),
@@ -166,7 +166,7 @@ def test_duet_returns_only_timings_on_the_clock_asked_for(monkeypatch):
 
 @requires_two_cores
 def test_duet_barrier_ordering_and_affinity_isolation():
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(0, 1)) as ex:
         for rep in range(5):
             ex.duet_invoke(SPEC_SMALL, spec_b)
@@ -179,7 +179,7 @@ def test_duet_barrier_ordering_and_affinity_isolation():
 
 @requires_two_cores
 def test_unpinned_workers_keep_full_mask():
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     with DuetExecutor(CorePlan(0, 1), pinning=False) as ex:
         assert not ex.pinning
         ex.duet_invoke(SPEC_SMALL, spec_b)
@@ -196,7 +196,7 @@ def test_pin_failure_raises_and_stops_workers(monkeypatch):
     before = set(mp.active_children())
     with DuetExecutor(CorePlan(0, 1)) as ex:
         with pytest.raises(AffinityUnsupportedError):
-            ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+            ex.duet_invoke(SPEC_SMALL, WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B"))
         assert not ex._procs
     assert set(mp.active_children()) <= before
 
@@ -208,9 +208,9 @@ def test_duet_barrier_timeout_maps_to_error(monkeypatch):
         ex._ensure_workers()
         ex._barrier.abort()
         with pytest.raises(BarrierTimeoutError, match=r"within 1\.0s$"):
-            ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+            ex.duet_invoke(SPEC_SMALL, WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B"))
         # executor recovers with fresh workers afterwards
-        m_a, m_b = ex.duet_invoke(SPEC_SMALL, make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B"))
+        m_a, m_b = ex.duet_invoke(SPEC_SMALL, WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B"))
         assert m_a.result == m_b.result
 
 
@@ -218,8 +218,8 @@ def test_duet_barrier_timeout_maps_to_error(monkeypatch):
 def test_duet_detects_five_percent_direction():
     # Wall clock: per-worker CPU clocks are tick-quantized on some kernels,
     # while each worker owns one core so wall time tracks its work closely.
-    spec_a = make_workload(WorkloadKind.CPU_MUTATION, 100_000, "A")
-    spec_b = make_workload(WorkloadKind.CPU_MUTATION, 100_000, "B", 5.0)
+    spec_a = WorkloadSpec(WorkloadKind.CPU_MUTATION, 100_000, "A")
+    spec_b = WorkloadSpec(WorkloadKind.CPU_MUTATION, 100_000, "B", 5.0)
     # The baseline alternates between the workers, as in a live duet run, so a
     # difference between the two cores does not read as one between versions.
     changes = []

@@ -9,10 +9,10 @@ from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.errors import ExecutionError
 from duetbench.executor import DuetExecutor
-from duetbench.workloads import WorkloadKind, make_workload
+from duetbench.workloads import WorkloadKind, WorkloadSpec
 
-SPEC_A = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "A")
-SPEC_B = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+SPEC_A = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "A")
+SPEC_B = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
 
 
 @requires_two_cores

@@ -20,6 +20,7 @@ import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.analysis import ConfidenceInterval, Verdict
+from duetbench.config import archived_settings
 from duetbench.errors import BenchmarkError, ConfigError, PairingError
 from duetbench.executor import DuetExecutor
 from duetbench.harness import (
@@ -125,6 +126,7 @@ def test_from_dict_returns_a_config_or_raises_config_error(raw):
     except ConfigError:
         return
     assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+    assert ExperimentConfig(**archived_settings(cfg.to_dict())).to_dict() == cfg.to_dict()
 
 
 def test_simulated_aa_duet_passes():
@@ -269,7 +271,7 @@ def test_emit_report_files_and_consistency(tmp_path):
 def test_emit_empty_report_rejected(tmp_path):
     from duetbench.harness import Report
 
-    empty = Report(results=[], config={}, seed=0, started_at="", finished_at="")
+    empty = Report(results=[], cfg=ExperimentConfig(), started_at="", finished_at="", reanalyzed_from=None)
     with pytest.raises(BenchmarkError):
         emit_report(empty, tmp_path)
 
@@ -353,12 +355,20 @@ def test_reanalysis_refuses_a_setting_that_contradicts_the_archive(tmp_path, set
         reanalyze_raw(raw, **{setting: value})
 
 
+def test_reanalysis_takes_a_setting_equal_to_the_archived_one_in_any_form(tmp_path):
+    # summary.json holds JSON forms: a list of names for the strategies, an object for the model, a float
+    report, raw = _archive(tmp_path, strategies=(Strategy.DUET,), **ARCHIVED)
+    again = reanalyze_raw(raw, strategies=(Strategy.DUET,), model=VariabilityModel(), threshold_pct=1, pairing="random")
+    assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))
+
+
 def test_reanalysis_without_a_summary_takes_runs_defaults(tmp_path):
     report = run_experiment(ExperimentConfig(strategies=(Strategy.DUET,), repetitions=200, instances=2))
     again = reanalyze_raw(emit_report(report, tmp_path, ("csv",))["raw_csv"])
     assert list(map(_fingerprint, again.results)) == list(map(_fingerprint, report.results))
-    assert again.seed == 42 and again.config == {"reanalyzed_from": str(tmp_path / "raw.csv"),
-                                                 **ExperimentConfig().to_dict(analysis=True)}
+    assert again.cfg == ExperimentConfig() and again.reanalyzed_from == tmp_path / "raw.csv"
+    assert duetbench.harness.summary_dict(again)["config"] == {"reanalyzed_from": str(tmp_path / "raw.csv"),
+                                                               **ExperimentConfig().to_dict()}
 
 
 @pytest.mark.parametrize("verdicts, overall", [
@@ -453,7 +463,7 @@ _EXTREMES = [
 def _report_of(sets) -> Report:
     ci = ConfidenceInterval(0.0, 0.0, 0.99)
     return Report(results=[StrategyResult(m.strategy, m, 0, 0, 0.0, ci, Verdict.PASS, np.zeros(0)) for m in sets],
-                  config={}, seed=0, started_at="", finished_at="")
+                  cfg=ExperimentConfig(), started_at="", finished_at="", reanalyzed_from=None)
 
 
 @settings(max_examples=200, deadline=None)

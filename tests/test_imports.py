@@ -81,8 +81,6 @@ def test_simenv_defines_no_class():
 
 PERFBENCH = [p for p in sorted((Path(duetbench.__file__).parents[2] / "perfbench").glob("*.py"))
              if not p.name.startswith("test_")]
-# Public, but with no caller besides the tests: the reference that the exact CI is checked against.
-TEST_REFERENCES = {"percentile_interval"}
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -113,7 +111,7 @@ def test_every_public_definition_has_a_caller_besides_the_tests():
     named = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8"))) for p in [*SOURCES, *PERFBENCH]))
     uncalled = [f"{p.name}:{line} {name}" for p in PACKAGE
                 for name, line in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
-                if name not in named | TEST_REFERENCES]
+                if name not in named]
     assert not uncalled, f"public definitions that only the tests name: {uncalled}"
 
 

@@ -18,11 +18,11 @@ from duetbench.simenv import (
     sample_instance,
     simulate_invocations,
 )
-from duetbench.strategies import SimulatedInstance, run_strategy
-from duetbench.workloads import WorkloadKind, make_workload
+from duetbench.strategies import SimulatedInstance, open_instances, run_strategy
+from duetbench.workloads import WorkloadKind, WorkloadSpec
 
-SPEC_A = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "A")
-SPEC_B5 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B", 5.0)
+SPEC_A = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "A")
+SPEC_B5 = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B", 5.0)
 
 NOISE_FREE = VariabilityModel(
     instance_quality_cv=0.0,
@@ -78,7 +78,7 @@ def test_quality_cv_matches_configuration():
 
 def test_noise_free_aa_pair_is_identical():
     rng = np.random.default_rng(0)
-    spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b0 = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     d_a, d_b = simulate(NOISE_FREE, 1.0, (SPEC_A, spec_b0), 0.0, draw_noise(NOISE_FREE, rng, 2))
     assert d_a == d_b
 
@@ -91,7 +91,7 @@ def test_noise_free_regression_is_exactly_five_percent():
 
 def test_shared_draw_cancels_exactly_under_full_noise():
     model = VariabilityModel()  # full default noise
-    spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b0 = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     d_a, d_b = simulate(model, 1.37, (SPEC_A, spec_b0), 42.0, [[0.21, -0.003], [0.21, -0.003]], drift_phase=2.1)
     assert d_a == d_b
 
@@ -110,8 +110,8 @@ def test_first_invocation_is_cold_and_pays_penalty():
 
 def test_clock_mode_defaults_follow_strategy():
     cfg = ExperimentConfig(repetitions=1, instances=1, seed=0, scale=20_000, regression_pct=5.0, model=NOISE_FREE)
-    duet = run_strategy(cfg, Strategy.DUET)[0]
-    rmit = run_strategy(cfg, Strategy.RMIT)[0]
+    duet = run_strategy(cfg, Strategy.DUET, open_instances(cfg))[0]
+    rmit = run_strategy(cfg, Strategy.RMIT, open_instances(cfg))[0]
     assert duet.clock_mode is ClockMode.CPU_TIME
     assert rmit.clock_mode is ClockMode.WALL_CLOCK
 
@@ -139,7 +139,7 @@ def test_independent_draws_are_unbiased_for_aa():
     # A/A pairs with fresh draws per side must sit near zero.
     model = VariabilityModel()
     rng = np.random.default_rng(2024)
-    spec_b0 = make_workload(WorkloadKind.CPU_MUTATION, 20_000, "B")
+    spec_b0 = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B")
     durations = simulate(model, 1.0, (SPEC_A, spec_b0), 5.0, draw_noise(model, rng, 20_000))
     d_a, d_b = durations[0::2], durations[1::2]
     changes = (d_b - d_a) / d_a * 100.0

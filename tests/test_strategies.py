@@ -23,11 +23,11 @@ from duetbench.strategies import (
     pair_measurements,
     run_strategy,
 )
-from duetbench.workloads import WorkloadKind, WorkResult, make_workload
+from duetbench.workloads import WorkloadKind, WorkloadSpec, WorkResult
 
 SPECS = (
-    make_workload(WorkloadKind.CPU_MUTATION, 50_000, "A"),
-    make_workload(WorkloadKind.CPU_MUTATION, 50_000, "B"),
+    WorkloadSpec(WorkloadKind.CPU_MUTATION, 50_000, "A"),
+    WorkloadSpec(WorkloadKind.CPU_MUTATION, 50_000, "B"),
 )
 MODEL = VariabilityModel()
 
@@ -64,7 +64,7 @@ def test_a_gate_opens_each_instance_once_and_each_strategy_starts_it_afresh(monk
     report = run_experiment(cfg)
     assert opened == [(7, i) for i in range(4)]
     for result in report.results:
-        assert list(result.measurements) == list(run_strategy(cfg, result.strategy))
+        assert list(result.measurements) == list(run_strategy(cfg, result.strategy, open_instances(cfg)))
     instances = open_instances(cfg)  # rmit's order stream starts afresh too
     assert list(run_strategy(cfg, Strategy.RMIT, instances)) == list(run_strategy(cfg, Strategy.RMIT, instances))
 
@@ -122,7 +122,7 @@ def test_duet_pairs_share_repetition_indices():
 
 def test_duet_fully_shared_draws_cancel_exactly():
     mset = run(Strategy.DUET, 50, seed=9, model=VariabilityModel(duet_jitter_cv=0.0))
-    samples = pair_measurements(filter_cold_starts(mset))
+    samples = pair_measurements(filter_cold_starts(mset), "index", None)
     assert samples.size and (samples == 0.0).all()
 
 
@@ -134,27 +134,27 @@ def test_duplicate_version_labels_rejected():
 
 def test_pairing_arithmetic():
     mset = _set([0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1], duration_ns=[100, 110, 100, 90, 100, 105])
-    samples = pair_measurements(mset)
+    samples = pair_measurements(mset, "index", None)
     assert samples.dtype == np.float64
     # (instance, repetition) order, whatever the row order
     assert samples.tolist() == [5.0, 10.0, -10.0]
 
 
 def test_pairing_empty_set():
-    samples = pair_measurements(MeasurementSet(Strategy.DUET, ("A", "B")))
+    samples = pair_measurements(MeasurementSet(Strategy.DUET, ("A", "B")), "index", None)
     assert samples.dtype == np.float64 and samples.shape == (0,)
 
 
 def test_pairing_missing_partner_raises():
     with pytest.raises(PairingError):
-        pair_measurements(_set([0, 0, 0], [0, 0, 1], [0, 1, 0]))
+        pair_measurements(_set([0, 0, 0], [0, 0, 1], [0, 1, 0]), "index", None)
 
 
 def test_pairing_count_invariant():
     for strategy in Strategy:
         mset = run(strategy, 40, seed=21, instances=3)
         assert mset.strategy is strategy
-        assert len(pair_measurements(mset)) == 40
+        assert len(pair_measurements(mset, "index", None)) == 40
 
 
 def test_random_pairing_scheme_is_seeded_and_complete():
@@ -164,7 +164,7 @@ def test_random_pairing_scheme_is_seeded_and_complete():
     assert a.tobytes() == b.tobytes()
     assert len(a) == 30
     with pytest.raises(ValueError):
-        pair_measurements(mset, scheme="nope")
+        pair_measurements(mset, scheme="nope", rng=None)
     for rng in (None, 5):  # OS entropy, or one seed for every instance alike
         with pytest.raises(ValueError, match="needs a numpy.random.Generator"):
             pair_measurements(mset, scheme="random", rng=rng)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from duetbench.errors import InvalidRegressionError, InvalidWorkloadError
-from duetbench.workloads import WorkloadKind, make_workload, run_workload
+from duetbench.workloads import WorkloadKind, WorkloadSpec, run_workload
 
 
 def brute_force_primes(limit: int) -> list[int]:
@@ -19,12 +19,12 @@ def brute_force_primes(limit: int) -> list[int]:
 
 
 def test_effective_scale_five_percent_on_million():
-    spec = make_workload(WorkloadKind.MEM_SIEVE, 1_000_000, "B", 5.0)
+    spec = WorkloadSpec(WorkloadKind.MEM_SIEVE, 1_000_000, "B", 5.0)
     assert spec.effective_scale == 1_050_000
 
 
 def test_effective_scale_zero_regression_identity():
-    spec = make_workload(WorkloadKind.CPU_MUTATION, 10_000, "A", 0.0)
+    spec = WorkloadSpec(WorkloadKind.CPU_MUTATION, 10_000, "A", 0.0)
     assert spec.effective_scale == 10_000
 
 
@@ -38,13 +38,13 @@ def test_effective_scale_zero_regression_identity():
     ],
 )
 def test_effective_scale_exact_decimal_arithmetic(scale, pct, expected):
-    assert make_workload(WorkloadKind.MEM_SIEVE, scale, "B", pct).effective_scale == expected
+    assert WorkloadSpec(WorkloadKind.MEM_SIEVE, scale, "B", pct).effective_scale == expected
 
 
 def test_sieve_matches_brute_force_oracle():
     primes = brute_force_primes(30)
     assert len(primes) == 10  # {2,3,5,7,11,13,17,19,23,29}
-    result = run_workload(make_workload(WorkloadKind.MEM_SIEVE, 30, "A"))
+    result = run_workload(WorkloadSpec(WorkloadKind.MEM_SIEVE, 30, "A"))
     assert result.units_done == len(primes)
     assert result.checksum == sum(primes) % 2**64
 
@@ -52,51 +52,51 @@ def test_sieve_matches_brute_force_oracle():
 @pytest.mark.parametrize("limit", [2, 17, 100, 1000])
 def test_sieve_oracle_various_limits(limit):
     primes = brute_force_primes(limit)
-    result = run_workload(make_workload(WorkloadKind.MEM_SIEVE, limit, "A"))
+    result = run_workload(WorkloadSpec(WorkloadKind.MEM_SIEVE, limit, "A"))
     assert result.units_done == len(primes)
     assert result.checksum == sum(primes) % 2**64
 
 
 def test_sieve_smallest_scale():
-    result = run_workload(make_workload(WorkloadKind.MEM_SIEVE, 2, "A"))
+    result = run_workload(WorkloadSpec(WorkloadKind.MEM_SIEVE, 2, "A"))
     assert result.units_done == 1
 
 
 def test_invalid_scale_rejected():
     with pytest.raises(InvalidWorkloadError):
-        make_workload(WorkloadKind.MEM_SIEVE, 1, "A")
+        WorkloadSpec(WorkloadKind.MEM_SIEVE, 1, "A")
     with pytest.raises(InvalidWorkloadError):
-        make_workload("no_such_kind", 100, "A")
+        WorkloadSpec("no_such_kind", 100, "A")
 
 
 def test_negative_regression_rejected():
     with pytest.raises(InvalidRegressionError):
-        make_workload(WorkloadKind.CPU_MUTATION, 100, "B", -1.0)
+        WorkloadSpec(WorkloadKind.CPU_MUTATION, 100, "B", -1.0)
 
 
 @pytest.mark.parametrize("kind", list(WorkloadKind))
 def test_determinism_bit_identical_reruns(kind):
-    spec = make_workload(kind, 5000, "A", 3.0)
+    spec = WorkloadSpec(kind, 5000, "A", 3.0)
     assert run_workload(spec) == run_workload(spec)
 
 
 @pytest.mark.parametrize("kind", list(WorkloadKind))
 def test_version_label_does_not_affect_work(kind):
-    a = make_workload(kind, 4000, "A", 0.0)
-    b = make_workload(kind, 4000, "B", 0.0)
+    a = WorkloadSpec(kind, 4000, "A", 0.0)
+    b = WorkloadSpec(kind, 4000, "B", 0.0)
     assert run_workload(a) == run_workload(b)
 
 
 def test_cpu_mutation_units_follow_effective_scale():
-    spec = make_workload(WorkloadKind.CPU_MUTATION, 1000, "B", 5.0)
+    spec = WorkloadSpec(WorkloadKind.CPU_MUTATION, 1000, "B", 5.0)
     assert run_workload(spec).units_done == 1050
 
 
 def test_cpu_time_grows_with_five_percent_more_work():
     # CPU clocks on some kernels tick at 10ms, so the workload must be large
     # enough that a 5% gap clears the per-run accounting noise of the mean.
-    base = make_workload(WorkloadKind.CPU_MUTATION, 320_000, "A")
-    bigger = make_workload(WorkloadKind.CPU_MUTATION, 320_000, "B", 5.0)
+    base = WorkloadSpec(WorkloadKind.CPU_MUTATION, 320_000, "A")
+    bigger = WorkloadSpec(WorkloadKind.CPU_MUTATION, 320_000, "B", 5.0)
     assert bigger.effective_scale == 336_000
 
     # Interleaved (A, B, A, B, ...), so that drift of the host over the runs
