@@ -233,7 +233,6 @@ def sweep_sample_size(
     stop: int,
     step: int,
     level: float = DEFAULT_LEVEL,
-    resamples: int = DEFAULT_RESAMPLES,
     *,
     min_samples: int = MIN_SAMPLE_SIZE,
 ) -> list[tuple[int, float]]:
@@ -251,7 +250,7 @@ def sweep_sample_size(
         raise SweepRangeError(f"sweep start {start} exceeds stop {stop}")
     if stop > values.size:
         raise SweepRangeError(f"sweep stop {stop} exceeds the {values.size} available samples")
-    return [(n, bootstrap_ci(values[:n], level, resamples, min_samples=min_samples).width_pp)
+    return [(n, bootstrap_ci(values[:n], level, min_samples=min_samples).width_pp)
             for n in range(start, stop + 1, step)]
 
 

@@ -11,8 +11,8 @@ measurement CSV plus the `config` block of the summary.json beside it, which
 holds the gate's whole config (`ExperimentConfig.to_dict`). A re-analysis
 (`reanalyze_raw`) reads that block back whole, the sweep settings included,
 and writes it again with only `reanalyzed_from` added. The one analysis RNG
-stream, the random pairing's, is derived from the seed and the strategy
-alone, never from run order.
+stream, the random pairing's (`strategies.pair_measurements`), is derived
+from the seed and the strategy alone, never from run order.
 """
 
 from __future__ import annotations
@@ -41,25 +41,13 @@ from .analysis import (
 )
 from .config import CorePlan, ExperimentConfig, archived_settings
 from .errors import BenchmarkError, ConfigError, PairingError
-from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Strategy
+from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Pairing, Strategy
 from .strategies import open_instances, pair_measurements, run_strategy
 
 RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
 SUMMARY_JSON = "summary.json"  # beside raw.csv; its `config` block holds the gate's config, which a re-analysis reads back
 SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
                        "measurements", "pairs_before_filter", "pairs_after_filter")
-
-
-def _pairing_rng(seed: int, strategy: Strategy) -> np.random.Generator:
-    """The random pairing's generator for `strategy`, keyed by (seed, purpose 3, strategy code) alone.
-
-    The code is the strategy's index in `STRATEGIES`, not its place in a config, so re-analysis pairs the same way.
-
-    Purpose 0 keys the per-instance lottery, noise and order streams (`strategies._instance_streams`, by
-    instance id instead of strategy). Purposes 1 and 2 keyed the Monte Carlo bootstrap and sweep, which the
-    exact CI replaced; they are retired, not reused, so `raw.csv` pairs as it always did.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, STRATEGIES.index(strategy))))
 
 
 @dataclass
@@ -99,18 +87,17 @@ class Report:
 
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
     """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
-    strategy = mset.strategy
-    samples = pair_measurements(filter_cold_starts(mset), scheme=cfg.pairing, rng=_pairing_rng(cfg.seed, strategy))
+    samples = pair_measurements(filter_cold_starts(mset), cfg.seed if cfg.pairing is Pairing.RANDOM else None)
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, min_samples=cfg.min_samples)
     sweep = None
     if cfg.run_sweep:
         # cold filtering may leave fewer pairs than the configured stop
         sweep = sweep_sample_size(
-            samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step, cfg.ci_level, cfg.resamples,
+            samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step, cfg.ci_level,
             min_samples=cfg.min_samples,
         )
     return StrategyResult(
-        strategy=strategy,
+        strategy=mset.strategy,
         measurements=mset,
         pairs_before_filter=len(mset) // 2,  # the filter refuses a set that is not whole pairs
         pairs_after_filter=len(samples),

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import relative_change
 from .config import ExperimentConfig, VariabilityModel
-from .measurement import CLOCKS, MeasurementSet, Strategy, default_clock
+from .measurement import CLOCKS, STRATEGIES, MeasurementSet, Strategy, default_clock
 from .simenv import draw_noise, draw_pair_noise, sample_instance, simulate_invocations
 
 if TYPE_CHECKING:
@@ -38,7 +38,13 @@ if TYPE_CHECKING:
 
 
 def _instance_streams(seed: int, instance_id: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    """(lottery, noise, order) generators for one instance, strategy-agnostic."""
+    """(lottery, noise, order) generators for one instance, strategy-agnostic.
+
+    Every seeded stream is `SeedSequence(seed, spawn_key=(purpose, key))`, built in this module:
+    purpose 0 keys these per-instance streams by instance id, purpose 3 the random pairing by the
+    strategy's index in `STRATEGIES` (`pair_measurements`). Purposes 1 and 2 keyed the Monte Carlo
+    bootstrap and sweep, which the exact CI replaced; they are retired, not reused.
+    """
     if seed is None:  # SeedSequence(None) would draw fresh entropy
         raise ValueError("an instance needs a seed")
     children = np.random.SeedSequence(seed, spawn_key=(0, instance_id)).spawn(3)
@@ -54,7 +60,7 @@ class SimulatedInstance:
     first invocation is cold.
     """
 
-    def __init__(self, model: VariabilityModel, seed: int, instance_id: int = 0) -> None:
+    def __init__(self, model: VariabilityModel, seed: int, instance_id: int) -> None:
         lottery, self._noise_rng, self.order_rng = _instance_streams(seed, instance_id)
         self.model = model
         self.quality, self.drift_phase = sample_instance(model, lottery)
@@ -85,7 +91,7 @@ class SimulatedInstance:
 class LiveInstance:
     """One live 'instance': a duet executor plus this process for solo runs, and the seeded order stream of rmit."""
 
-    def __init__(self, executor: DuetExecutor, seed: int, instance_id: int = 0) -> None:
+    def __init__(self, executor: DuetExecutor, seed: int, instance_id: int) -> None:
         self.executor = executor
         self.order_rng = _instance_streams(seed, instance_id)[2]
         self._opening = self.order_rng.bit_generator.state
@@ -156,25 +162,22 @@ def run_strategy(cfg: ExperimentConfig, strategy: Strategy,
     )
 
 
-def pair_measurements(mset: MeasurementSet, scheme: str, rng: np.random.Generator | None) -> np.ndarray:
+def pair_measurements(mset: MeasurementSet, seed: int | None) -> np.ndarray:
     """Match baseline and candidate measurements into per-repetition changes.
 
-    With scheme="index", pairs are formed per (instance, repetition); for the
+    With seed None, pairs are formed per (instance, repetition); for the
     independent strategy that equals pairing the i-th baseline invocation with
-    the i-th candidate invocation, and `rng` is not drawn from. scheme="random"
-    instead permutes the candidate assignment within each instance, drawing
-    from `rng`, which must be a Generator.
+    the i-th candidate invocation. A seed instead permutes the candidates
+    within each instance, drawing from the strategy's purpose-3 stream, which
+    depends on the seed and the strategy alone, so a re-analysis pairs as its run did.
     Returns the relative changes in percent, `(t_b - t_a) / t_a * 100`, as a
     float64 array in (instance, repetition) order.
     """
-    if scheme not in ("index", "random"):
-        raise ValueError(f"unknown pairing scheme {scheme!r}")
-    if scheme == "random" and not isinstance(rng, np.random.Generator):
-        raise ValueError(f"random pairing needs a numpy.random.Generator, got {rng!r}")
     order = mset.pair_order()
     duration = mset.duration_ns[order]
     base, cand = duration[0::2], duration[1::2]
-    if scheme == "random" and len(cand):
+    if seed is not None and len(cand):  # 0 is a seed
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, STRATEGIES.index(mset.strategy))))
         inst = mset.instance_id[order[0::2]]
         starts = np.flatnonzero(np.r_[True, inst[1:] != inst[:-1]])
         for start, stop in zip(starts, [*starts[1:], len(cand)]):

@@ -50,7 +50,7 @@ def _duet_pairs(seed: int, repetitions: int, regression_pct: float = 0.0, model:
     model = model if model is not None else VariabilityModel()
     cfg = _one_instance(repetitions, seed, regression_pct=regression_pct, model=model)
     mset = run_strategy(cfg, Strategy.DUET, open_instances(cfg))
-    return pair_measurements(filter_cold_starts(mset), "index", None)
+    return pair_measurements(filter_cold_starts(mset), None)
 
 
 def test_percentile_interval_matches_bruteforce_oracle():
@@ -182,7 +182,7 @@ def test_small_sample_width_live_duet():
     t0 = time.perf_counter()
     with DuetExecutor() as executor:
         mset = run_strategy(cfg, Strategy.DUET, open_instances(cfg, executor))
-    samples = pair_measurements(filter_cold_starts(mset), "index", None)
+    samples = pair_measurements(filter_cold_starts(mset), None)
     ci = bootstrap_ci(samples, 0.99, 10_000)
     elapsed = time.perf_counter() - t0
     ok = ci.width_pp <= 2.0
@@ -223,7 +223,7 @@ def test_sweep_shape_and_small_sample_advantage():
 
     down = 0
     for seed in range(50):
-        series = dict(sweep_sample_size(_duet_pairs(seed=seed, repetitions=101), 50, 100, 50, 0.99, 10_000))
+        series = dict(sweep_sample_size(_duet_pairs(seed=seed, repetitions=101), 50, 100, 50, 0.99))
         down += series[100] <= series[50]
     elapsed = time.perf_counter() - t0
 

@@ -327,6 +327,24 @@ def test_simulated_gate_and_analyze_never_import_multiprocessing(tmp_path):
     assert imported_executor == "False"
 
 
+@pytest.mark.parametrize(("pairing", "draws"), [("index", False), ("random", True)])
+def test_analyze_imports_numpy_random_only_to_pair_at_random(tmp_path, pairing, draws):
+    # an index-paired archive draws nothing, so its re-analysis never loads numpy.random (≈9 ms of a one-shot run)
+    assert main(["run", *FAST_FLAGS, "--pairing", pairing, "--out", str(tmp_path)]) != EXIT_ERROR
+    script = "\n".join([
+        "import sys",
+        "from duetbench.cli import main",
+        f"analyze = main(['analyze', {str(tmp_path / 'raw.csv')!r}])",
+        "print(analyze, 'numpy.random' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    analyze_code, imported = proc.stdout.splitlines()[-1].split()
+    assert analyze_code != str(EXIT_ERROR)
+    assert imported == str(draws)
+
+
 @pytest.mark.parametrize(("config", "flags"), [
     pytest.param({"repetitions": "10"}, [], id="string-int"),
     pytest.param({"model": {"nope": 1}}, [], id="unknown-model-key"),

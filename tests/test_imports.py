@@ -128,3 +128,10 @@ def test_only_the_harness_names_summary_json():
     """The module that writes summary.json is the one that reads it back, so its name and layout sit in one place."""
     naming = {p.name for p in PACKAGE if any("summary.json" in s for s in _strings(ast.parse(p.read_text("utf-8"))))}
     assert naming == {"harness.py"}
+
+
+def test_only_the_strategies_seed_streams():
+    """Every seeded stream is built in one module, where its `SeedSequence` purposes are listed, so no two
+    purposes can collide unseen."""
+    naming = {p.name for p in PACKAGE if "SeedSequence" in _named(ast.parse(p.read_text("utf-8")))}
+    assert naming == {"strategies.py"}

@@ -98,7 +98,7 @@ def test_shared_draw_cancels_exactly_under_full_noise():
 
 def test_first_invocation_is_cold_and_pays_penalty():
     model = VariabilityModel(temporal_sigma=0.0, instance_quality_cv=0.0, drift_amplitude=0.0, cold_penalty_ms=150.0)
-    instance = SimulatedInstance(model, seed=0)
+    instance = SimulatedInstance(model, 0, 0)
     version = np.zeros(3, np.int8)
     first, first_cold, _ = instance.run(Strategy.INDEPENDENT, (SPEC_A,), version, None)
     again, again_cold, _ = instance.run(Strategy.INDEPENDENT, (SPEC_A,), version, None)

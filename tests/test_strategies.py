@@ -79,9 +79,9 @@ class _NoExecutor:
 def test_instances_require_a_seed():
     # SeedSequence(None) would draw fresh entropy: rmit's order, and the simulated lottery and noise, would not repeat
     with pytest.raises(ValueError, match="needs a seed"):
-        LiveInstance(_NoExecutor(), None)
+        LiveInstance(_NoExecutor(), None, 0)
     with pytest.raises(ValueError, match="needs a seed"):
-        SimulatedInstance(MODEL, None)
+        SimulatedInstance(MODEL, None, 0)
 
 
 def test_rmit_single_trial_has_complementary_positions():
@@ -122,7 +122,7 @@ def test_duet_pairs_share_repetition_indices():
 
 def test_duet_fully_shared_draws_cancel_exactly():
     mset = run(Strategy.DUET, 50, seed=9, model=VariabilityModel(duet_jitter_cv=0.0))
-    samples = pair_measurements(filter_cold_starts(mset), "index", None)
+    samples = pair_measurements(filter_cold_starts(mset), None)
     assert samples.size and (samples == 0.0).all()
 
 
@@ -134,40 +134,35 @@ def test_duplicate_version_labels_rejected():
 
 def test_pairing_arithmetic():
     mset = _set([0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1], duration_ns=[100, 110, 100, 90, 100, 105])
-    samples = pair_measurements(mset, "index", None)
+    samples = pair_measurements(mset, None)
     assert samples.dtype == np.float64
     # (instance, repetition) order, whatever the row order
     assert samples.tolist() == [5.0, 10.0, -10.0]
 
 
 def test_pairing_empty_set():
-    samples = pair_measurements(MeasurementSet(Strategy.DUET, ("A", "B")), "index", None)
+    samples = pair_measurements(MeasurementSet(Strategy.DUET, ("A", "B")), None)
     assert samples.dtype == np.float64 and samples.shape == (0,)
 
 
 def test_pairing_missing_partner_raises():
     with pytest.raises(PairingError):
-        pair_measurements(_set([0, 0, 0], [0, 0, 1], [0, 1, 0]), "index", None)
+        pair_measurements(_set([0, 0, 0], [0, 0, 1], [0, 1, 0]), None)
 
 
 def test_pairing_count_invariant():
     for strategy in Strategy:
         mset = run(strategy, 40, seed=21, instances=3)
         assert mset.strategy is strategy
-        assert len(pair_measurements(mset, "index", None)) == 40
+        assert len(pair_measurements(mset, None)) == 40
 
 
 def test_random_pairing_scheme_is_seeded_and_complete():
     mset = run(Strategy.INDEPENDENT, 30, seed=2)
-    a = pair_measurements(mset, scheme="random", rng=np.random.default_rng(5))
-    b = pair_measurements(mset, scheme="random", rng=np.random.default_rng(5))
+    a = pair_measurements(mset, 5)
+    b = pair_measurements(mset, 5)
     assert a.tobytes() == b.tobytes()
     assert len(a) == 30
-    with pytest.raises(ValueError):
-        pair_measurements(mset, scheme="nope", rng=None)
-    for rng in (None, 5):  # OS entropy, or one seed for every instance alike
-        with pytest.raises(ValueError, match="needs a numpy.random.Generator"):
-            pair_measurements(mset, scheme="random", rng=rng)
 
 
 def test_simulated_cold_flags_first_instance_invocation():
