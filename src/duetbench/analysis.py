@@ -48,6 +48,7 @@ _SLACK = 1e-9
 _LOG_CUT = -46.0
 # For even n, a resample's two middle draws lie _GAP or more ranks apart with a chance below e**-31.
 _GAP = 64
+_EXP_ZERO = -750.0  # np.exp of anything below is 0.0, which numpy reaches some 15 times slower than other values
 # log k! by math.lgamma for k = 0 .. the largest n any bootstrap_ci call has asked for, shared by every call in the
 # process. It grows only to that n (8 bytes a value), under _LOG_FACT_LOCK, and is replaced, never written in place.
 _LOG_FACT = np.zeros(0)
@@ -90,9 +91,10 @@ def filter_cold_starts(mset: MeasurementSet) -> MeasurementSet:
     whole, so no repetition survives half-measured; the rest keep their order.
     """
     order = mset.pair_order()
-    drop = np.empty(len(order), dtype=bool)
-    drop[order] = np.repeat(mset.cold[order].reshape(-1, 2).any(axis=1), 2)
-    return mset[~drop]
+    cold = mset.cold[order]
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = np.repeat(~(cold[0::2] | cold[1::2]), 2)
+    return mset[keep]
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -185,24 +187,42 @@ def bootstrap_ci(
     @functools.cache  # the bisection over pair means probes ranks again
     def at_least(count: int, ranks: int) -> float:
         """P(N_ranks >= count)."""
-        return 1.0 if ranks == n else float(np.exp(log_pmf(slice(count, None), ranks)).sum())
+        if ranks == n:
+            return 1.0
+        log_p = log_pmf(slice(count, None), ranks)
+        return float(np.exp(log_p, out=np.zeros(log_p.size), where=log_p > _EXP_ZERO).sum())
 
     if n % 2:
         def cdf(v: float, ranks: int) -> float:
             return at_least(half + 1, ranks)
     else:
-        # Only ranks i where q_i carries mass, each with its pair means up to _GAP ranks on (+inf past x_n).
-        i = np.arange(1, n)
-        i = i[log_pmf(half, i) > _LOG_CUT]
-        q = np.exp(log_pmf(half, i)) * (1 - ((i - 1) / i) ** half)
-        window = np.lib.stride_tricks.sliding_window_view(np.append(x, [np.inf] * _GAP), _GAP)
-        means = (x[i - 1, None] + window[i - 1]) / 2
+        # Only ranks i where q_i carries mass, each with its pair means up to _GAP ranks on (+inf past x_n). As
+        # log_pmf(half, i) is concave in i, they form one run around half, sought within 5 sqrt(n) of it and over all
+        # ranks if the run reaches an end of that window.
+        reach = math.ceil(5 * math.sqrt(n))
+        i = np.arange(max(half - reach, 1), min(half + reach + 1, n))
+        log_q = log_pmf(half, i)
+        if log_q[0] > _LOG_CUT and i[0] > 1 or log_q[-1] > _LOG_CUT and i[-1] < n - 1:
+            i = np.arange(1, n)
+            log_q = log_pmf(half, i)
+        kept = np.flatnonzero(log_q > _LOG_CUT)
+        i, log_q = i[kept[0] : kept[-1] + 1], log_q[kept[0] : kept[-1] + 1]
+        q = np.exp(log_q) * (1 - ((i - 1) / i) ** half)
+        rest = n - i  # n - J_i is rest + 1 - the count of row i's pair means <= v
+        full = q * (np.maximum(rest + 1 - _GAP, 0) / rest) ** (n - half)  # row terms with all _GAP means <= v
+        # x at ranks i .. i + _GAP - 1 of each row i: its pair means are (partners[:, :1] + partners) / 2, built
+        # only for the rows whose means straddle a value.
+        padded = np.concatenate((x, np.full(_GAP, np.inf)))
+        partners = np.lib.stride_tricks.as_strided(padded[i[0] - 1 :], (len(i), _GAP), padded.strides * 2,
+                                                   writeable=False)
+        last = (partners[:, 0] + partners[:, -1]) / 2  # each row's largest pair mean
 
         def cdf(v: float, ranks: int) -> float:
-            rows = np.searchsorted(i, ranks, "right")  # i <= I, so J_i >= i
-            whole = np.searchsorted(means[:rows, -1], v, "right")  # rows ascend both ways: these lie wholly <= v
-            below = i[:rows] - 1 + np.append(np.full(whole, means.shape[1]), (means[whole:rows] <= v).sum(axis=1))
-            return at_least(half, ranks) - float((q[:rows] * ((n - below) / (n - i[:rows])) ** (n - half)).sum())
+            rows = i.searchsorted(ranks, "right")  # i <= I, so J_i >= i
+            part = slice(last[:rows].searchsorted(v, "right"), rows)  # rows ascend both ways: those before lie <= v
+            below = ((partners[part, :1] + partners[part]) / 2 <= v).sum(axis=1)
+            terms = q[part] * ((rest[part] + 1 - below) / rest[part]) ** (n - half)
+            return at_least(half, ranks) - float(np.concatenate((full[: part.start], terms)).sum())
 
     def smallest(holds: Callable[[float], bool], z: float) -> float:
         """The smallest value v a median can take with holds(F(v)), searched from z; F(x_n) = 1 holds."""
@@ -213,8 +233,11 @@ def bootstrap_ci(
         t = _first_true(key, x, math.floor(half + z * math.sqrt(n) / 2))
         if n % 2 or t == 0:
             return float(x[t])
-        between = np.append(np.sort(means[(means > x[t - 1]) & (means < x[t])]), x[t])
-        between = between[np.append(True, between[1:] != between[:-1])]  # np.unique's own steps; x[t] tops them
+        # The pair means in (x[t-1], x[t]) belong to rows i <= t whose means straddle x[t-1]. Of equal means,
+        # bisect_left returns the first, the one np.unique keeps.
+        rows = slice(last.searchsorted(x[t - 1], "right"), i.searchsorted(t, "right"))
+        means = (partners[rows, :1] + partners[rows]) / 2
+        between = np.append(np.sort(means[(means > x[t - 1]) & (means < x[t])]), x[t])  # x[t] tops them
         return float(between[bisect.bisect_left(between, True, key=key)])
 
     z = 0.0  # Phi(z) = tail, by Newton's method from 0: Phi is convex below 0, so no step overshoots

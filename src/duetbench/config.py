@@ -28,6 +28,12 @@ def _field_types(cls: type) -> dict[str, Any]:
     return get_type_hints(cls)
 
 
+@functools.cache
+def _origin_and_args(hint: Any) -> tuple[Any, tuple[Any, ...]]:
+    """`get_origin` and `get_args` of a field type, resolved once."""
+    return get_origin(hint), get_args(hint)
+
+
 def check_fields(obj: Any) -> None:
     """Bring each field of a frozen dataclass to its annotated type.
 
@@ -41,7 +47,7 @@ def check_fields(obj: Any) -> None:
 
 
 def _convert(value: Any, hint: Any, name: str) -> Any:
-    origin, args = get_origin(hint), get_args(hint)
+    origin, args = _origin_and_args(hint)
     if origin is UnionType:  # `T | None`
         return None if value is None else _convert(value, args[0], name)
     if origin is tuple:  # `tuple[T, ...]`

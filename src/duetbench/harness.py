@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import re
 import warnings
@@ -203,49 +202,46 @@ def _write_raw(fh: IO[bytes], m: MeasurementSet) -> None:
     """Append raw.csv's lines of `m` to `fh` as `csv.writer` writes them: CRLF line ends, only labels quoted.
 
     A chunk of rows becomes one byte matrix with a column per row and a row per byte position: the byte rows of each
-    cell in turn, every cell but the first led by its comma. A mask of the same shape keeps each cell's own bytes.
+    cell in turn, every cell but the first led by its comma. A cell shorter than its rows is padded with 0xFF, a byte
+    UTF-8 never holds, and the pad is deleted from the matrix's bytes.
     """
     head = _byte_table([m.strategy.value])
     labels = _byte_table([f",{_csv_cell(label)}" for label in m.version_labels])
     for start in range(0, len(m), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         tail = (m.clock_mode[rows] * 2 + m.cold[rows]) * 3 + m.order_position[rows] + 1
-        parts = [_pick(head, np.zeros(len(tail), np.intp)), _digits(m.instance_id[rows]), _digits(m.repetition[rows]),
-                 _pick(labels, m.version[rows]), _digits(m.duration_ns[rows]), _pick(_TAIL_CELLS, tail)]
-        matrix, keep = map(np.concatenate, zip(*parts))
-        fh.write(matrix.T[keep.T])
+        parts = [np.broadcast_to(head, (len(head), len(tail))), _digits(m.instance_id[rows]),
+                 _digits(m.repetition[rows]), labels.take(m.version[rows], axis=1), _digits(m.duration_ns[rows]),
+                 _TAIL_CELLS.take(tail, axis=1)]
+        fh.write(np.concatenate(parts).T.tobytes().translate(None, b"\xff"))
 
 
-def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _digits(values: np.ndarray) -> np.ndarray:
     """int64 `values` as `_write_raw` cells: a comma, a sign and right-aligned decimal digits, one row each."""
     magnitude = values.view(np.uint64)
     magnitude = np.where(values < 0, -magnitude, magnitude)  # wraps, so -2**63 gives 2**63
-    width = len(str(int(magnitude.max())))
+    count = _POWERS_OF_TEN.searchsorted(magnitude, "right") + 1  # each value's digits
+    width = int(count.max())
     out = np.empty((width + 2, len(values)), np.uint8)
-    out[0], out[1] = ord(","), ord("-")
+    out[0] = ord(",")
+    out[1] = np.where(values < 0, ord("-"), 0xFF)
     for row in range(width + 1, 1, -1):
         rest = magnitude // 10
         out[row] = magnitude - rest * 10
         magnitude = rest
-    keep = np.ones(out.shape, bool)
-    keep[1] = values < 0
-    np.logical_or.accumulate(out[2:] != 0, axis=0, out=keep[2:])  # no leading zero
-    keep[-1] = True  # the one digit of 0
     out[2:] += ord("0")
-    return out, keep
+    out[2:][np.arange(width, 0, -1)[:, None] > count] = 0xFF  # no leading zero
+    return out
 
 
-def _byte_table(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """`cells` in UTF-8, one NUL-padded row each, and the mask of each row's own bytes."""
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19, above every int64 magnitude
+
+
+def _byte_table(cells: Sequence[str]) -> np.ndarray:
+    """`cells` in UTF-8, one column each, padded with 0xFF."""
     encoded = [cell.encode() for cell in cells]
     width = max(map(len, encoded))
-    table = np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)
-    return table, np.arange(width) < np.array([len(b) for b in encoded])[:, None]
-
-
-def _pick(table: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a byte table and of its mask at `index`, as `_write_raw` lays a cell out: a row per byte."""
-    return table[0].take(index, axis=0).T, table[1].take(index, axis=0).T
+    return np.frombuffer(b"".join(cell.ljust(width, b"\xff") for cell in encoded), np.uint8).reshape(-1, width).T
 
 
 def _csv_cell(text: str) -> str:
@@ -270,8 +266,12 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
     Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
     skipped. An integer cell is an optional sign and ASCII digits, with optional surrounding spaces, within
     int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell, and a NUL character
-    anywhere in the rows, raises ValueError, a label other than the two PairingError.
+    anywhere in the file, raises ValueError, a label other than the two PairingError.
     """
+    with open(path, "rb") as raw:  # no raw.csv holds a NUL (labels may not), and numpy drops one where it cuts a cell
+        while block := raw.read(1 << 16):
+            if b"\x00" in block:
+                raise ValueError("raw csv holds a NUL character")
     parts: dict[int, list[dict[str, np.ndarray]]] = {}  # strategy code: its columns of each chunk
     with open(path, newline="", encoding="utf-8") as fh:
         header = {name: i for i, name in enumerate(next(csv.reader(fh), []))}  # a repeated name: its last column
@@ -285,8 +285,8 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
         usecols = [header[name] for name in RAW_CSV_COLUMNS]
         # The rows after the header become columns a chunk at a time, split by strategy at once, so few rows
         # are ever alive.
-        while lines := _next_lines(fh):
-            for code, columns in _raw_columns(_read_chunk(lines, dtype, usecols), labels):
+        while (chunk := _read_chunk(fh, dtype, usecols)).size:
+            for code, columns in _raw_columns(chunk, labels):
                 parts.setdefault(code, []).append(columns)
     if not parts:
         raise BenchmarkError(f"no measurements found in {path}")
@@ -298,41 +298,28 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
     return grouped
 
 
-# raw.csv rows read or written at a time. Loading 48 000 rows on one core (best of 40 interleaved loads), 256-row
-# chunks take 33 ms, 512 27 ms, 1 024 24 ms and 2 048 to 4 096 23 ms, as each loadtxt call has a fixed cost; the
-# Python-level (tracemalloc) peak above the result grows with the chunk: 0.13 MiB at 256 rows, 0.16 at 512, 0.23 at
-# 1 024, 0.27 at 2 048 and 0.81 at 4 096. (Measured with loadtxt reading the file; fed the lines of 1 024 rows and
-# checked for NUL, a load takes as long and peaks at 0.10 MiB.) Writing those rows (`emit_report`, three 16 000-row
-# sets, best of 40 interleaved writes) takes 34 ms at 256 rows, 25 at 512, 20 at 1 024, 18 at 2 048 and 4 096, and
-# peaks at 0.13, 0.17, 0.33, 0.65 and 1.29 MiB.
-_CHUNK_ROWS = 1024
+# raw.csv rows read or written at a time. Loading 48 000 rows (best of 40 interleaved loads, one core of a 2-vCPU
+# host) takes 29 ms in 256-row chunks, 25 in 512, 22.5 in 1 024, 20.6 in 2 048 and 20.9 in 4 096, as each loadtxt call
+# has a fixed cost; the Python-level (tracemalloc) peak above the result is 0.08, 0.05, 0.03, 0.27 and 0.81 MiB. Fed
+# the lines of each chunk, checked for NUL and for an open quote, instead of the file, loadtxt took 24.5 ms at 1 024
+# rows and 22.5 at 2 048. Writing those rows (`emit_report`, three 16 000-row sets) takes 22, 16, 12, 10.8 and 9.9 ms,
+# and peaks at 0.13, 0.13, 0.22, 0.31 and 0.59 MiB.
+_CHUNK_ROWS = 2048
 _INT_COLUMNS = ("duration_ns", "instance_id", "repetition")
 
 
-def _next_lines(fh: IO[str]) -> list[str]:
-    """The next `_CHUNK_ROWS` lines of `fh`, on to the end of a quoted cell they open; ValueError on a NUL."""
-    lines = list(itertools.islice(fh, _CHUNK_ROWS))
-    text = "".join(lines)
-    quotes = text.count('"')
-    while quotes % 2 and (line := fh.readline()):  # a quoted label may hold a line break
-        lines.append(line)
-        text += line
-        quotes += line.count('"')
-    if "\x00" in text:  # no raw.csv holds one (labels may not), and numpy drops one where it cuts a cell
-        raise ValueError("raw csv holds a NUL character")
-    return lines
+def _read_chunk(fh: IO[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
+    """The next `_CHUNK_ROWS` rows of `fh` (none at its end), one `dtype` record each; ValueError names a bad cell.
 
-
-def _read_chunk(lines: list[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
-    """The rows of `lines`, one `dtype` record each; ValueError names a bad cell."""
+    numpy reads a quoted line break within its cell, and leaves `fh` at the line after the last row it read."""
     try:
-        # loadtxt warns of a blank line and of lines that hold no row, both expected here. catch_warnings
+        # loadtxt warns of a blank line and of a read that finds no row, both expected here. catch_warnings
         # swaps the warning filters of the whole process, which is safe because a load runs on one thread
         # and duetbench starts no other.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
-                              ndmin=1)
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                              ndmin=1, max_rows=_CHUNK_ROWS)
     except ValueError as exc:
         message = str(exc)
     if bad := re.fullmatch(r"could not convert string (.*) to int64 at row \d+, column (\d+)\.", message, re.S):

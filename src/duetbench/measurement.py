@@ -115,13 +115,13 @@ class MeasurementSet(Sequence):
             setattr(self, name, np.asarray(getattr(self, name), None if name in _CODES else dtype))
         if len({len(getattr(self, name)) for name in COLUMNS}) > 1:
             raise ValueError("measurement columns differ in length")
-        version, position, clock = self.version, self.order_position, self.clock_mode
-        for name, bad, rule in (("duration_ns", self.duration_ns < 1, "> 0"), ("repetition", self.repetition < 0, ">= 0"),
-                                ("version", (version < 0) | (version > 1), "0 (baseline) or 1 (candidate)"),
-                                ("order_position", (position < -1) | (position > 1), "-1 (none), 0 or 1"),
-                                ("clock_mode", (clock < 0) | (clock >= len(CLOCKS)), "an index into CLOCKS")):
-            if bad.any():
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)[bad][0]}")
+        for name, least, most, rule in (("duration_ns", 1, np.inf, "> 0"), ("repetition", 0, np.inf, ">= 0"),
+                                        ("version", 0, 1, "0 (baseline) or 1 (candidate)"),
+                                        ("order_position", -1, 1, "-1 (none), 0 or 1"),
+                                        ("clock_mode", 0, len(CLOCKS) - 1, "an index into CLOCKS")):
+            column = getattr(self, name)
+            if len(column) and not (least <= column.min() and column.max() <= most):
+                raise ValueError(f"{name} must be {rule}, got {column[(column < least) | (column > most)][0]}")
         for name in _CODES:
             setattr(self, name, getattr(self, name).astype(np.int8, copy=False))
 

@@ -232,12 +232,37 @@ def test_bootstrap_equals_the_reference_at_the_benchmark_sizes_in_a_few_probes(n
     assert all(len(set(asked)) == len(asked) for asked in probes), probes
 
 
-def _count_probes(monkeypatch):
-    """The values each `_first_true` search asks its key, one list per search, from now on."""
+@pytest.mark.parametrize("n", [1496, 7992])
+@pytest.mark.parametrize("data", ["normal", "ties", "zeros"])
+def test_an_even_n_bound_computes_f_a_few_times_in_its_last_gap(n, data, monkeypatch):
+    gen = np.random.default_rng(n)
+    values = gen.normal(0.5, 3.0, n)
+    if data == "ties":
+        values = np.round(values)
+    elif data == "zeros":  # mostly -0.0 and +0.0, the rest ties at -1 and 1
+        values = np.round(values / 6) * gen.choice([-1.0, 1.0], n)
+    keys = []
+    probes = _count_probes(monkeypatch, keys)
+    for level in _LEVELS:
+        got = bootstrap_ci(values, level, 1000)
+        assert _bits(got) == np.array(ci_reference.bootstrap_ci(values, level)).view(np.int64).tolist(), level
+    # F is computed at the order statistics' probes, then by bisection over the last gap's pair means: at most
+    # ceil(log2(m + 1)) more values for m means, 8 here; a tied gap holds few means or none.
+    in_gap = [key.cache_info().misses - len(asked) for key, asked in zip(keys, probes)]
+    assert len(keys) == 2 * len(_LEVELS) and 0 <= min(in_gap) and max(in_gap) <= 8, in_gap
+
+
+def _count_probes(monkeypatch, keys=None):
+    """The values each `_first_true` search asks its key, one list per search, from now on.
+
+    Each search's key also goes to `keys` when given: a bound's memoised key, whose cache misses count the values at
+    which the bound computes F, in its search over the order statistics and in any bisection of its last gap."""
     probes = []
 
     def counted(key, x, guess):
         probes.append([])
+        if keys is not None:
+            keys.append(key)
         return _first_true(lambda v: probes[-1].append(float(v)) or key(v), x, guess)
 
     monkeypatch.setattr(analysis, "_first_true", counted)

@@ -470,6 +470,10 @@ def _report_of(sets) -> Report:
 @given(sets=_measurement_sets())
 @example(sets=_EXTREMES)
 @example(sets=[MeasurementSet(Strategy.DUET, ("A", ""))])
+# The writer pads short cells with the byte 0xFF and deletes it: labels of a NUL, of the bytes C3 BF (U+00FF) and
+# EF BF BF (U+FFFF) and of a four-byte emoji keep every byte, beside int64 extremes.
+@example(sets=[dataclasses.replace(_EXTREMES[0], version_labels=("\x00", "\u00ff"))])
+@example(sets=[dataclasses.replace(_EXTREMES[0], version_labels=("\uffff", "a\U0001f600\x00"))])
 def test_raw_csv_is_what_csv_writer_writes_on_any_set(tmp_path_factory, sets):
     path = emit_report(_report_of(sets), tmp_path_factory.mktemp("raw"), ())["raw_csv"]
     assert path.read_bytes() == _written_by_csv_writer(sets)
@@ -507,8 +511,10 @@ def test_emit_report_writes_raw_csv_in_little_memory(tmp_path):
 
 def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
     labels = ("a,b", 'q"x')
-    cfg = ExperimentConfig(seed=3, repetitions=300, instances=2, resamples=1000, backend=Backend.SIMULATED,
-                           baseline_label=labels[0], candidate_label=labels[1])
+    chunk = duetbench.harness._CHUNK_ROWS
+    # six rows a repetition, so the file holds 1.8 chunks of rows
+    cfg = ExperimentConfig(seed=3, repetitions=chunk * 3 // 10, instances=2, resamples=1000,
+                           backend=Backend.SIMULATED, baseline_label=labels[0], candidate_label=labels[1])
     written = emit_report(run_experiment(cfg), tmp_path, ())["raw_csv"]
     header, *lines = written.read_text(encoding="utf-8").splitlines(keepends=True)
     rows = {s.value: iter([line for line in lines if line.startswith(s.value + ",")]) for s in Strategy}
@@ -516,7 +522,6 @@ def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
     slots = [s for s in rows for _ in range(len(lines) // 3 - 1)]
     random.Random(5).shuffle(slots)
     mixed = [next(rows[s]) for s in ["duet", "independent", "rmit", *slots]]
-    chunk = duetbench.harness._CHUNK_ROWS
     assert len(mixed) == len(lines) > chunk + 3
     assert all(len({line.split(",")[0] for line in mixed[b - 3:b + 3]}) > 1 for b in range(chunk, len(mixed), chunk))
     mixed.insert(chunk, "\r\n")  # a blank line, the first row of the second chunk
@@ -577,10 +582,11 @@ def test_load_raw_csv_reads_back_what_emit_report_wrote(tmp_path_factory, labels
 
 
 def test_load_raw_csv_warns_nothing(tmp_path):
-    cfg = ExperimentConfig(seed=4, repetitions=600, instances=2, resamples=1000, backend=Backend.SIMULATED)
+    chunk = duetbench.harness._CHUNK_ROWS
+    # six rows a repetition, so the file holds 3.6 chunks of rows
+    cfg = ExperimentConfig(seed=4, repetitions=chunk * 6 // 10, instances=2, resamples=1000, backend=Backend.SIMULATED)
     header, *lines = emit_report(run_experiment(cfg), tmp_path, ())["raw_csv"].read_text(encoding="utf-8").splitlines(
         keepends=True)
-    chunk = duetbench.harness._CHUNK_ROWS
     rows = lines[:2 * chunk]  # whole chunks, so the last read finds no row
     assert len(rows) == 2 * chunk
     path = tmp_path / "blank.csv"
@@ -590,6 +596,35 @@ def test_load_raw_csv_warns_nothing(tmp_path):
         warnings.simplefilter("error")
         loaded = load_raw_csv(path, ("A", "B"))
     assert sum(map(len, loaded.values())) == 2 * chunk
+
+
+def test_raw_csv_and_its_load_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    labels = ("A", 'x\r\n"y"')  # quoted, and holding a line break and quotes
+    cfg = ExperimentConfig(seed=5, repetitions=1500, instances=2, resamples=1000, backend=Backend.SIMULATED,
+                           baseline_label=labels[0], candidate_label=labels[1])
+    report = run_experiment(cfg)
+    expected = _written_by_csv_writer(r.measurements for r in report.results)
+    for chunk in (7, 1024, 2048):
+        monkeypatch.setattr(duetbench.harness, "_CHUNK_ROWS", chunk)
+        path = emit_report(report, tmp_path / str(chunk), ())["raw_csv"]
+        assert path.read_bytes() == expected, chunk
+        loaded = load_raw_csv(path, labels)
+        assert list(loaded) == [r.strategy for r in report.results]
+        for r in report.results:
+            for name in RAW_CSV_COLUMNS[1:]:
+                assert np.array_equal(getattr(loaded[r.strategy], name), getattr(r.measurements, name)), (chunk, name)
+
+
+@pytest.mark.parametrize("at", [65_535, 65_536, -1])  # the last byte of the first 64 KiB block, the next, the end
+def test_load_raw_csv_refuses_a_nul_at_the_edges_of_its_blocks(tmp_path, at):
+    cfg = ExperimentConfig(seed=4, repetitions=1000, instances=2, resamples=1000, backend=Backend.SIMULATED)
+    path = emit_report(run_experiment(cfg), tmp_path, ())["raw_csv"]
+    data = bytearray(path.read_bytes())
+    assert len(data) > 2 * 65_536
+    data[at] = 0
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="raw csv holds a NUL character"):
+        load_raw_csv(path, ("A", "B"))
 
 
 def test_load_raw_csv_peaks_little_above_its_result(tmp_path):
