@@ -48,7 +48,10 @@ _SLACK = 1e-9
 _LOG_CUT = -46.0
 # For even n, a resample's two middle draws lie _GAP or more ranks apart with a chance below e**-31.
 _GAP = 64
-_EXP_ZERO = -750.0  # np.exp of anything below is 0.0, which numpy reaches some 15 times slower than other values
+# np.exp is some 15 (to 0.0) to 120 (to a subnormal) times slower below about -708, so tail sums raise their log
+# terms to this floor first. A raised term adds under e**-700: it moves a sum F by at most its last bit, far below
+# the 1e-11 the log-factorial arithmetic is good to.
+_EXP_FLOOR = -700.0
 # log k! by math.lgamma for k = 0 .. the largest n any bootstrap_ci call has asked for, shared by every call in the
 # process. It grows only to that n (8 bytes a value), under _LOG_FACT_LOCK, and is replaced, never written in place.
 _LOG_FACT = np.zeros(0)
@@ -187,24 +190,18 @@ def bootstrap_ci(
     @functools.cache  # the bisection over pair means probes ranks again
     def at_least(count: int, ranks: int) -> float:
         """P(N_ranks >= count)."""
-        if ranks == n:
-            return 1.0
-        log_p = log_pmf(slice(count, None), ranks)
-        return float(np.exp(log_p, out=np.zeros(log_p.size), where=log_p > _EXP_ZERO).sum())
+        return 1.0 if ranks == n else float(np.exp(np.maximum(log_pmf(slice(count, None), ranks), _EXP_FLOOR)).sum())
 
     if n % 2:
         def cdf(v: float, ranks: int) -> float:
             return at_least(half + 1, ranks)
     else:
         # Only ranks i where q_i carries mass, each with its pair means up to _GAP ranks on (+inf past x_n). As
-        # log_pmf(half, i) is concave in i, they form one run around half, sought within 5 sqrt(n) of it and over all
-        # ranks if the run reaches an end of that window.
+        # log_pmf(half, i) is concave in i, they form one run around half. It lies within 5 sqrt(n) of half: there
+        # P(N_i = half) <= exp(-n KL(half/n || i/n)) <= exp(-2 (i - half)**2 / n) <= e**-50 (Pinsker), below _LOG_CUT.
         reach = math.ceil(5 * math.sqrt(n))
         i = np.arange(max(half - reach, 1), min(half + reach + 1, n))
         log_q = log_pmf(half, i)
-        if log_q[0] > _LOG_CUT and i[0] > 1 or log_q[-1] > _LOG_CUT and i[-1] < n - 1:
-            i = np.arange(1, n)
-            log_q = log_pmf(half, i)
         kept = np.flatnonzero(log_q > _LOG_CUT)
         i, log_q = i[kept[0] : kept[-1] + 1], log_q[kept[0] : kept[-1] + 1]
         q = np.exp(log_q) * (1 - ((i - 1) / i) ** half)

@@ -542,16 +542,18 @@ def test_load_raw_csv_matches_a_dict_reader_across_chunk_boundaries(tmp_path):
         assert cells == [list(row.values()) for row in expected[strategy.value]]
 
 
-def test_load_raw_csv_reads_a_label_line_break_that_a_chunk_ends_in(tmp_path):
-    labels = ("A", "x\r\ny")  # a pair takes three lines, so some chunk of _CHUNK_ROWS lines ends inside a label
-    cfg = ExperimentConfig(strategies=(Strategy.DUET,), seed=3, repetitions=700, instances=1, resamples=1000,
+def test_load_raw_csv_reads_a_label_line_break_that_a_chunk_ends_in(tmp_path, monkeypatch):
+    labels = ("A", "x\r\ny")  # a candidate row takes two lines
+    cfg = ExperimentConfig(strategies=(Strategy.DUET,), seed=3, repetitions=100, instances=1, resamples=1000,
                            backend=Backend.SIMULATED, baseline_label=labels[0], candidate_label=labels[1])
     report = run_experiment(cfg)
     measured = report.results[0].measurements
     path = emit_report(report, tmp_path, ())["raw_csv"]
-    data = path.read_bytes().decode("utf-8").splitlines(keepends=True)[1:]
-    chunk = duetbench.harness._CHUNK_ROWS
-    assert any(data[end - 1].endswith('"x\r\n') for end in range(chunk, len(data), chunk))
+    assert path.read_bytes().count(b'"x\r\ny"') == measured.version.sum()
+    chunk = 7
+    monkeypatch.setattr(duetbench.harness, "_CHUNK_ROWS", chunk)
+    # rows are written in the set's order, so these chunks of rows end on a candidate row, past its line break
+    assert sum(measured.version[end - 1] for end in range(chunk, len(measured), chunk)) > 3
     loaded = load_raw_csv(path, labels)[Strategy.DUET]
     assert loaded.version_labels == labels
     assert loaded.version.tolist() == measured.version.tolist()
