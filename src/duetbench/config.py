@@ -299,12 +299,13 @@ _FLAGS = _flag_table()
 
 def _argument(hint: Any, default: Any) -> dict[str, Any]:
     """The argparse keywords of a flag for a field of type `hint`."""
-    if get_origin(hint) is UnionType:  # `T | None`
-        hint = get_args(hint)[0]
-    if get_origin(hint) is tuple:  # `tuple[T, ...]`: the flag repeats
-        return {**_argument(get_args(hint)[0], None), "action": "append"}
-    if get_origin(hint) is Literal:
-        return {"choices": get_args(hint)}
+    origin, args = _origin_and_args(hint)
+    if origin is UnionType:  # `T | None`
+        return _argument(args[0], default)
+    if origin is tuple:  # `tuple[T, ...]`: the flag repeats
+        return {**_argument(args[0], None), "action": "append"}
+    if origin is Literal:
+        return {"choices": args}
     if hint is bool:  # the flag flips the default
         return {"action": "store_false" if default else "store_true"}
     if issubclass(hint, Enum):

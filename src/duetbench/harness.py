@@ -39,7 +39,7 @@ from .analysis import (
     verdict,
 )
 from .config import CorePlan, ExperimentConfig, archived_settings
-from .errors import BenchmarkError, ConfigError, PairingError
+from .errors import BenchmarkError, ConfigError, PairingError, SweepRangeError
 from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Pairing, Strategy
 from .strategies import open_instances, pair_measurements, run_strategy
 
@@ -89,12 +89,12 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
     samples = pair_measurements(filter_cold_starts(mset), cfg.seed if cfg.pairing is Pairing.RANDOM else None)
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, min_samples=cfg.min_samples)
     sweep = None
-    if cfg.run_sweep:
-        # cold filtering may leave fewer pairs than the configured stop
-        sweep = sweep_sample_size(
-            samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step, cfg.ci_level,
-            min_samples=cfg.min_samples,
-        )
+    if cfg.run_sweep:  # cold filtering may leave fewer pairs than the configured start or stop
+        if cfg.sweep_start > len(samples):
+            raise SweepRangeError(f"{mset.strategy.value}: sweep start {cfg.sweep_start} exceeds the {len(samples)} "
+                                  "pairs left after cold filtering")
+        sweep = sweep_sample_size(samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step,
+                                  cfg.ci_level, min_samples=cfg.min_samples)
     return StrategyResult(
         strategy=mset.strategy,
         measurements=mset,

@@ -4,7 +4,8 @@ A `MeasurementSet` holds one strategy run as numpy columns; everything
 downstream (pairing, cold filtering, bootstrap analysis, CSV export) works on
 those columns, whether they came from the live executor or the simulated
 platform. A `Measurement` is one row of a set, one timed invocation of one
-workload version, built when the set is read as a sequence.
+workload version, built when the set is read as a sequence. Runs and pairing
+order rows one way, by (instance, repetition) with `key_order`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ CLOCKS = tuple(ClockMode)
 STRATEGIES = tuple(Strategy)  # a strategy's index here is its code: in the raw.csv reader and the pairing stream's key
 
 
+def key_order(instance_id: np.ndarray, repetition: np.ndarray) -> np.ndarray:
+    """Row positions in stable (instance, repetition) order; rows whose keys already ascend are not sorted."""
+    inst, rep = instance_id, repetition
+    if ((inst[1:] > inst[:-1]) | (inst[1:] == inst[:-1]) & (rep[1:] >= rep[:-1])).all():
+        return np.arange(len(inst))
+    return np.lexsort((rep, inst))
+
+
 def _column(dtype: Any, default: Any = ()) -> Any:
     return field(default=default, metadata={"dtype": dtype})
 
@@ -128,39 +137,20 @@ class MeasurementSet(Sequence):
     def pair_order(self) -> np.ndarray:
         """Row positions by (instance, repetition, version): each pair's baseline, then its candidate.
 
-        Rows already in whole pairs of ascending keys, as every run and archive is, take an O(n) path
-        that swaps candidate-first pairs; any other set is sorted.
-        PairingError names the first (instance, repetition) keys without exactly one row of each."""
-        order = self._pairs_in_place()
-        if order is not None:
-            return order
-        order = np.lexsort((self.version, self.repetition, self.instance_id))
-        inst, rep = self.instance_id[order], self.repetition[order]
-        starts = np.flatnonzero(np.r_[True, (inst[1:] != inst[:-1]) | (rep[1:] != rep[:-1])][: len(order)])
-        # whole: every key has two rows, whose versions (sorted) are 0 and 1
-        broken = (np.diff(np.r_[starts, len(order)]) != 2) | (np.add.reduceat(self.version[order], starts) != 1)
-        if broken.any():
+        In key order (`key_order`), rows 2k and 2k + 1 must hold key k's one baseline and one candidate;
+        candidate-first pairs, as rmit runs them, are swapped. PairingError names the first
+        (instance, repetition) keys without exactly one row of each."""
+        order = key_order(self.instance_id, self.repetition)
+        inst, rep, version = self.instance_id[order], self.repetition[order], self.version[order]
+        new = (inst[1:] != inst[:-1]) | (rep[1:] != rep[:-1])  # row k + 1 starts a key
+        if len(order) % 2 or not new[1::2].all() or new[0::2].any() or (version[0::2] == version[1::2]).any():
+            starts = np.r_[0, np.flatnonzero(new) + 1]
+            broken = (np.diff(np.r_[starts, len(order)]) != 2) | (np.add.reduceat(version, starts) != 1)
             at = starts[broken][:5]
             keys = list(zip(inst[at].tolist(), rep[at].tolist()))
             raise PairingError(f"measurements do not form whole pairs at (instance, repetition) {keys}")
-        return order
-
-    def _pairs_in_place(self) -> np.ndarray | None:
-        """`pair_order()` of rows 2k and 2k + 1 forming pair k, with keys ascending from pair to pair; else None."""
-        n = len(self)
-        if n % 2:
-            return None
-        inst, rep = self.instance_id, self.repetition
-        v0, v1 = self.version[0::2], self.version[1::2]
-        if not (np.array_equal(inst[0::2], inst[1::2]) and np.array_equal(rep[0::2], rep[1::2])
-                and (((v0 == 0) & (v1 == 1)) | ((v0 == 1) & (v1 == 0))).all()):
-            return None
-        pi, pr = inst[0::2], rep[0::2]
-        if not ((pi[1:] > pi[:-1]) | ((pi[1:] == pi[:-1]) & (pr[1:] > pr[:-1]))).all():
-            return None
-        order = np.arange(n)
-        swapped = np.flatnonzero(v0) * 2  # candidate-first pairs, as rmit runs them
-        order[swapped], order[swapped + 1] = swapped + 1, swapped
+        swapped = np.flatnonzero(version[0::2]) * 2
+        order[swapped], order[swapped + 1] = order[swapped + 1], order[swapped]
         return order
 
     @property

@@ -14,11 +14,11 @@ instance runs its share in the order the strategy lays out:
   alternates), or given correlated noise draws on the simulated one.
 
 The rows of all instances form the strategy's one set, tagged with their
-instance id and ordered by (instance, repetition). Seed derivation is keyed
-by instance id only, never by strategy, so all strategies compared under one
-seed see the same instance lottery: a gate opens its instances once
-(`open_instances`), and each strategy starts them from the state they opened
-in.
+instance id and laid out in `key_order`, by (instance, repetition): only
+independent's rows need a sort. Seed derivation is keyed by instance id only,
+never by strategy, so all strategies compared under one seed see the same
+instance lottery: a gate opens its instances once (`open_instances`), and
+each strategy starts them from the state they opened in.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import relative_change
 from .config import ExperimentConfig, VariabilityModel
-from .measurement import CLOCKS, STRATEGIES, MeasurementSet, Strategy, default_clock
+from .measurement import CLOCKS, STRATEGIES, MeasurementSet, Strategy, default_clock, key_order
 from .simenv import draw_noise, draw_pair_noise, sample_instance, simulate_invocations
 
 if TYPE_CHECKING:
@@ -153,11 +153,10 @@ def run_strategy(cfg: ExperimentConfig, strategy: Strategy,
     *columns, results = zip(*parts)
     columns = dict(zip(("duration_ns", "instance_id", "repetition", "version", "cold", "order_position"),
                        map(np.concatenate, columns)))
-    order = np.lexsort((columns["repetition"], columns["instance_id"]))  # stable: in-repetition order kept
-    n = len(order)
+    order = key_order(columns["instance_id"], columns["repetition"])  # stable: in-repetition order kept
     return MeasurementSet(
         strategy, (specs[0].version_label, specs[1].version_label), **{name: c[order] for name, c in columns.items()},
-        clock_mode=np.full(n, CLOCKS.index(clock), np.int8),
+        clock_mode=np.full(len(order), CLOCKS.index(clock), np.int8),
         result=None if results[0] is None else np.array([r for part in results for r in part], object)[order],
     )
 
@@ -174,8 +173,7 @@ def pair_measurements(mset: MeasurementSet, seed: int | None) -> np.ndarray:
     float64 array in (instance, repetition) order.
     """
     order = mset.pair_order()
-    duration = mset.duration_ns[order]
-    base, cand = duration[0::2], duration[1::2]
+    base, cand = mset.duration_ns[order[0::2]], mset.duration_ns[order[1::2]]
     if seed is not None and len(cand):  # 0 is a seed
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, STRATEGIES.index(mset.strategy))))
         inst = mset.instance_id[order[0::2]]

@@ -290,6 +290,15 @@ def test_sweep_csv_emission(tmp_path):
     assert rows[0]["strategy"] == "duet" and rows[0]["n"] == "50"
 
 
+def test_a_sweep_start_above_the_pairs_left_names_the_strategy_and_the_pairs(tmp_path, capsys):
+    # four cold pairs leave 51 of 55; the stop is 55, so the error names the pairs left, not a stop of 51
+    code = duetbench.cli.main(["compare", "--repetitions", "55", "--instances", "4", "--resamples", "1000", "--sweep",
+                               "--sweep-start", "55", "--sweep-stop", "55", "--out", str(tmp_path)])
+    assert code == duetbench.cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SweepRangeError", "message": "independent: sweep start 55 exceeds the 51 pairs left after cold filtering"}
+
+
 def test_reanalysis_reproduces_cis_exactly(tmp_path):
     cfg = ExperimentConfig(seed=31, output_dir=tmp_path, **FAST)
     report = run_experiment(cfg)

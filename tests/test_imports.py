@@ -135,3 +135,9 @@ def test_only_the_strategies_seed_streams():
     purposes can collide unseen."""
     naming = {p.name for p in PACKAGE if "SeedSequence" in _named(ast.parse(p.read_text("utf-8")))}
     assert naming == {"strategies.py"}
+
+
+def test_only_the_measurement_module_orders_rows():
+    """Rows are sorted by key in one place, `measurement.key_order`, which the runner's layout and the pairing share."""
+    naming = {p.name for p in PACKAGE if "lexsort" in _named(ast.parse(p.read_text("utf-8")))}
+    assert naming == {"measurement.py"}

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,19 +273,34 @@ def test_order_position_is_int8():
     assert mset.order_position.tolist() == [0, 1] * 10
 
 
+def _reference_pair_order(inst, rep, version):
+    """pair_order in plain Python: rows grouped by key in a dict, each key's baseline row first."""
+    groups = {}
+    for row, key in enumerate(zip(inst, rep)):
+        groups.setdefault(key, []).append(row)
+    broken = [key for key in sorted(groups) if sorted(version[row] for row in groups[key]) != [0, 1]]
+    if broken:
+        return f"measurements do not form whole pairs at (instance, repetition) {broken[:5]}"
+    return [row for key in sorted(groups) for row in sorted(groups[key], key=lambda row: version[row])]
+
+
 @settings(max_examples=200, deadline=None)
 @given(keys=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 30)), unique=True, max_size=40), data=st.data())
-def test_pair_order_in_place_matches_the_sort(keys, data):
-    # Runs and archives hold pairs of one key in ascending key order; other sets take the sort, whole or not.
+def test_pair_order_matches_a_plain_reference(keys, data):
+    # Runs and archives hold pairs of one key in ascending key order; any other set is sorted, whole or not.
     keys = sorted(keys)
     n = 2 * len(keys)
     candidate_first = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))  # rmit's coin
     inst, rep = (np.repeat(np.array([k[i] for k in keys], dtype=np.int64), 2) for i in (0, 1))
     version = np.array([(1, 0) if c else (0, 1) for c in candidate_first], dtype=np.int8).reshape(n)
     rows = list(range(n))
-    change = data.draw(st.sampled_from(["none", "shuffle", "drop", "duplicate", "flip"]) if n else st.just("none"))
+    kinds = ["none", "shuffle", "drop", "duplicate", "flip", *(["swap pairs"] if len(keys) > 1 else [])]
+    change = data.draw(st.sampled_from(kinds) if n else st.just("none"))
     if change == "shuffle":
         rows = data.draw(st.permutations(rows))
+    elif change == "swap pairs":  # whole pairs, two adjacent ones out of key order
+        k = 2 * data.draw(st.integers(0, len(keys) - 2))
+        rows[k : k + 4] = rows[k + 2 : k + 4] + rows[k : k + 2]
     elif change in ("drop", "duplicate", "flip"):
         i = data.draw(st.integers(0, n - 1))
         if change == "drop":  # odd length
@@ -297,15 +310,10 @@ def test_pair_order_in_place_matches_the_sort(keys, data):
         else:  # a pair of two baselines or two candidates
             version[i] = 1 - version[i]
     mset = _set(inst[rows], rep[rows], version[rows])
-
-    def outcome():
-        try:
-            return mset.pair_order().tolist()
-        except PairingError as exc:
-            return str(exc)
-
-    in_place = outcome()
-    with mock.patch.object(MeasurementSet, "_pairs_in_place", return_value=None):
-        assert in_place == outcome()
-    if change == "none":
-        assert mset._pairs_in_place() is not None
+    try:
+        outcome = mset.pair_order().tolist()
+    except PairingError as exc:
+        outcome = str(exc)
+    assert outcome == _reference_pair_order(inst[rows].tolist(), rep[rows].tolist(), version[rows].tolist())
+    if change in ("none", "shuffle", "swap pairs"):
+        assert isinstance(outcome, list)
