@@ -14,7 +14,6 @@ from .analysis import (
     bootstrap_ci,
     filter_cold_starts,
     relative_change,
-    sweep_sample_size,
     verdict,
 )
 from .errors import (

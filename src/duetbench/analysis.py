@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySamplesError, InsufficientSamplesError, SweepRangeError
+from .errors import EmptySamplesError, InsufficientSamplesError
 from .measurement import MeasurementSet
 
 DEFAULT_LEVEL = 0.99
@@ -245,33 +245,6 @@ def bootstrap_ci(
         upper_pct=smallest(lambda f: f >= 1.0 - tail - _SLACK, -z),
         level=level,
     )
-
-
-def sweep_sample_size(
-    samples: Sequence[float] | np.ndarray,
-    start: int,
-    stop: int,
-    step: int,
-    level: float = DEFAULT_LEVEL,
-    *,
-    min_samples: int = MIN_SAMPLE_SIZE,
-) -> list[tuple[int, float]]:
-    """CI width as a function of sample count.
-
-    For each n in start, start+step, ..., stop (inclusive) the bootstrap CI
-    is computed over the first n samples; returns the (n, width_pp) series.
-    """
-    values = np.asarray(samples, dtype=float)
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if start < min_samples:
-        raise InsufficientSamplesError(f"sweep start {start} is below the minimum sample size {min_samples}")
-    if start > stop:
-        raise SweepRangeError(f"sweep start {start} exceeds stop {stop}")
-    if stop > values.size:
-        raise SweepRangeError(f"sweep stop {stop} exceeds the {values.size} available samples")
-    return [(n, bootstrap_ci(values[:n], level, min_samples=min_samples).width_pp)
-            for n in range(start, stop + 1, step)]
 
 
 def verdict(ci: ConfidenceInterval, threshold_pct: float) -> Verdict:

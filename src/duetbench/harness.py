@@ -30,14 +30,7 @@ from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import (
-    ConfidenceInterval,
-    Verdict,
-    bootstrap_ci,
-    filter_cold_starts,
-    sweep_sample_size,
-    verdict,
-)
+from .analysis import ConfidenceInterval, Verdict, bootstrap_ci, filter_cold_starts, verdict
 from .config import CorePlan, ExperimentConfig, archived_settings
 from .errors import BenchmarkError, ConfigError, PairingError, SweepRangeError
 from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Pairing, Strategy
@@ -85,7 +78,7 @@ class Report:
 
 
 def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> StrategyResult:
-    """Cold-filter, pair, bootstrap and gate one strategy's measurements."""
+    """Cold-filter, pair, bootstrap, sweep and gate one strategy's measurements."""
     samples = pair_measurements(filter_cold_starts(mset), cfg.seed if cfg.pairing is Pairing.RANDOM else None)
     ci = bootstrap_ci(samples, cfg.ci_level, cfg.resamples, min_samples=cfg.min_samples)
     sweep = None
@@ -93,8 +86,8 @@ def analyze_measurement_set(mset: MeasurementSet, *, cfg: ExperimentConfig) -> S
         if cfg.sweep_start > len(samples):
             raise SweepRangeError(f"{mset.strategy.value}: sweep start {cfg.sweep_start} exceeds the {len(samples)} "
                                   "pairs left after cold filtering")
-        sweep = sweep_sample_size(samples, cfg.sweep_start, min(cfg.sweep_stop, len(samples)), cfg.sweep_step,
-                                  cfg.ci_level, min_samples=cfg.min_samples)
+        sweep = [(n, bootstrap_ci(samples[:n], cfg.ci_level, cfg.resamples, min_samples=cfg.min_samples).width_pp)
+                 for n in range(cfg.sweep_start, min(cfg.sweep_stop, len(samples)) + 1, cfg.sweep_step)]
     return StrategyResult(
         strategy=mset.strategy,
         measurements=mset,

@@ -119,7 +119,7 @@ class MeasurementSet(Sequence):
         if self.version_labels[0] == self.version_labels[1]:
             raise ValueError(f"the two versions need distinct labels, both are {self.version_labels[0]!r}")
         if self.result is None:
-            self.result = np.full(len(self.duration_ns), None, object)
+            self.result = np.broadcast_to(np.array(None, object), len(self.duration_ns))  # a read-only view of one None
         for name, dtype in COLUMNS.items():  # the codes narrow after their range checks, so 257 cannot wrap to 1
             setattr(self, name, np.asarray(getattr(self, name), None if name in _CODES else dtype))
         if len({len(getattr(self, name)) for name in COLUMNS}) > 1:

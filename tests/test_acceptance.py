@@ -21,12 +21,7 @@ from scipy import stats
 from ci_reference import percentile_interval
 from conftest import requires_two_cores
 from duetbench.cli import _VERDICT_EXIT, EXIT_PASS, EXIT_REGRESSION
-from duetbench.analysis import (
-    Verdict,
-    bootstrap_ci,
-    filter_cold_starts,
-    sweep_sample_size,
-)
+from duetbench.analysis import Verdict, bootstrap_ci, filter_cold_starts
 from duetbench.executor import DuetExecutor
 from duetbench.harness import ExperimentConfig, run_experiment, summary_dict
 from duetbench.measurement import Backend, Strategy
@@ -223,8 +218,9 @@ def test_sweep_shape_and_small_sample_advantage():
 
     down = 0
     for seed in range(50):
-        series = dict(sweep_sample_size(_duet_pairs(seed=seed, repetitions=101), 50, 100, 50, 0.99))
-        down += series[100] <= series[50]
+        pairs = _duet_pairs(seed=seed, repetitions=101)
+        width_50, width_100 = (bootstrap_ci(pairs[:n], 0.99).width_pp for n in (50, 100))
+        down += width_100 <= width_50
     elapsed = time.perf_counter() - t0
 
     ok = (

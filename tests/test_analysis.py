@@ -23,10 +23,9 @@ from duetbench.analysis import (
     bootstrap_ci,
     filter_cold_starts,
     relative_change,
-    sweep_sample_size,
     verdict,
 )
-from duetbench.errors import EmptySamplesError, InsufficientSamplesError, PairingError, SweepRangeError
+from duetbench.errors import EmptySamplesError, InsufficientSamplesError, PairingError
 from duetbench.measurement import Strategy
 from duetbench.strategies import MeasurementSet
 
@@ -382,27 +381,6 @@ def test_bootstrap_memory_stays_small_at_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-
-
-def test_sweep_point_counts_and_prefix_semantics():
-    data = list(np.random.default_rng(0).normal(0, 1, 200))
-    series = sweep_sample_size(data, 50, 200, 50, 0.95)
-    assert [n for n, _ in series] == [50, 100, 150, 200]
-    assert series == [(n, bootstrap_ci(data[:n], 0.95, 1000).width_pp) for n in (50, 100, 150, 200)]
-    single = sweep_sample_size(data, 50, 50, 5, 0.95)
-    assert len(single) == 1 and single[0][0] == 50
-
-
-def test_sweep_errors():
-    data = list(range(100))
-    with pytest.raises(ValueError):
-        sweep_sample_size(data, 50, 100, 0, 0.95)
-    with pytest.raises(SweepRangeError):
-        sweep_sample_size(data, 50, 101, 5, 0.95)
-    with pytest.raises(InsufficientSamplesError):
-        sweep_sample_size(data, 10, 100, 5, 0.95)
-    with pytest.raises(SweepRangeError):
-        sweep_sample_size(data, 90, 60, 5, 0.95)
 
 
 def test_verdict_rules():

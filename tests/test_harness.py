@@ -19,7 +19,7 @@ import duetbench.cli
 import duetbench.harness
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
-from duetbench.analysis import ConfidenceInterval, Verdict
+from duetbench.analysis import ConfidenceInterval, Verdict, bootstrap_ci
 from duetbench.config import archived_settings
 from duetbench.errors import BenchmarkError, ConfigError, PairingError
 from duetbench.executor import DuetExecutor
@@ -288,6 +288,29 @@ def test_sweep_csv_emission(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12
     assert rows[0]["strategy"] == "duet" and rows[0]["n"] == "50"
+
+
+def test_the_sweep_computes_its_cis_through_the_harness_bootstrap_ci(monkeypatch):
+    # Each point is the CI over the first n pairs, n = start, start + step, ... up to the stop or the pairs left after
+    # cold filtering, whichever is fewer; every CI, the sweep's included, goes through the name the benchmark replaces.
+    calls = []
+
+    def counting(*args, _fn=duetbench.harness.bootstrap_ci, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(duetbench.harness, "bootstrap_ci", counting)
+    cfg = ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), seed=4, repetitions=161, instances=2,
+                           resamples=1000, ci_level=0.95, backend=Backend.SIMULATED, run_sweep=True, sweep_start=50,
+                           sweep_stop=170, sweep_step=10)
+    report = run_experiment(cfg)
+    for r in report.results:
+        assert r.pairs_after_filter == 159  # one cold pair per instance, so the stop of 170 is clamped
+        want = [(n, bootstrap_ci(r.samples[:n], 0.95, min_samples=cfg.min_samples).width_pp)
+                for n in range(50, 160, 10)]
+        assert r.sweep == want
+    assert len(calls) == len(cfg.strategies) * (1 + 11)
+    assert all(args[1:] == (0.95, cfg.resamples) for args in calls)
 
 
 def test_a_sweep_start_above_the_pairs_left_names_the_strategy_and_the_pairs(tmp_path, capsys):
@@ -649,6 +672,18 @@ def test_load_raw_csv_peaks_little_above_its_result(tmp_path):
         tracemalloc.stop()
     assert sum(map(len, loaded.values())) == 48_000
     assert peak - held < 1.25 * 2**20  # 1.25 MiB
+
+
+def test_a_set_without_workload_results_holds_one_shared_none(tmp_path):
+    # simulated and loaded sets carry no workload results: their result column is a stride-0 view of one None
+    cfg = ExperimentConfig(strategies=(Strategy.RMIT,), seed=2, **FAST)
+    report = run_experiment(cfg)
+    loaded = load_raw_csv(emit_report(report, tmp_path, ())["raw_csv"], ("A", "B"))[Strategy.RMIT]
+    for mset in (report.results[0].measurements, loaded):
+        assert mset.result.strides == (0,) and len(mset.result) == 2 * cfg.repetitions
+        assert all(m.result is None for m in mset)
+        cold = mset[mset.cold]
+        assert len(cold.result) == cold.cold.sum() == cfg.instances and all(m.result is None for m in cold)
 
 
 def test_harness_calls_its_layers_through_its_module_names(tmp_path, monkeypatch):

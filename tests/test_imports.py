@@ -141,3 +141,15 @@ def test_only_the_measurement_module_orders_rows():
     """Rows are sorted by key in one place, `measurement.key_order`, which the runner's layout and the pairing share."""
     naming = {p.name for p in PACKAGE if "lexsort" in _named(ast.parse(p.read_text("utf-8")))}
     assert naming == {"measurement.py"}
+
+
+def _called(tree: ast.AST) -> set[str]:
+    """Every name the code calls, as a name or an attribute."""
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_only_the_harness_computes_a_ci():
+    """Every CI, the sweep's included, is computed through `harness.bootstrap_ci`, the name the benchmark times."""
+    naming = {p.name for p in PACKAGE if "bootstrap_ci" in _called(ast.parse(p.read_text("utf-8")))}
+    assert naming == {"harness.py"}
