@@ -163,7 +163,9 @@ class MeasurementSet(Sequence):
     def __getitem__(self, i: Any) -> Measurement | MeasurementSet:
         """Row `i` as a Measurement; a slice, index array or mask selects a set of rows, in that order."""
         if not isinstance(i, (int, np.integer)):
-            return MeasurementSet(self.strategy, self.version_labels, **{name: getattr(self, name)[i] for name in COLUMNS})
+            columns = {name: getattr(self, name)[i] for name in COLUMNS if name != "result"}
+            result = None if self.result.strides[0] == 0 else self.result[i]  # the shared None stays one view
+            return MeasurementSet(self.strategy, self.version_labels, result=result, **columns)
         i = range(len(self))[i]
         position = int(self.order_position[i])
         return Measurement(

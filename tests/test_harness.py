@@ -276,6 +276,41 @@ def test_emit_empty_report_rejected(tmp_path):
         emit_report(empty, tmp_path)
 
 
+def _sweep_report(repetitions: int) -> Report:
+    return run_experiment(ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT), seed=31, repetitions=repetitions,
+                                           instances=2, resamples=1000, backend=Backend.SIMULATED, run_sweep=True,
+                                           sweep_start=50, sweep_stop=120, sweep_step=10))
+
+
+def test_a_report_replaces_each_artifact_with_a_new_file(tmp_path):
+    # Rewriting a file in place makes ext4 flush it on close and discard its blocks on the next rewrite; a new file
+    # at the same path costs neither. A hard link to the old file therefore keeps the first report's bytes.
+    out, links = tmp_path / "out", tmp_path / "links"
+    links.mkdir()
+    first = emit_report(_sweep_report(260), out)
+    assert sorted(first) == ["raw_csv", "summary_csv", "summary_json", "sweep_csv"]
+    old = {name: path.read_bytes() for name, path in first.items()}
+    for name, path in first.items():
+        (links / name).hardlink_to(path)
+    second_report = _sweep_report(160)
+    second = emit_report(second_report, out)
+    fresh = emit_report(second_report, tmp_path / "fresh")
+    for name, path in second.items():
+        assert (links / name).read_bytes() == old[name]
+        assert path.read_bytes() == fresh[name].read_bytes() != old[name]
+
+
+def test_a_symlink_at_an_artifact_path_is_replaced_not_followed(tmp_path):
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "raw.csv").symlink_to(target)
+    written = emit_report(_sweep_report(160), out)
+    assert target.read_bytes() == b"kept\n"
+    assert not written["raw_csv"].is_symlink() and written["raw_csv"].read_bytes().startswith(b"strategy,")
+
+
 def test_sweep_csv_emission(tmp_path):
     cfg = ExperimentConfig(
         strategies=(Strategy.DUET,), seed=6, repetitions=161, instances=1, resamples=1000,
@@ -684,6 +719,7 @@ def test_a_set_without_workload_results_holds_one_shared_none(tmp_path):
         assert all(m.result is None for m in mset)
         cold = mset[mset.cold]
         assert len(cold.result) == cold.cold.sum() == cfg.instances and all(m.result is None for m in cold)
+        assert cold.result.strides == (0,)
 
 
 def test_harness_calls_its_layers_through_its_module_names(tmp_path, monkeypatch):

@@ -153,3 +153,46 @@ def test_only_the_harness_computes_a_ci():
     """Every CI, the sweep's included, is computed through `harness.bootstrap_ci`, the name the benchmark times."""
     naming = {p.name for p in PACKAGE if "bootstrap_ci" in _called(ast.parse(p.read_text("utf-8")))}
     assert naming == {"harness.py"}
+
+
+def _writers(tree: ast.Module) -> set[str]:
+    """The function (or `<module>`) around each call that may write a file: `write_text`, `write_bytes`, or an `open`
+    whose mode is not a literal read-only mode. The mode is the `mode` keyword, else the second argument of `open` and
+    `io.open`, else the first of another `.open` (as `Path.open`); a call without one reads."""
+    around = {}
+    functions = (node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    for scope in [tree, *functions]:
+        for node in ast.walk(scope):  # walked outermost first, so a nested function claims its own calls last
+            around[node] = getattr(scope, "name", "<module>")
+    writers = set()
+    for node, scope in around.items():
+        name = isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            writers.add(scope)
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) or getattr(node.func.value, "id", None) == "io" else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), (node.args[at:] or [None])[0])
+            if mode is not None and not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wxa+")):
+                writers.add(scope)
+    return writers
+
+
+def test_only_the_new_file_helper_opens_a_file_for_writing():
+    """Every file the package writes is made new by `harness._new_file`, never truncated in place, which makes ext4
+    flush it on close and discard its blocks on the next rewrite."""
+    writers = {(p.name, scope) for p in PACKAGE for scope in _writers(ast.parse(p.read_text("utf-8")))}
+    assert writers == {("harness.py", "_new_file")}
+
+
+def test_the_writer_check_sees_each_way_to_open_for_writing():
+    code = """
+def a(p): open(p, "w")
+def b(p): p.open("ab")
+def c(p, m): open(p, mode=m)
+def d(p):
+    def e(): p.write_text("")
+    return open(p, "rb"), open(p, encoding="utf-8"), p.open()
+f = io.open(p, "r+")
+"""
+    assert _writers(ast.parse(code)) == {"a", "b", "c", "e", "<module>"}
