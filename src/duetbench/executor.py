@@ -139,8 +139,8 @@ class DuetExecutor:
     duet invocation and torn down by `close()` (or the context manager).
     """
 
-    def __init__(self, plan: CorePlan | None = None, *, pinning: bool = True) -> None:
-        self.plan = plan if plan is not None else CorePlan(0, 1)
+    def __init__(self, plan: CorePlan, *, pinning: bool = True) -> None:
+        self.plan = plan
         self.pinning = pinning
         if pinning and not pinning_supported():
             raise AffinityUnsupportedError("platform cannot set CPU affinity; construct with pinning=False to run unpinned")

@@ -23,7 +23,7 @@ import json
 import re
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
@@ -36,7 +36,14 @@ from .errors import BenchmarkError, ConfigError, PairingError, SweepRangeError
 from .measurement import CLOCKS, STRATEGIES, Backend, MeasurementSet, Pairing, Strategy
 from .strategies import open_instances, pair_measurements, run_strategy
 
-RAW_CSV_COLUMNS = ("strategy", "instance_id", "repetition", "version", "duration_ns", "clock_mode", "cold", "order_position")
+# raw.csv's columns in order, its header, writer and reader: None for an int64 column, else the cells that a text
+# column's codes index. `version`'s cells are each set's labels. order_position's -1 (none) indexes its last cell, as
+# in a Python sequence, and the reader maps that cell back to -1.
+_RAW_CSV: dict[str, tuple[str, ...] | None] = {
+    "strategy": tuple(s.value for s in STRATEGIES), "instance_id": None, "repetition": None, "version": (),
+    "duration_ns": None, "clock_mode": tuple(c.value for c in CLOCKS), "cold": ("false", "true"),
+    "order_position": ("0", "1", "")}
+RAW_CSV_COLUMNS = tuple(_RAW_CSV)
 SUMMARY_JSON = "summary.json"  # beside raw.csv; its `config` block holds the gate's config, which a re-analysis reads back
 SUMMARY_CSV_COLUMNS = ("strategy", "median_change_pct", "ci_lower_pct", "ci_upper_pct", "ci_level", "width_pp", "verdict",
                        "measurements", "pairs_before_filter", "pairs_after_filter")
@@ -134,12 +141,7 @@ def summary_dict(report: Report) -> dict[str, Any]:
     for r in report.results:
         strategies[r.strategy.value] = {
             "median_change_pct": r.median_change_pct,
-            "ci": {
-                "lower_pct": r.ci.lower_pct,
-                "upper_pct": r.ci.upper_pct,
-                "level": r.ci.level,
-                "width_pp": r.ci.width_pp,
-            },
+            "ci": asdict(r.ci),
             "verdict": r.verdict.value,
             "measurements": len(r.measurements),
             "pairs_before_filter": r.pairs_before_filter,
@@ -157,7 +159,7 @@ def summary_dict(report: Report) -> dict[str, Any]:
     }
 
 
-def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...] = ("json", "csv")) -> dict[str, Path]:
+def emit_report(report: Report, out_dir: Path | str, formats: tuple[str, ...]) -> dict[str, Path]:
     """Write raw measurements, summary file(s) and the sweep series.
 
     Always writes raw.csv; writes summary.json and/or summary.csv per
@@ -207,18 +209,22 @@ def _write_raw(fh: IO[bytes], m: MeasurementSet) -> None:
     """Append raw.csv's lines of `m` to `fh` as `csv.writer` writes them: CRLF line ends, only labels quoted.
 
     A chunk of rows becomes one byte matrix with a column per row and a row per byte position: the byte rows of each
-    cell in turn, every cell but the first led by its comma. A cell shorter than its rows is padded with 0xFF, a byte
-    UTF-8 never holds, and the pad is deleted from the matrix's bytes.
+    column of `_RAW_CSV` in turn, each cell led by its comma, and then the line end. The set's one strategy is one
+    cell for all its rows; an int64 column's cells are its digits (`_digits`), and a text column's are one take from
+    its cells' byte table by the rows' codes, `version`'s cells being the set's labels. The first byte row, the first
+    cell's comma, is dropped. A cell shorter than its rows is padded with 0xFF, a byte UTF-8 never holds, and the pad
+    is deleted from the matrix's bytes.
     """
-    head = _byte_table([m.strategy.value])
-    labels = _byte_table([f",{_csv_cell(label)}" for label in m.version_labels])
+    head = _byte_table([m.strategy.value])  # of the strategy's own width: a broadcast, not a take, and no pad
+    tables = {name: None if cells is None else _byte_table(cells)
+              for name, cells in {**_RAW_CSV, "version": m.version_labels}.items() if name != "strategy"}
     for start in range(0, len(m), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        tail = (m.clock_mode[rows] * 2 + m.cold[rows]) * 3 + m.order_position[rows] + 1
-        parts = [np.broadcast_to(head, (len(head), len(tail))), _digits(m.instance_id[rows]),
-                 _digits(m.repetition[rows]), labels.take(m.version[rows], axis=1), _digits(m.duration_ns[rows]),
-                 _TAIL_CELLS.take(tail, axis=1)]
-        fh.write(np.concatenate(parts).T.tobytes().translate(None, b"\xff"))
+        blocks = [_digits(getattr(m, name)[rows]) if table is None else table.take(getattr(m, name)[rows], axis=1)
+                  for name, table in tables.items()]
+        n = blocks[0].shape[1]
+        parts = [np.broadcast_to(head, (len(head), n)), *blocks, np.broadcast_to(_LINE_END, (len(_LINE_END), n))]
+        fh.write(np.concatenate(parts)[1:].T.tobytes().translate(None, b"\xff"))
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -243,17 +249,18 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19, above 
 
 
 def _byte_table(cells: Sequence[str]) -> np.ndarray:
-    """`cells` in UTF-8, one column each, padded with 0xFF."""
-    encoded = [cell.encode() for cell in cells]
+    """`cells` as `csv.writer` writes them within a row, each led by its comma, in UTF-8: one column each, padded
+    with 0xFF."""
+    encoded = []
+    for cell in cells:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow(["", cell, ""])
+        encoded.append(buf.getvalue().removesuffix(",\r\n").encode())
     width = max(map(len, encoded))
     return np.frombuffer(b"".join(cell.ljust(width, b"\xff") for cell in encoded), np.uint8).reshape(-1, width).T
 
 
-def _csv_cell(text: str) -> str:
-    """`text` as `csv.writer` writes it in a row of several cells."""
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerow([text, ""])
-    return buf.getvalue().removesuffix(",\r\n")
+_LINE_END = np.frombuffer(b"\r\n", np.uint8)[:, None]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
@@ -268,10 +275,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]])
 def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, MeasurementSet]:
     """Read a raw.csv back into one measurement set per strategy, with (baseline, candidate) `labels`.
 
-    Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
+    The columns, their types and each text column's cells come from `_RAW_CSV`, with `labels` as `version`'s
+    cells. Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
     skipped. An integer cell is an optional sign and ASCII digits, with optional surrounding spaces, within
-    int64; `cold` is `true` or `false`, and `order_position` empty, 0 or 1. Any other cell, and a NUL character
-    anywhere in the file, raises ValueError, a label other than the two PairingError.
+    int64, and a text cell one of its column's cells. Any other cell, and a NUL character anywhere in the file,
+    raises ValueError naming its column, a label other than the two PairingError.
     """
     with open(path, "rb") as raw:  # no raw.csv holds a NUL (labels may not), and numpy drops one where it cuts a cell
         while block := raw.read(1 << 16):
@@ -283,15 +291,15 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
         missing = set(RAW_CSV_COLUMNS) - set(header)
         if missing:
             raise BenchmarkError(f"raw csv is missing columns: {sorted(missing)}")
-        cells = {**_TEXT_CELLS, "version": labels}
+        layout = {**_RAW_CSV, "version": labels}
         # A text cell is cut one character past the longest value it may hold, so a longer one matches none.
-        dtype = np.dtype([(name, np.int64 if name in _INT_COLUMNS else f"U{max(map(len, cells[name])) + 1}")
-                          for name in RAW_CSV_COLUMNS])
+        dtype = np.dtype([(name, np.int64 if cells is None else f"U{max(map(len, cells)) + 1}")
+                          for name, cells in layout.items()])
         usecols = [header[name] for name in RAW_CSV_COLUMNS]
         # The rows after the header become columns a chunk at a time, split by strategy at once, so few rows
         # are ever alive.
         while (chunk := _read_chunk(fh, dtype, usecols)).size:
-            for code, columns in _raw_columns(chunk, labels):
+            for code, columns in _raw_columns(chunk, layout):
                 parts.setdefault(code, []).append(columns)
     if not parts:
         raise BenchmarkError(f"no measurements found in {path}")
@@ -310,7 +318,6 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
 # rows and 22.5 at 2 048. Writing those rows (`_write_raw` of three 16 000-row sets into memory, best of 40, no file
 # I/O) takes 21, 14, 10.5, 9.2 and 8.1 ms; `emit_report` of them peaks at 0.14, 0.14, 0.22, 0.31 and 0.59 MiB.
 _CHUNK_ROWS = 2048
-_INT_COLUMNS = ("duration_ns", "instance_id", "repetition")
 
 
 def _read_chunk(fh: IO[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
@@ -335,51 +342,37 @@ def _read_chunk(fh: IO[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
     raise ValueError(f"raw csv: {message}")
 
 
-def _raw_columns(chunk: np.ndarray, labels: tuple[str, str]) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """(strategy code, columns) of each strategy in `chunk`, in order of first appearance."""
-    ints = {name: chunk[name].copy() for name in _INT_COLUMNS}  # a view would keep the whole chunk alive
-    columns = dict(
-        **ints,
-        version=_version_codes(labels, chunk["version"], ints["instance_id"], ints["repetition"]),
-        cold=_codes(chunk["cold"], _COLD_CELLS, "raw csv cold"),
-        order_position=_codes(chunk["order_position"], _ORDER_CELLS, "raw csv order_position") - 1,
-        clock_mode=_codes(chunk["clock_mode"], _CLOCK_CELLS, "raw csv clock_mode"),
-    )
-    strategy = _codes(chunk["strategy"], _TEXT_CELLS["strategy"], "raw csv strategy")
+def _raw_columns(chunk: np.ndarray,
+                 layout: dict[str, Sequence[str] | None]) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """(strategy code, columns) of each strategy in `chunk`, in order of first appearance.
+
+    `layout` is `_RAW_CSV` with the labels as `version`'s cells. An int64 column is copied, as a view would keep the
+    whole chunk alive, and a text column becomes its codes (`_codes`)."""
+    columns = {name: chunk[name].copy() if cells is None else _codes(chunk, name, cells)
+               for name, cells in layout.items()}
+    strategy = columns.pop("strategy")
+    order = columns["order_position"]
+    order[order == len(layout["order_position"]) - 1] = -1  # the last cell: no position
     first = np.unique(strategy, return_index=True)[1]
     for code in strategy[np.sort(first)].tolist():  # in order of first appearance
         rows_of = strategy == code
         yield code, columns if rows_of.all() else {name: c[rows_of] for name, c in columns.items()}
 
 
-def _codes(cells: np.ndarray, values: Sequence[str], what: str) -> np.ndarray:
-    """The index of each cell in `values`; ValueError names the first cell that is none of them."""
+def _codes(chunk: np.ndarray, name: str, values: Sequence[str]) -> np.ndarray:
+    """The index in `values` of each `name` cell of `chunk`. A cell that is none of them raises ValueError naming it,
+    or for `version` PairingError naming the (instance, repetition) keys of its rows."""
+    cells = chunk[name]
     out = np.full(len(cells), -1, np.int8)
     for i, value in enumerate(values):
         out[cells == value] = i
     if (unknown := np.flatnonzero(out < 0)).size:
-        raise ValueError(f"{what} {str(cells[unknown[0]])!r} is none of {list(values)}")
+        message = f"raw csv {name} {str(cells[unknown[0]])!r} is none of {list(values)}"
+        if name == "version":
+            keys = list(zip(chunk["instance_id"][unknown[:5]].tolist(), chunk["repetition"][unknown[:5]].tolist()))
+            raise PairingError(f"{message} at (instance, repetition) {keys}")
+        raise ValueError(message)
     return out
-
-
-def _version_codes(labels: tuple[str, str], names: np.ndarray, instance_id: np.ndarray,
-                   repetition: np.ndarray) -> np.ndarray:
-    """Each name's index in `labels`; PairingError names the rows of any other label."""
-    try:
-        return _codes(names, labels, "version label")
-    except ValueError as exc:
-        where = [(int(i), int(r)) for i, r, n in zip(instance_id, repetition, names) if n not in labels]
-        raise PairingError(f"{exc} at (instance, repetition) {where[:5]}") from None
-
-
-_COLD_CELLS = ("false", "true")
-_ORDER_CELLS = ("", "0", "1")  # no position, first, second
-_CLOCK_CELLS = tuple(c.value for c in CLOCKS)
-_TEXT_CELLS = {"strategy": tuple(s.value for s in STRATEGIES), "clock_mode": _CLOCK_CELLS, "cold": _COLD_CELLS,
-               "order_position": _ORDER_CELLS}  # the cells each text column but `version` may hold
-# `,clock_mode,cold,order_position` and the line end, at (clock_mode * 2 + cold) * 3 + order_position + 1
-_TAIL_CELLS = _byte_table([f",{clock},{cold},{order}\r\n" for clock in _CLOCK_CELLS for cold in _COLD_CELLS
-                           for order in _ORDER_CELLS])
 
 
 def reanalyze_raw(path: Path | str, **settings: Any) -> Report:

@@ -22,7 +22,7 @@ from ci_reference import percentile_interval
 from conftest import requires_two_cores
 from duetbench.cli import _VERDICT_EXIT, EXIT_PASS, EXIT_REGRESSION
 from duetbench.analysis import Verdict, bootstrap_ci, filter_cold_starts
-from duetbench.executor import DuetExecutor
+from duetbench.executor import CorePlan, DuetExecutor
 from duetbench.harness import ExperimentConfig, run_experiment, summary_dict
 from duetbench.measurement import Backend, Strategy
 from duetbench.simenv import VariabilityModel
@@ -175,7 +175,7 @@ def test_small_sample_width_live_duet():
     # per-thread CPU accounting. Soft-fails with a diagnostic otherwise.
     cfg = ExperimentConfig(backend=Backend.LIVE, repetitions=100, instances=1, seed=1, scale=480_000)
     t0 = time.perf_counter()
-    with DuetExecutor() as executor:
+    with DuetExecutor(CorePlan(0, 1)) as executor:
         mset = run_strategy(cfg, Strategy.DUET, open_instances(cfg, executor))
     samples = pair_measurements(filter_cold_starts(mset), None)
     ci = bootstrap_ci(samples, 0.99, 10_000)

@@ -186,23 +186,25 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "PairingError"
 
 
-@pytest.mark.parametrize("cells", [
-    pytest.param({6: "True"}, id="cold-True"),
-    pytest.param({4: "0"}, id="zero-duration"),
-    pytest.param({4: "1.5"}, id="fractional-duration"),
-    pytest.param({4: "1_000"}, id="underscored-duration"),  # int() reads it; the C reader does not
-    pytest.param({4: "\u0661\u0660\u0660"}, id="arabic-indic-duration"),  # likewise: 100 in Arabic-Indic digits
-    pytest.param({2: "-5"}, id="negative-repetition"),
-    pytest.param({7: "2"}, id="order-position-2"),
-    pytest.param({5: "sundial"}, id="unknown-clock"),
-    pytest.param({0: "solo"}, id="unknown-strategy"),
-    pytest.param(None, id="short-row"),
-    pytest.param({3: "A\x00"}, id="version-ends-in-nul"),  # numpy drops a trailing NUL: this read as label A
-    pytest.param({6: "true\x00"}, id="cold-ends-in-nul"),
-    pytest.param({3: "A\x00B"}, id="label-holds-nul"),  # numpy's cut of the cell leaves A\x00: this read as label A
+@pytest.mark.parametrize("cells, expect", [
+    pytest.param({6: "True"}, ("ValueError", "cold"), id="cold-True"),
+    pytest.param({4: "0"}, None, id="zero-duration"),
+    pytest.param({4: "1.5"}, None, id="fractional-duration"),
+    pytest.param({4: "1_000"}, None, id="underscored-duration"),  # int() reads it; the C reader does not
+    pytest.param({4: "\u0661\u0660\u0660"}, None, id="arabic-indic-duration"),  # likewise: 100 in Arabic-Indic digits
+    pytest.param({2: "-5"}, None, id="negative-repetition"),
+    pytest.param({7: "2"}, ("ValueError", "order_position"), id="order-position-2"),
+    pytest.param({5: "sundial"}, ("ValueError", "clock_mode"), id="unknown-clock"),
+    pytest.param({0: "solo"}, ("ValueError", "strategy"), id="unknown-strategy"),
+    pytest.param({3: "C"}, ("PairingError", "version", "(0, 0)"), id="foreign-label"),
+    pytest.param(None, None, id="short-row"),
+    pytest.param({3: "A\x00"}, None, id="version-ends-in-nul"),  # numpy drops a trailing NUL: this read as label A
+    pytest.param({6: "true\x00"}, None, id="cold-ends-in-nul"),
+    pytest.param({3: "A\x00B"}, None, id="label-holds-nul"),  # numpy's cut of the cell leaves A\x00: this read as label A
 ])
-def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
-    # one cell of the cold row (or the row cut short) is corrupted: exit 2 with the JSON error, never a verdict
+def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells, expect):
+    # one cell of the cold row (or the row cut short) is corrupted: exit 2 with the JSON error, never a verdict;
+    # `expect` is the error a bad text cell raises and the words its message names
     assert main(["run", "--strategy", "duet", *FAST_FLAGS, "--out", str(tmp_path)]) == EXIT_PASS
     raw = tmp_path / "raw.csv"
     lines = raw.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -214,7 +216,11 @@ def test_analyze_refuses_a_corrupted_cell(tmp_path, capsys, cells):
     raw.write_text("".join(lines), encoding="utf-8")
     capsys.readouterr()
     assert main(["analyze", str(raw), "--out", str(tmp_path / "again")]) == EXIT_ERROR
-    assert set(json.loads(capsys.readouterr().err)) == {"error", "message"}
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message"}
+    if expect:
+        error, *words = expect
+        assert err["error"] == error and all(word in err["message"] for word in words), err
 
 
 def test_analyze_names_the_column_of_an_out_of_range_integer(tmp_path, capsys):
@@ -229,6 +235,17 @@ def test_analyze_names_the_column_of_an_out_of_range_integer(tmp_path, capsys):
     assert main(["analyze", str(raw)]) == EXIT_ERROR
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "duration_ns" in err["message"] and "9" * 30 in err["message"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_analyze_refuses_a_summary_json_that_another_run_left(tmp_path):
+    # `--format csv` writes no summary.json, so the first run's, with its 10 % threshold, stays beside the second
+    # run's raw.csv; re-analysed under it, a 5 % regression passes
+    out = tmp_path / "r"
+    assert main(["run", "--seed", "1", "--threshold-pct", "10", "--out", str(out)]) == EXIT_PASS
+    assert main(["run", "--seed", "2", "--regression-pct", "5", "--format", "csv", "--out", str(out)]) \
+        == EXIT_REGRESSION
+    assert main(["analyze", str(out / "raw.csv"), "--out", str(tmp_path / "again")]) in (EXIT_REGRESSION, EXIT_ERROR)
 
 
 def _widths(path):

@@ -42,7 +42,7 @@ def test_core_plan_validation():
 
 def test_duet_refuses_single_core_host(monkeypatch):
     monkeypatch.setattr(executor_mod, "available_cores", lambda: 1)
-    with DuetExecutor() as ex:
+    with DuetExecutor(CorePlan(0, 1)) as ex:
         with pytest.raises(InsufficientCoresError):
             ex.duet_invoke(SPEC_SMALL, WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "B"))
 
@@ -94,25 +94,25 @@ def test_a_one_core_mask_is_named_with_the_host_size(monkeypatch, tmp_path, caps
 def test_affinity_unsupported_platform(monkeypatch):
     monkeypatch.setattr(executor_mod, "pinning_supported", lambda: False)
     with pytest.raises(AffinityUnsupportedError):
-        DuetExecutor(pinning=True)
+        DuetExecutor(CorePlan(0, 1), pinning=True)
     # explicit downgrade is allowed
-    DuetExecutor(pinning=False).close()
+    DuetExecutor(CorePlan(0, 1), pinning=False).close()
 
 
 def test_solo_smallest_workload():
     spec = WorkloadSpec(WorkloadKind.MEM_SIEVE, 2, "A")
-    m = DuetExecutor(pinning=False).solo_invoke(spec, ClockMode.WALL_CLOCK)
+    m = DuetExecutor(CorePlan(0, 1), pinning=False).solo_invoke(spec, ClockMode.WALL_CLOCK)
     assert m.duration_ns > 0
     assert m.result.units_done == 1
 
 
 def test_solo_clock_mode_echo():
-    m = DuetExecutor(pinning=False).solo_invoke(SPEC_SMALL, clock=ClockMode.CPU_TIME)
+    m = DuetExecutor(CorePlan(0, 1), pinning=False).solo_invoke(SPEC_SMALL, clock=ClockMode.CPU_TIME)
     assert m.clock_mode is ClockMode.CPU_TIME
 
 
 def test_solo_repeated_same_order_of_magnitude():
-    ex = DuetExecutor(pinning=False)
+    ex = DuetExecutor(CorePlan(0, 1), pinning=False)
     a = ex.solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
     b = ex.solo_invoke(SPEC_SMALL, ClockMode.WALL_CLOCK)
     ratio = max(a.duration_ns, b.duration_ns) / min(a.duration_ns, b.duration_ns)
@@ -138,7 +138,7 @@ def test_duet_aa_identical_work_results():
 def test_solo_returns_only_a_timing_on_the_clock_asked_for(monkeypatch):
     result = timed_run(SPEC_SMALL)[0]
     monkeypatch.setattr(executor_mod, "timed_run", lambda spec: (result, 7, 11))  # (result, cpu_ns, wall_ns)
-    ex = DuetExecutor(pinning=False)
+    ex = DuetExecutor(CorePlan(0, 1), pinning=False)
     assert ex.solo_invoke(SPEC_SMALL) == Timing(11, ClockMode.WALL_CLOCK, result)
     assert ex.solo_invoke(SPEC_SMALL, ClockMode.CPU_TIME) == Timing(7, ClockMode.CPU_TIME, result)
 
@@ -204,7 +204,7 @@ def test_pin_failure_raises_and_stops_workers(monkeypatch):
 @requires_two_cores
 def test_duet_barrier_timeout_maps_to_error(monkeypatch):
     monkeypatch.setattr(executor_mod, "BARRIER_TIMEOUT_S", 1.0)
-    with DuetExecutor() as ex:
+    with DuetExecutor(CorePlan(0, 1)) as ex:
         ex._ensure_workers()
         ex._barrier.abort()
         with pytest.raises(BarrierTimeoutError, match=r"within 1\.0s$"):
@@ -223,7 +223,7 @@ def test_duet_detects_five_percent_direction():
     # The baseline alternates between the workers, as in a live duet run, so a
     # difference between the two cores does not read as one between versions.
     changes = []
-    with DuetExecutor() as ex:
+    with DuetExecutor(CorePlan(0, 1)) as ex:
         for rep in range(100):
             if rep % 2 == 0:
                 m_a, m_b = ex.duet_invoke(spec_a, spec_b, clock=ClockMode.WALL_CLOCK)

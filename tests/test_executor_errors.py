@@ -8,7 +8,7 @@ import pytest
 from conftest import requires_two_cores
 from duetbench import executor as executor_mod
 from duetbench.errors import ExecutionError
-from duetbench.executor import DuetExecutor
+from duetbench.executor import CorePlan, DuetExecutor
 from duetbench.workloads import WorkloadKind, WorkloadSpec
 
 SPEC_A = WorkloadSpec(WorkloadKind.CPU_MUTATION, 20_000, "A")
@@ -23,7 +23,7 @@ def test_worker_execution_error_raises_and_the_next_pair_recovers(monkeypatch):
         raise RuntimeError("boom")
 
     before = set(mp.active_children())
-    with DuetExecutor() as ex:
+    with DuetExecutor(CorePlan(0, 1)) as ex:
         monkeypatch.setattr(executor_mod, "run_workload", fail)  # before the workers are forked
         with pytest.raises(ExecutionError, match=r"^execution:RuntimeError\('boom'\)$"):
             ex.duet_invoke(SPEC_A, SPEC_B)
@@ -42,7 +42,7 @@ def test_worker_that_exits_mid_pair_raises_and_the_next_pair_recovers(monkeypatc
         os._exit(7)
 
     before = set(mp.active_children())
-    with DuetExecutor() as ex:
+    with DuetExecutor(CorePlan(0, 1)) as ex:
         monkeypatch.setattr(executor_mod, "run_workload", leave)  # before the workers are forked
         with pytest.raises(ExecutionError, match=r"^duet worker 0 closed its pipe unexpectedly$"):
             ex.duet_invoke(SPEC_A, SPEC_B)
@@ -59,4 +59,4 @@ def test_solo_workload_out_of_memory_raises_execution_error(monkeypatch):
 
     monkeypatch.setattr(executor_mod, "run_workload", exhaust)
     with pytest.raises(ExecutionError, match=r"^workload exhausted resources: MemoryError\('no room'\)$"):
-        DuetExecutor(pinning=False).solo_invoke(SPEC_A)
+        DuetExecutor(CorePlan(0, 1), pinning=False).solo_invoke(SPEC_A)

@@ -273,7 +273,7 @@ def test_emit_empty_report_rejected(tmp_path):
 
     empty = Report(results=[], cfg=ExperimentConfig(), started_at="", finished_at="", reanalyzed_from=None)
     with pytest.raises(BenchmarkError):
-        emit_report(empty, tmp_path)
+        emit_report(empty, tmp_path, ("json", "csv"))
 
 
 def _sweep_report(repetitions: int) -> Report:
@@ -287,14 +287,14 @@ def test_a_report_replaces_each_artifact_with_a_new_file(tmp_path):
     # at the same path costs neither. A hard link to the old file therefore keeps the first report's bytes.
     out, links = tmp_path / "out", tmp_path / "links"
     links.mkdir()
-    first = emit_report(_sweep_report(260), out)
+    first = emit_report(_sweep_report(260), out, ("json", "csv"))
     assert sorted(first) == ["raw_csv", "summary_csv", "summary_json", "sweep_csv"]
     old = {name: path.read_bytes() for name, path in first.items()}
     for name, path in first.items():
         (links / name).hardlink_to(path)
     second_report = _sweep_report(160)
-    second = emit_report(second_report, out)
-    fresh = emit_report(second_report, tmp_path / "fresh")
+    second = emit_report(second_report, out, ("json", "csv"))
+    fresh = emit_report(second_report, tmp_path / "fresh", ("json", "csv"))
     for name, path in second.items():
         assert (links / name).read_bytes() == old[name]
         assert path.read_bytes() == fresh[name].read_bytes() != old[name]
@@ -306,7 +306,7 @@ def test_a_symlink_at_an_artifact_path_is_replaced_not_followed(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     (out / "raw.csv").symlink_to(target)
-    written = emit_report(_sweep_report(160), out)
+    written = emit_report(_sweep_report(160), out, ("json", "csv"))
     assert target.read_bytes() == b"kept\n"
     assert not written["raw_csv"].is_symlink() and written["raw_csv"].read_bytes().startswith(b"strategy,")
 
@@ -318,7 +318,7 @@ def test_sweep_csv_emission(tmp_path):
         output_dir=tmp_path,
     )
     report = run_experiment(cfg)
-    written = emit_report(report, tmp_path)
+    written = emit_report(report, tmp_path, ("json", "csv"))
     with open(written["sweep_csv"], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12
@@ -360,7 +360,7 @@ def test_a_sweep_start_above_the_pairs_left_names_the_strategy_and_the_pairs(tmp
 def test_reanalysis_reproduces_cis_exactly(tmp_path):
     cfg = ExperimentConfig(seed=31, output_dir=tmp_path, **FAST)
     report = run_experiment(cfg)
-    written = emit_report(report, tmp_path)
+    written = emit_report(report, tmp_path, ("json", "csv"))
     again = reanalyze_raw(
         written["raw_csv"], seed=31, ci_level=cfg.ci_level, resamples=cfg.resamples,
         threshold_pct=cfg.threshold_pct, min_samples=cfg.min_samples,
@@ -392,7 +392,7 @@ def test_reanalysis_reproduces_every_result_bit_for_bit(tmp_path, pairing):
 def _archive(tmp_path, **settings):
     """A gate's report and the raw.csv emit_report wrote for it, beside its summary.json."""
     report = run_experiment(ExperimentConfig(**settings))
-    return report, emit_report(report, tmp_path)["raw_csv"]
+    return report, emit_report(report, tmp_path, ("json", "csv"))["raw_csv"]
 
 
 # a non-default level and the random pairing, which draws from the seed: each of the three moves the bounds

@@ -9,7 +9,7 @@ from conftest import requires_two_cores
 from duetbench import strategies
 from duetbench.analysis import filter_cold_starts
 from duetbench.errors import PairingError
-from duetbench.executor import DuetExecutor, Timing
+from duetbench.executor import CorePlan, DuetExecutor, Timing
 from duetbench.harness import ExperimentConfig, run_experiment
 from duetbench.measurement import CLOCKS, Backend, ClockMode, Strategy
 from duetbench.simenv import VariabilityModel
@@ -203,7 +203,7 @@ def test_live_duet_alternates_the_baseline_worker():
 @requires_two_cores
 def test_work_results_identical_across_strategies_live():
     checksums = {}
-    with DuetExecutor() as executor:
+    with DuetExecutor(CorePlan(0, 1)) as executor:
         for strategy in Strategy:
             mset = run(strategy, 3, seed=50, executor=executor, backend=Backend.LIVE, workload=WorkloadKind.MEM_SIEVE,
                        scale=5000)
