@@ -6,6 +6,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 from collections.abc import Callable, Collection
 from dataclasses import Field, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -14,7 +15,7 @@ from types import UnionType
 from typing import TYPE_CHECKING, Any, Literal, get_args, get_origin, get_type_hints
 
 from .analysis import DEFAULT_LEVEL, DEFAULT_RESAMPLES, MIN_RESAMPLES, MIN_SAMPLE_SIZE
-from .errors import BenchmarkError, ConfigError
+from .errors import ConfigError
 from .measurement import STRATEGIES, Backend, ClockMode, Pairing, Strategy
 from .workloads import DEFAULT_SCALES, WorkloadKind, WorkloadSpec
 
@@ -34,16 +35,27 @@ def _origin_and_args(hint: Any) -> tuple[Any, tuple[Any, ...]]:
     return get_origin(hint), get_args(hint)
 
 
+# The metadata keys of a field's bounds (see ExperimentConfig): each one's rule, as messages print it, and its test.
+_RULES = {"least": (">=", operator.ge), "above": (">", operator.gt), "below": ("<", operator.lt)}
+
+
 def check_fields(obj: Any) -> None:
-    """Bring each field of a frozen dataclass to its annotated type.
+    """Bring each field of a frozen dataclass to its annotated type, then check it against its bounds.
 
     Converts the JSON forms: enum values to members, lists to tuples, a
     string to a Path, an int to a float and an object to a nested dataclass.
     Raises ConfigError on any other type (a bool is not an int), a value its
-    `Literal` lacks, a non-finite float and an object key the dataclass lacks.
+    `Literal` lacks, a non-finite float and an object key the dataclass lacks;
+    then, once every field has its type, on a value outside a bound its
+    field's metadata declares (`least`, `above`, `below`; None has no bounds).
     """
     for name, hint in _field_types(type(obj)).items():
         object.__setattr__(obj, name, _convert(getattr(obj, name), hint, name))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for key, (rule, holds) in _RULES.items():
+            if key in f.metadata and value is not None and not holds(value, f.metadata[key]):
+                raise ConfigError(f"{f.name} must be {rule} {f.metadata[key]}, got {value}")
 
 
 def _convert(value: Any, hint: Any, name: str) -> Any:
@@ -104,25 +116,17 @@ class VariabilityModel:
     exactly zero; set it to 0 for fully shared draws.
     """
 
-    instance_quality_cv: float = _about(0.15, flag="--quality-cv")
-    temporal_sigma: float = 0.05
-    cold_penalty_ms: float = 150.0
-    base_cost_ns_per_unit: float = _about(100.0, flag="--base-cost-ns")
-    drift_period_s: float = 300.0
-    drift_amplitude: float = 0.12
-    duet_jitter_cv: float = 0.002
-    time_step_s: float = 0.1
+    instance_quality_cv: float = _about(0.15, least=0, flag="--quality-cv")
+    temporal_sigma: float = _about(0.05, least=0)
+    cold_penalty_ms: float = _about(150.0, least=0)
+    base_cost_ns_per_unit: float = _about(100.0, above=0, flag="--base-cost-ns")
+    drift_period_s: float = _about(300.0, above=0)
+    drift_amplitude: float = _about(0.12, least=0, below=1)
+    duet_jitter_cv: float = _about(0.002, least=0)
+    time_step_s: float = _about(0.1, above=0)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("instance_quality_cv", "temporal_sigma", "cold_penalty_ms", "drift_amplitude", "duet_jitter_cv"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("base_cost_ns_per_unit", "drift_period_s", "time_step_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.drift_amplitude >= 1.0:
-            raise ConfigError(f"drift_amplitude must be < 1, got {self.drift_amplitude}")
 
 
 @dataclass(frozen=True)
@@ -133,24 +137,26 @@ class ExperimentConfig:
       field name); a path ending in `.0` or `.1` is an item of a pair;
     - `written`: False for a field a config file sets but summary.json does not hold;
     - `flag`: its flag (default: `--name-with-dashes`); fields that share one take a value each;
-    - `analyze`: True for a field `analyze` has a flag for; `help`: its flag's help.
+    - `analyze`: True for a field `analyze` has a flag for; `help`: its flag's help;
+    - `least`, `above`, `below`: its bounds, checked by `check_fields`: the value must be >= `least`, > `above`
+      and < `below`.
     """
 
     strategies: tuple[Strategy, ...] = _about(STRATEGIES, flag="--strategy",
                                               help="strategy to run (repeatable; default: all three)")
     backend: Backend = Backend.SIMULATED
-    repetitions: int = 1500
-    instances: int = 4
-    seed: int = _about(42, analyze=True)
+    repetitions: int = _about(1500, least=1)
+    instances: int = _about(4, least=1)
+    seed: int = _about(42, least=0, analyze=True)
     workload: WorkloadKind = _about(WorkloadKind.CPU_MUTATION, key="workload.kind")
-    scale: int | None = _about(None, key="workload.scale")  # None = the kind's default
-    regression_pct: float = 0.0
+    scale: int | None = _about(None, least=2, key="workload.scale")  # None = the kind's default
+    regression_pct: float = _about(0.0, least=0)
     baseline_label: str = _about("A", key="labels.0", analyze=True)
     candidate_label: str = _about("B", key="labels.1", analyze=True)
-    ci_level: float = _about(DEFAULT_LEVEL, analyze=True)
-    resamples: int = _about(DEFAULT_RESAMPLES, analyze=True)
+    ci_level: float = _about(DEFAULT_LEVEL, above=0, below=1, analyze=True)
+    resamples: int = _about(DEFAULT_RESAMPLES, least=MIN_RESAMPLES, analyze=True)
     threshold_pct: float = _about(1.0, analyze=True)
-    min_samples: int = _about(MIN_SAMPLE_SIZE, analyze=True)
+    min_samples: int = _about(MIN_SAMPLE_SIZE, least=1, analyze=True)
     run_sweep: bool = _about(False, key="sweep.enabled", flag="--sweep", help="also compute the sample-size sweep")
     sweep_start: int = _about(MIN_SAMPLE_SIZE, key="sweep.start")
     sweep_stop: int = _about(1500, key="sweep.stop")
@@ -158,8 +164,8 @@ class ExperimentConfig:
     clock: ClockMode | None = _about(None, help="force one clock for every strategy")
     pairing: Pairing = _about(Pairing.INDEX, analyze=True)
     pinning: bool = _about(True, flag="--no-pin", help="run live workers without core pinning")
-    core_a: int = _about(0, key="cores.0", flag="--cores")
-    core_b: int = _about(1, key="cores.1", flag="--cores")
+    core_a: int = _about(0, least=0, key="cores.0", flag="--cores")
+    core_b: int = _about(1, least=0, key="cores.1", flag="--cores")
     model: VariabilityModel = field(default_factory=VariabilityModel)
     output_dir: Path = _about(Path("results"), written=False, flag="--out", analyze=True,
                               help="output directory (default: results; analyze writes no files without it)")
@@ -170,23 +176,14 @@ class ExperimentConfig:
         check_fields(self)
         if self.scale is None:
             object.__setattr__(self, "scale", DEFAULT_SCALES[self.workload])
-        for name, least in (("seed", 0), ("instances", 1), ("repetitions", 1), ("resamples", MIN_RESAMPLES),
-                            ("min_samples", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level}")
         if self.run_sweep and self.sweep_step < 1:
             raise ConfigError(f"sweep step must be >= 1, got {self.sweep_step}")
         if self.run_sweep and not self.min_samples <= self.sweep_start <= self.sweep_stop:
             raise ConfigError(
                 f"sweep start {self.sweep_start} must lie between min_samples {self.min_samples} and stop {self.sweep_stop}"
             )
-        try:
-            CorePlan(self.core_a, self.core_b)
-            self.specs()
-        except (ValueError, BenchmarkError) as exc:
-            raise ConfigError(str(exc)) from None
+        if self.core_a == self.core_b:
+            raise ConfigError(f"duet workers need distinct cores, got {self.core_a} twice")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         for i, strategy in enumerate(self.strategies):

@@ -228,20 +228,18 @@ def _write_raw(fh: IO[bytes], m: MeasurementSet) -> None:
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
-    """int64 `values` as `_write_raw` cells: a comma, a sign and right-aligned decimal digits, one row each."""
-    magnitude = values.view(np.uint64)
-    magnitude = np.where(values < 0, -magnitude, magnitude)  # wraps, so -2**63 gives 2**63
+    """int64 `values`, none negative, as `_write_raw` cells: a comma and right-aligned decimal digits, one row each."""
+    magnitude = values.view(np.uint64)  # the same values (a set refuses a negative one), compared exactly below
     count = _POWERS_OF_TEN.searchsorted(magnitude, "right") + 1  # each value's digits
     width = int(count.max())
-    out = np.empty((width + 2, len(values)), np.uint8)
+    out = np.empty((width + 1, len(values)), np.uint8)
     out[0] = ord(",")
-    out[1] = np.where(values < 0, ord("-"), 0xFF)
-    for row in range(width + 1, 1, -1):
+    for row in range(width, 0, -1):
         rest = magnitude // 10
         out[row] = magnitude - rest * 10
         magnitude = rest
-    out[2:] += ord("0")
-    out[2:][np.arange(width, 0, -1)[:, None] > count] = 0xFF  # no leading zero
+    out[1:] += ord("0")
+    out[1:][np.arange(width, 0, -1)[:, None] > count] = 0xFF  # no leading zero
     return out
 
 
@@ -278,8 +276,9 @@ def load_raw_csv(path: Path | str, labels: tuple[str, str]) -> dict[Strategy, Me
     The columns, their types and each text column's cells come from `_RAW_CSV`, with `labels` as `version`'s
     cells. Strategies keep their order of first appearance, rows their order within a strategy; blank lines are
     skipped. An integer cell is an optional sign and ASCII digits, with optional surrounding spaces, within
-    int64, and a text cell one of its column's cells. Any other cell, and a NUL character anywhere in the file,
-    raises ValueError naming its column, a label other than the two PairingError.
+    int64 and its column's range (`MeasurementSet`'s checks: none is negative), and a text cell one of its column's
+    cells. Any other cell, and a NUL character anywhere in the file, raises ValueError naming its column, a label
+    other than the two PairingError.
     """
     with open(path, "rb") as raw:  # no raw.csv holds a NUL (labels may not), and numpy drops one where it cuts a cell
         while block := raw.read(1 << 16):

@@ -124,7 +124,8 @@ class MeasurementSet(Sequence):
             setattr(self, name, np.asarray(getattr(self, name), None if name in _CODES else dtype))
         if len({len(getattr(self, name)) for name in COLUMNS}) > 1:
             raise ValueError("measurement columns differ in length")
-        for name, least, most, rule in (("duration_ns", 1, np.inf, "> 0"), ("repetition", 0, np.inf, ">= 0"),
+        for name, least, most, rule in (("duration_ns", 1, np.inf, "> 0"), ("instance_id", 0, np.inf, ">= 0"),
+                                        ("repetition", 0, np.inf, ">= 0"),
                                         ("version", 0, 1, "0 (baseline) or 1 (candidate)"),
                                         ("order_position", -1, 1, "-1 (none), 0 or 1"),
                                         ("clock_mode", 0, len(CLOCKS) - 1, "an index into CLOCKS")):

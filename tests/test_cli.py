@@ -193,6 +193,7 @@ def test_analyze_refuses_unpaired_cold_row(tmp_path, capsys):
     pytest.param({4: "1_000"}, None, id="underscored-duration"),  # int() reads it; the C reader does not
     pytest.param({4: "\u0661\u0660\u0660"}, None, id="arabic-indic-duration"),  # likewise: 100 in Arabic-Indic digits
     pytest.param({2: "-5"}, None, id="negative-repetition"),
+    pytest.param({1: "-3"}, ("ValueError", "instance_id"), id="negative-instance"),
     pytest.param({7: "2"}, ("ValueError", "order_position"), id="order-position-2"),
     pytest.param({5: "sundial"}, ("ValueError", "clock_mode"), id="unknown-clock"),
     pytest.param({0: "solo"}, ("ValueError", "strategy"), id="unknown-strategy"),
@@ -404,6 +405,17 @@ def test_malformed_config_exits_two_before_running(tmp_path, capsys, config, fla
     assert code == EXIT_ERROR
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "out" / "raw.csv").exists()
+
+
+@pytest.mark.parametrize(("flags", "name"), [
+    pytest.param(["--ci-level", "1"], "ci_level", id="ci-level-one"),
+    pytest.param(["--base-cost-ns", "0"], "base_cost_ns_per_unit", id="base-cost-zero"),
+])
+def test_a_flag_past_its_bound_exits_two_naming_the_field(tmp_path, capsys, flags, name):
+    assert main(["run", *flags, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith(f"{name} must be "), err
+    assert not (tmp_path / "out").exists()
 
 
 def _without(mapping, key):

@@ -9,6 +9,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ def test_config_validation():
         ExperimentConfig(strategies=(Strategy.DUET, Strategy.RMIT, Strategy.DUET))
     with pytest.raises(ConfigError):
         ExperimentConfig(formats=("yaml",))
+
+
+# Each bound the field metadata of a config class declares: (class, field, kind of bound, bound).
+_BOUNDS = [(cls, f.name, key, f.metadata[key]) for cls in (ExperimentConfig, VariabilityModel)
+           for f in dataclasses.fields(cls) for key in ("least", "above", "below") if key in f.metadata]
+
+
+def _next(cls, name, value, toward):
+    """The value of field `name`'s type next to `value` in the direction of `toward`."""
+    hint = get_type_hints(cls)[name]
+    if float in (hint, *get_args(hint)):
+        return float(np.nextafter(value, toward))
+    return value + (1 if toward > value else -1)
+
+
+@pytest.mark.parametrize(("cls", "name", "key", "bound"), _BOUNDS,
+                         ids=[f"{cls.__name__}.{name}-{key}" for cls, name, key, _ in _BOUNDS])
+def test_every_declared_bound_holds(cls, name, key, bound):
+    base = {"core_a": 2, "core_b": 3} if cls is ExperimentConfig else {}  # so neither core's bound makes them equal
+    rule, outward = {"least": (">=", -np.inf), "above": (">", -np.inf), "below": ("<", np.inf)}[key]
+    past = _next(cls, name, bound, outward) if key == "least" else bound
+    inside = bound if key == "least" else _next(cls, name, bound, -outward)
+    with pytest.raises(ConfigError, match=rf"^{name} must be {re.escape(rule)} {bound}, got "):
+        cls(**{**base, name: past})
+    assert getattr(cls(**{**base, name: inside}), name) == inside
 
 
 def test_zero_repetitions_rejected():
@@ -508,7 +534,7 @@ def _measurement_sets(draw, label_alphabet='ab"\r\n, é漢\x00'):
         def column(least, most, dtype=np.int64):
             return np.array(draw(st.lists(st.integers(least, most), min_size=rows, max_size=rows)), dtype)
 
-        sets.append(MeasurementSet(strategy, labels, instance_id=column(-2**63, 2**63 - 1),
+        sets.append(MeasurementSet(strategy, labels, instance_id=column(0, 2**63 - 1),
                                    repetition=column(0, 2**63 - 1), duration_ns=column(1, 2**63 - 1),
                                    version=column(0, 1, np.int8), cold=column(0, 1, bool),
                                    order_position=column(-1, 1, np.int8), clock_mode=column(0, 1, np.int8)))
@@ -517,7 +543,7 @@ def _measurement_sets(draw, label_alphabet='ab"\r\n, é漢\x00'):
 
 # Every extreme at once, 0 and 10 next to them, every clock, cold and order code, and a set of no rows.
 _EXTREMES = [
-    MeasurementSet(Strategy.RMIT, ('x,"y', "é\n"), instance_id=[-2**63, 0, -1, 10, 2**63 - 1, -10],
+    MeasurementSet(Strategy.RMIT, ('x,"y', "é\n"), instance_id=[9, 0, 1, 10, 2**63 - 1, 10**18],
                    repetition=[0, 10**18, 2**63 - 1, 10, 0, 1], duration_ns=[2**63 - 1, 1, 10, 100, 9, 10**18],
                    version=[0, 1, 1, 0, 0, 1], cold=[True, False, True, False, True, False],
                    order_position=[-1, 0, 1, -1, 0, 1], clock_mode=[0, 0, 1, 1, 0, 1]),

@@ -262,6 +262,16 @@ def test_codes_are_checked_before_they_narrow(name, rule, value):
         _set([0, 0], [0, 0], **columns)
 
 
+@pytest.mark.parametrize(("name", "rule", "value"), [
+    ("instance_id", ">= 0", -1), ("instance_id", ">= 0", -2**63), ("duration_ns", "> 0", 0), ("repetition", ">= 0", -1),
+])
+def test_int64_columns_are_checked_against_their_ranges(name, rule, value):
+    # raw.csv's writer has no sign row: no int64 column holds a negative value
+    columns = {"instance_id": [0, 0], "repetition": [0, 0], "duration_ns": [1, 2], name: np.array([value, 1])}
+    with pytest.raises(ValueError, match=rf"{name} must be {rule}, got {value}$"):
+        _set(version=[0, 1], **columns)
+
+
 def test_columns_of_different_lengths_are_refused():
     with pytest.raises(ValueError, match="columns differ in length"):
         MeasurementSet(Strategy.DUET, ("A", "B"), duration_ns=[1])
